@@ -189,6 +189,34 @@ func BenchmarkOptimizerOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepare measures parse → analyze → optimize → prune of the
+// repeated serving shapes (the repository benchmark's warm_repeat) as the
+// fact table grows, after one warm-up per shape, on an engine configured
+// like queryd. Optimize is meant to be O(1) in table size: the three
+// sizes should report the same ns/op, B/op and allocs/op. The committed
+// before/after pair is BENCH_optimizer.json.
+func BenchmarkPrepare(b *testing.B) {
+	for _, factRows := range []int{1 << 10, 1 << 14, 1 << 17} {
+		eng, w, err := bench.RepeatedEngine(factRows, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range w.Queries {
+			if _, err := eng.Prepare(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("fact=%d", factRows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Prepare(w.Queries[i%len(w.Queries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkIndexBuild measures inverted-index construction throughput.
 func BenchmarkIndexBuild(b *testing.B) {
 	b.ReportAllocs()

@@ -35,10 +35,11 @@ func TestReplicaChaos(t *testing.T) {
 		}
 	}
 	// The baseline must visibly degrade: with load-blind selection most
-	// scatter calls touch a browned-out replica.
-	if unhedged.XHealthy < 3 {
-		t.Errorf("unhedged brownout p99 %v is only %.2fx healthy %v, want >= 3x",
-			unhedged.P99, unhedged.XHealthy, healthy.P99)
+	// scatter calls touch a browned-out replica. Compared on medians — the
+	// healthy p99 of 8 clients on a small box is scheduler noise, and a
+	// ratio over it (XHealthy) swings with it.
+	if unhedged.P50 < 3*healthy.P50 {
+		t.Errorf("unhedged brownout p50 %v is under 3x healthy p50 %v", unhedged.P50, healthy.P50)
 	}
 	// The routing tier must contain it: hedges fire, losers are
 	// cancelled, the persistently slow replicas are ejected, and p99

@@ -287,10 +287,13 @@ func (p *Prepared) Run() (*Result, error) {
 
 // RunContext executes the prepared plan under a context; cancellation or
 // deadline expiry aborts the run's text-service calls. When a text source
-// supports snapshot pinning (a live-ingest backend), the run is pinned to
-// the collection state at this moment: every search and retrieve the plan
-// issues sees one consistent version of the index even while concurrent
-// ingest advances it.
+// supports snapshot pinning (a live-ingest backend), the run is pinned:
+// every search and retrieve the plan issues sees one consistent version of
+// the index even while concurrent ingest advances it. The version is the
+// one current at the run's first text read, not at this call — a write
+// acked while the relational side is still scanning is visible, and the
+// run cannot fall behind the collection (and lose its cache access)
+// before it has read anything.
 func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
 	for _, svc := range p.services {
 		ctx = texservice.PinSnapshot(ctx, svc)

@@ -693,6 +693,8 @@ func (g *Gateway) execute(ctx context.Context, sql string, analyze bool) (*Respo
 	if res.Batches > 0 {
 		g.ctrs.execBatches.Add(uint64(res.Batches))
 	}
+	g.ctrs.optimizeNanos.Add(uint64(res.OptimizeTime))
+	g.ctrs.executeNanos.Add(uint64(res.ExecuteTime))
 	var telem *telemetry.Record
 	if g.cfg.Telemetry != nil {
 		telem = buildTelemetry(prep, res)

@@ -45,6 +45,10 @@ func (g *Gateway) WriteMetrics(w io.Writer) {
 	counter("queries_slow_logged_total", "Queries dumped to the slow-query log.", s.SlowLogged)
 	counter("slow_dumps_suppressed_total", "Slow-query span dumps dropped by the per-minute dump budget.", s.SlowDumpSuppressed)
 	counter("exec_batches_total", "Column batches emitted by the vectorized execution engine.", s.ExecBatches)
+	fmt.Fprintf(w, "# HELP textjoin_layer_seconds_total Wall-clock seconds completed queries spent in each engine layer.\n")
+	fmt.Fprintf(w, "# TYPE textjoin_layer_seconds_total counter\n")
+	fmt.Fprintf(w, "textjoin_layer_seconds_total{layer=\"optimize\"} %s\n", fnum(s.OptimizeSeconds))
+	fmt.Fprintf(w, "textjoin_layer_seconds_total{layer=\"execute\"} %s\n", fnum(s.ExecuteSeconds))
 	counter("ingest_batches_total", "Acked document-ingest batches.", s.IngestBatches)
 	counter("ingest_ops_total", "Acked document-ingest operations (puts and deletes).", s.IngestOps)
 	counter("ingest_failed_total", "Document-ingest batches rejected or failed.", s.IngestFailed)

@@ -175,6 +175,9 @@ func TestMetricsPromFormat(t *testing.T) {
 		"textjoin_in_flight_peak":                        1,
 		"textjoin_query_latency_seconds_count":           3,
 		`textjoin_text_searches_total{source="mercury"}`: 1,
+		// The in-program layer breakdown: both layers took some time.
+		`textjoin_layer_seconds_total{layer="optimize"}`: 1e-9,
+		`textjoin_layer_seconds_total{layer="execute"}`:  1e-9,
 	} {
 		got, ok := samples[key]
 		if !ok {
@@ -331,8 +334,8 @@ func TestGatewaySlowQueryLog(t *testing.T) {
 	}
 }
 
-// TestGatewayGaugesInStats: the live and peak occupancy gauges surface in
-// the snapshot.
+// TestGatewayGaugesInStats: the live and peak occupancy gauges and the
+// per-layer engine seconds surface in the snapshot.
 func TestGatewayGaugesInStats(t *testing.T) {
 	gw, _ := newGateway(t, gateway.Config{Workers: 2}, 0)
 	warm(t, gw, testQueries[0])
@@ -342,5 +345,9 @@ func TestGatewayGaugesInStats(t *testing.T) {
 	}
 	if s.InFlightPeak < 1 {
 		t.Errorf("in_flight peak = %d, want >= 1 after a completed query", s.InFlightPeak)
+	}
+	if s.OptimizeSeconds <= 0 || s.ExecuteSeconds <= 0 {
+		t.Errorf("layer seconds optimize=%g execute=%g, want both > 0 after a completed query",
+			s.OptimizeSeconds, s.ExecuteSeconds)
 	}
 }

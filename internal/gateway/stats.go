@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"textjoin/internal/obs"
 	"textjoin/internal/telemetry"
@@ -35,6 +36,8 @@ type counters struct {
 	slowLogged         atomic.Uint64 // queries dumped to the slow-query log
 	slowDumpSuppressed atomic.Uint64 // slow-log span dumps dropped by the per-minute budget
 	execBatches        atomic.Uint64 // column batches emitted by the vectorized engine
+	optimizeNanos      atomic.Uint64 // completed queries' core.Result.OptimizeTime, summed
+	executeNanos       atomic.Uint64 // completed queries' core.Result.ExecuteTime, summed
 	ingestBatches      atomic.Uint64 // acked ingest batches
 	ingestOps          atomic.Uint64 // acked ingest operations (puts + deletes)
 	ingestFailed       atomic.Uint64 // ingest batches that were rejected or failed
@@ -226,9 +229,14 @@ type Snapshot struct {
 	SlowLogged         uint64 `json:"slow_logged"`
 	SlowDumpSuppressed uint64 `json:"slow_dump_suppressed"`
 	ExecBatches        uint64 `json:"exec_batches"`
-	IngestBatches      uint64 `json:"ingest_batches"`
-	IngestOps          uint64 `json:"ingest_ops"`
-	IngestFailed       uint64 `json:"ingest_failed"`
+	// OptimizeSeconds / ExecuteSeconds split completed queries' engine
+	// time by layer: parse-to-plan (sampling included) against running
+	// the plan. Their ratio is the optimizer's share of a query.
+	OptimizeSeconds float64 `json:"optimize_seconds"`
+	ExecuteSeconds  float64 `json:"execute_seconds"`
+	IngestBatches   uint64  `json:"ingest_batches"`
+	IngestOps       uint64  `json:"ingest_ops"`
+	IngestFailed    uint64  `json:"ingest_failed"`
 
 	Cache      CacheStats      `json:"cache"`
 	ProbeCache ProbeCacheStats `json:"probe_cache"`
@@ -259,6 +267,8 @@ func (c *counters) snapshot() Snapshot {
 		SlowLogged:         c.slowLogged.Load(),
 		SlowDumpSuppressed: c.slowDumpSuppressed.Load(),
 		ExecBatches:        c.execBatches.Load(),
+		OptimizeSeconds:    time.Duration(c.optimizeNanos.Load()).Seconds(),
+		ExecuteSeconds:     time.Duration(c.executeNanos.Load()).Seconds(),
 		IngestBatches:      c.ingestBatches.Load(),
 		IngestOps:          c.ingestOps.Load(),
 		IngestFailed:       c.ingestFailed.Load(),

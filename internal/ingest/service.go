@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"textjoin/internal/obs"
 	"textjoin/internal/texservice"
@@ -14,8 +15,8 @@ import (
 // write capability (texservice.Ingestor). It is the mutable counterpart
 // of texservice.Local: identical cost charging and result shapes, plus
 // snapshot-isolated reads — a query pinned with PinSnapshot keeps one
-// consistent view for all of its searches and retrievals no matter how
-// many writes land while it runs.
+// consistent view, captured at its first read, for all of its searches and
+// retrievals no matter how many writes land while it runs.
 type Live struct {
 	store       *Store
 	shortFields []string
@@ -59,18 +60,37 @@ func NewLive(store *Store, opts ...LiveOption) *Live {
 // Store exposes the underlying store (servers and tests).
 func (l *Live) Store() *Store { return l.store }
 
-// pinKey keys a pinned view in a context, per store: two Live services
+// pinKey keys a query's pin in a context, per store: two Live services
 // over different stores pin independently.
 type pinKey struct{ s *Store }
 
+// pin is a query's snapshot pin. PinSnapshot installs it empty; the
+// query's first read (or SnapshotPinned probe) captures the store's
+// current view into it, once, and every later read reuses that view.
+type pin struct {
+	once sync.Once
+	view *View
+}
+
+func (p *pin) resolve(s *Store) *View {
+	p.once.Do(func() { p.view = s.CurrentView() })
+	return p.view
+}
+
 // PinSnapshot returns a context whose reads against this service all use
-// the current view — snapshot isolation for a query's lifetime. Without
+// one view — snapshot isolation for a query's lifetime. The view is
+// captured at the query's first read or SnapshotPinned probe, not here:
+// the query still sees one version throughout and every write acked
+// before it started, but the window in which a write can move the
+// collection past the pin (which costs the query its cache access, see
+// SnapshotPinned) starts when the query begins to read rather than when
+// it begins to run. Pinning an already-pinned context is a no-op. Without
 // a pin every call captures the latest acknowledged state.
 func (l *Live) PinSnapshot(ctx context.Context) context.Context {
-	if _, ok := ctx.Value(pinKey{l.store}).(*View); ok {
+	if _, ok := ctx.Value(pinKey{l.store}).(*pin); ok {
 		return ctx
 	}
-	return context.WithValue(ctx, pinKey{l.store}, l.store.CurrentView())
+	return context.WithValue(ctx, pinKey{l.store}, &pin{})
 }
 
 // SnapshotPinned implements texservice.PinProber: it reports whether
@@ -83,15 +103,19 @@ func (l *Live) PinSnapshot(ctx context.Context) context.Context {
 // this check is caught by the caches' fill guard (the write advances
 // their version before the stale fill is attempted, or the entry is
 // filled at — and correctly keyed on — the pre-write version).
+//
+// The probe resolves an unresolved pin: a cache that answers "not
+// behind" may serve the query a current-version entry, so the version
+// the query is held to must be fixed no later than that answer.
 func (l *Live) SnapshotPinned(ctx context.Context) bool {
-	v, ok := ctx.Value(pinKey{l.store}).(*View)
-	return ok && v.Seq() != l.store.CurrentView().Seq()
+	p, ok := ctx.Value(pinKey{l.store}).(*pin)
+	return ok && p.resolve(l.store).Seq() != l.store.CurrentView().Seq()
 }
 
 // view resolves the context's pinned view, or captures the latest.
 func (l *Live) view(ctx context.Context) *View {
-	if v, ok := ctx.Value(pinKey{l.store}).(*View); ok {
-		return v
+	if p, ok := ctx.Value(pinKey{l.store}).(*pin); ok {
+		return p.resolve(l.store)
 	}
 	return l.store.CurrentView()
 }

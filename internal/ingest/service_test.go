@@ -1,6 +1,9 @@
 package ingest
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"textjoin/internal/texservice"
@@ -201,26 +204,39 @@ func TestCachesNeverServeStaleAfterWrite(t *testing.T) {
 }
 
 // TestPinnedQueryDoesNotPoisonCaches is the regression test for the
-// snapshot/cache interaction: a write lands between a query's pin and
-// its first (cache-missing) search, so the pinned query evaluates
-// against the pre-write view. Its answer must not be recorded under the
-// post-write version, where an unpinned query would hit it — the stated
-// guarantee is that a post-ack search is never answered from a
-// pre-write entry.
+// snapshot/cache interaction: a write lands between a pinned query's first
+// and second search (the pin is taken at the first read, so a write before
+// it is simply visible — see TestPinResolvesAtFirstRead), and the second,
+// cache-missing search evaluates against the pre-write view. Its answer
+// must not be recorded under the post-write version, where an unpinned
+// query would hit it — the stated guarantee is that a post-ack search is
+// never answered from a pre-write entry — and the unpinned query's fill
+// must not be served back to the pinned one.
 func TestPinnedQueryDoesNotPoisonCaches(t *testing.T) {
 	l := liveService(t)
 	cached := texservice.NewCached(l, 64)
 	stack := texservice.NewProbeCache(cached, 64)
 
+	first, err := textidx.Parse("title='sensor'", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e, err := textidx.Parse("title='belief'", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pinned := stack.PinSnapshot(bg)
-	// The write lands AFTER the pin but BEFORE the pinned query's first
-	// search; both caches adopt the post-write version from the ack.
+	// The pinned query's first search fixes its view.
+	if _, err := stack.Search(pinned, first, texservice.FormShort); err != nil {
+		t.Fatal(err)
+	}
+	// The write lands before its second search; both caches adopt the
+	// post-write version from the ack.
 	if _, err := stack.Ingest(bg, []texservice.IngestOp{put("n1", "belief lands mid-query")}); err != nil {
 		t.Fatal(err)
+	}
+	if !stack.SnapshotPinned(pinned) {
+		t.Fatal("pin resolved before the write does not report behind after it")
 	}
 	old, err := stack.Search(pinned, e, texservice.FormShort)
 	if err != nil {
@@ -243,6 +259,150 @@ func TestPinnedQueryDoesNotPoisonCaches(t *testing.T) {
 	if len(again.Hits) != len(old.Hits) {
 		t.Fatalf("pinned view drifted through the caches: %d then %d hits", len(old.Hits), len(again.Hits))
 	}
+}
+
+// TestPinResolvesAtFirstRead: PinSnapshot only marks the context; the
+// view is captured by the query's first read. A write acked in between is
+// visible to the query (and leaves it current, so it keeps its cache
+// access); once captured, the view never moves, and pinning the context
+// again changes nothing.
+func TestPinResolvesAtFirstRead(t *testing.T) {
+	l := liveService(t)
+	e, err := textidx.Parse("title='belief'", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(ctx context.Context) int {
+		t.Helper()
+		res, err := l.Search(ctx, e, texservice.FormShort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Hits)
+	}
+	base := count(bg)
+
+	pinned := l.PinSnapshot(bg)
+	if again := l.PinSnapshot(pinned); again != pinned {
+		t.Fatal("PinSnapshot on a pinned context returned a new context")
+	}
+	if _, err := l.Ingest(bg, []texservice.IngestOp{put("n1", "belief before first read")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(pinned); got != base+1 {
+		t.Fatalf("write acked before the first read: pinned query sees %d hits, want %d", got, base+1)
+	}
+	if l.SnapshotPinned(pinned) {
+		t.Fatal("pin taken at the first read reports behind with no write since")
+	}
+
+	if _, err := l.Ingest(bg, []texservice.IngestOp{put("n2", "belief after first read")}); err != nil {
+		t.Fatal(err)
+	}
+	if !l.SnapshotPinned(pinned) {
+		t.Fatal("pin does not report behind after a later write")
+	}
+	// Re-pinning a resolved pin must not refresh it.
+	if got := count(l.PinSnapshot(pinned)); got != base+1 {
+		t.Fatalf("resolved pin moved: %d hits, want %d", got, base+1)
+	}
+	if got := count(bg); got != base+2 {
+		t.Fatalf("unpinned search sees %d hits, want %d", got, base+2)
+	}
+}
+
+// TestPinProbeResolves: a SnapshotPinned probe fixes the view just as a
+// read does — a cache told "not behind" may serve a current-version
+// entry, so a write after the probe must stay invisible to the query.
+func TestPinProbeResolves(t *testing.T) {
+	l := liveService(t)
+	e, err := textidx.Parse("title='belief'", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := l.Search(bg, e, texservice.FormShort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := l.PinSnapshot(bg)
+	if l.SnapshotPinned(pinned) {
+		t.Fatal("fresh pin reports behind")
+	}
+	if _, err := l.Ingest(bg, []texservice.IngestOp{put("n1", "belief after probe")}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.Search(pinned, e, texservice.FormShort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hits) != len(base.Hits) {
+		t.Fatalf("write after the probe visible to the pinned query: %d hits, want %d", len(res.Hits), len(base.Hits))
+	}
+}
+
+// TestPinSharedAcrossGoroutines: a query's parallel legs share one
+// context; whichever reads first resolves the pin and all of them see
+// that one view while a writer keeps advancing the collection.
+func TestPinSharedAcrossGoroutines(t *testing.T) {
+	l := liveService(t)
+	e, err := textidx.Parse("title='belief'", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Upserts over a few ids keep the collection small while the
+			// number of 'belief' hits keeps changing.
+			title := "belief keeps arriving"
+			if i%3 == 0 {
+				title = "something else"
+			}
+			if _, err := l.Ingest(bg, []texservice.IngestOp{put(fmt.Sprintf("w%d", i%8), title)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for q := 0; q < 20; q++ {
+		pinned := l.PinSnapshot(bg)
+		counts := make([]int, 8)
+		var legs sync.WaitGroup
+		for g := range counts {
+			g := g
+			legs.Add(1)
+			go func() {
+				defer legs.Done()
+				for i := 0; i < 4; i++ {
+					res, err := l.Search(pinned, e, texservice.FormShort)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if i > 0 && len(res.Hits) != counts[g] {
+						t.Errorf("leg %d: view moved, %d then %d hits", g, counts[g], len(res.Hits))
+					}
+					counts[g] = len(res.Hits)
+				}
+			}()
+		}
+		legs.Wait()
+		for g, c := range counts {
+			if c != counts[0] {
+				t.Fatalf("query %d: leg %d saw %d hits, leg 0 saw %d — legs pinned different views", q, g, c, counts[0])
+			}
+		}
+	}
+	close(stop)
+	writer.Wait()
 }
 
 // TestCurrentPinKeepsCacheUtility: a pin that the collection has not

@@ -1,6 +1,10 @@
 package join
 
 import (
+	"context"
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"textjoin/internal/ingest"
@@ -255,5 +259,72 @@ func TestLiveIngestVersionSum(t *testing.T) {
 	// Every shard saw the whole batch: 4 ops × 2 shards.
 	if v1-v0 != uint64(len(liveMutations())*2) {
 		t.Fatalf("version advanced by %d, want %d", v1-v0, len(liveMutations())*2)
+	}
+}
+
+// TestLiveIngestShardedPinsPerShardAtFirstRead: a federation pin is one
+// lazy pin per shard, and each shard's view is captured at that shard's
+// own first read — a write that lands after shard 0 was read but before
+// shard 1 was is invisible on shard 0 and visible on shard 1 (the
+// per-shard consistency Sharded.PinSnapshot documents).
+func TestLiveIngestShardedPinsPerShardAtFirstRead(t *testing.T) {
+	fed, stores := liveFederation(t, 2)
+	// A second Live over shard 0's store shares the store's pin: reading
+	// through it is "the query reads shard 0 only".
+	shard0 := ingest.NewLive(stores[0], ingest.WithShortFields("title", "author", "year"))
+
+	var owned [2][]string // ext ids by owning shard
+	for i := 0; len(owned[0]) < 2 || len(owned[1]) < 1; i++ {
+		ext := fmt.Sprintf("z%d", i)
+		k := ingest.OwnerShard(ext, 2)
+		owned[k] = append(owned[k], ext)
+	}
+	a1, a2, b1 := owned[0][0], owned[0][1], owned[1][0]
+	zebrafish := func(ext string) texservice.IngestOp {
+		return texservice.IngestOp{Kind: texservice.IngestPut, ExtID: ext, Fields: map[string]string{
+			"title": "Zebrafish Genomics", "author": "Nobody", "year": "1997"}}
+	}
+	e := textidx.Term{Field: "title", Word: "zebrafish"}
+	exts := func(ctx context.Context, svc texservice.Service) []string {
+		t.Helper()
+		res, err := svc.Search(ctx, e, texservice.FormShort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, h := range res.Hits {
+			out = append(out, h.ExtID)
+		}
+		sort.Strings(out)
+		return out
+	}
+	ing := fed.(texservice.Ingestor)
+
+	pinned := texservice.PinSnapshot(bg, fed)
+	if _, err := ing.Ingest(bg, []texservice.IngestOp{zebrafish(a1)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := exts(pinned, shard0); !reflect.DeepEqual(got, []string{a1}) {
+		t.Fatalf("shard 0 first read sees %v, want [%s] (acked before the read)", got, a1)
+	}
+	if _, err := ing.Ingest(bg, []texservice.IngestOp{zebrafish(a2), zebrafish(b1)}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{a1, b1}
+	sort.Strings(want)
+	if got := exts(pinned, fed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pinned federation search sees %v, want %v (shard 0 held to its first read, shard 1 pinned now)", got, want)
+	}
+	all := []string{a1, a2, b1}
+	sort.Strings(all)
+	if got := exts(bg, fed); !reflect.DeepEqual(got, all) {
+		t.Fatalf("unpinned federation search sees %v, want %v", got, all)
+	}
+	// Both shards are resolved now: nothing moves on a repeat.
+	if _, err := ing.Ingest(bg, []texservice.IngestOp{zebrafish("z-late")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := exts(pinned, fed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resolved federation pin moved: %v, want %v", got, want)
 	}
 }

@@ -49,18 +49,18 @@ func (o *Optimizer) predSelectivity(table string, p relation.Predicate) (float64
 	case nil, relation.True:
 		return 1, nil
 	case relation.ColConst:
+		if p.Op != relation.OpEq && p.Op != relation.OpNe {
+			return rangeSelectivity, nil
+		}
 		d, err := o.distinctOf(table, p.Col)
 		if err != nil {
 			return 0, err
 		}
-		switch p.Op {
-		case relation.OpEq:
-			return 1 / math.Max(1, float64(d)), nil
-		case relation.OpNe:
-			return 1 - 1/math.Max(1, float64(d)), nil
-		default:
-			return rangeSelectivity, nil
+		eq := 1 / math.Max(1, float64(d))
+		if p.Op == relation.OpNe {
+			return 1 - eq, nil
 		}
+		return eq, nil
 	case relation.ColCol:
 		if p.Op == relation.OpEq {
 			return colColSelectivity, nil
@@ -99,22 +99,15 @@ func (o *Optimizer) predSelectivity(table string, p relation.Predicate) (float64
 	}
 }
 
-// distinctOf returns the base distinct count of a qualified column,
-// cached.
+// distinctOf returns the base distinct count of a qualified column. The
+// table memoizes it (the Qualified view shares its base's memo), so this
+// is O(1) in table size after its first use.
 func (o *Optimizer) distinctOf(table, qualified string) (int, error) {
-	if d, ok := o.distinct[qualified]; ok {
-		return d, nil
-	}
 	base, ok := o.cat.Tables[table]
 	if !ok {
 		return 0, fmt.Errorf("optimizer: unknown table %q", table)
 	}
-	d, err := base.Qualified().DistinctCount(qualified)
-	if err != nil {
-		return 0, err
-	}
-	o.distinct[qualified] = d
-	return d, nil
+	return base.Qualified().DistinctCount(qualified)
 }
 
 // tableOfColumn resolves a qualified column to its table name.
@@ -276,7 +269,7 @@ func (o *Optimizer) availableForeignOf(source string, n plan.Node) []int {
 // Predicates whose bit is set in probed have already been applied as
 // probe reductions upstream: their selectivity is 1 on the surviving
 // tuples and their fanout is the conditional (given-a-match) fanout.
-func (o *Optimizer) costParams(source string, card float64, predIdxs []int, probed uint32) *cost.Params {
+func (o *Optimizer) costParams(source string, card float64, predIdxs []int, probed uint32) (*cost.Params, error) {
 	svc := o.services[source]
 	part := o.a.Part(source)
 	p := &cost.Params{
@@ -293,13 +286,10 @@ func (o *Optimizer) costParams(source string, card float64, predIdxs []int, prob
 	for _, i := range predIdxs {
 		f := o.a.Foreign[i]
 		e := o.predStats[i]
-		baseDistinct := o.distinct[f.Column]
-		if baseDistinct == 0 {
-			if d, err := o.distinctOf(f.Table, f.Column); err == nil {
-				baseDistinct = d
-			}
+		distinct, err := o.distinctOf(f.Table, f.Column)
+		if err != nil {
+			return nil, err
 		}
-		distinct := baseDistinct
 		if fd := float64(distinct); fd > card {
 			distinct = p.N
 		}
@@ -332,7 +322,7 @@ func (o *Optimizer) costParams(source string, card float64, predIdxs []int, prob
 		p.SelPostings = st.Postings
 		p.SelTerms = part.Sel.TermCount()
 	}
-	return p
+	return p, nil
 }
 
 // probeCands generates probe-reduced variants of a candidate: for each
@@ -354,7 +344,10 @@ func (o *Optimizer) probeCands(c cand, srcMask uint32) ([]cand, error) {
 		if len(avail) == 0 {
 			continue
 		}
-		params := o.costParams(src, c.card, avail, c.probed)
+		params, err := o.costParams(src, c.card, avail, c.probed)
+		if err != nil {
+			return nil, err
+		}
 		bound := params.ProbeBound()
 
 		subset := make([]int, 0, bound)
@@ -435,7 +428,10 @@ func (o *Optimizer) textJoinCands(c cand, source string) ([]cand, error) {
 			all = append(all, i)
 		}
 	}
-	params := o.costParams(source, c.card, all, c.probed)
+	params, err := o.costParams(source, c.card, all, c.probed)
+	if err != nil {
+		return nil, err
+	}
 	outCard := math.Max(0, params.V(params.NK(), params.AllColumns()))
 	if sp != nil {
 		sp.SetAttr(obs.Str("source", source), obs.F64("input_card", c.card),

@@ -75,6 +75,15 @@ func TestDistinctOfCachesAndErrors(t *testing.T) {
 	if _, err := o.distinctOf("nosuch", "nosuch.c"); err == nil {
 		t.Error("unknown table accepted")
 	}
+	// A base column whose name already carries a dot keeps it under
+	// Qualify, and resolves under that name.
+	dotted := relation.NewTable("t", &relation.Schema{Cols: []relation.Column{{Name: "t.k", Kind: value.KindInt}}})
+	dotted.MustInsert(relation.Tuple{value.Int(1)})
+	dotted.MustInsert(relation.Tuple{value.Int(2)})
+	o.cat.Tables["t"] = dotted
+	if d, err := o.distinctOf("t", "t.k"); err != nil || d != 2 {
+		t.Errorf("distinctOf on a dotted base column = %d, %v; want 2", d, err)
+	}
 }
 
 func TestTableOfColumn(t *testing.T) {

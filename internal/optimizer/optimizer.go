@@ -121,9 +121,6 @@ type Optimizer struct {
 	// context.Background() under plain Optimize.
 	ctx context.Context
 
-	scanCards map[string]float64
-	distinct  map[string]int // qualified column → base distinct count
-
 	joinTasks int
 }
 
@@ -160,8 +157,6 @@ func NewMulti(a *sqlparse.Analyzed, cat *sqlparse.Catalog, services map[string]t
 		numDocs:    map[string]int{},
 		foreignBy:  map[string][]int{},
 		selStats:   map[string]stats.SelectionStats{},
-		scanCards:  map[string]float64{},
-		distinct:   map[string]int{},
 	}
 	if len(o.tables) > 30 {
 		return nil, fmt.Errorf("optimizer: too many tables (%d)", len(o.tables))

@@ -9,9 +9,11 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"textjoin/internal/value"
 )
@@ -115,16 +117,32 @@ func (t Tuple) Concat(u Tuple) Tuple {
 	return out
 }
 
-// Table is an in-memory relation: a schema plus a bag of tuples.
+// Table is an in-memory relation: a schema plus a bag of tuples. Rows only
+// grow (Insert, or appending to Rows directly); code that wants different
+// rows builds a new Table.
 type Table struct {
 	Name   string
 	Schema *Schema
 	Rows   []Tuple
+
+	// distinct memoizes DistinctCount. It sits behind a pointer so that
+	// Qualified views share it with their base and a Table holds no lock
+	// by value. Nil on tables built as struct literals, which count
+	// unmemoized.
+	distinct *distinctMemo
+}
+
+// distinctMemo holds DistinctCount results — integers only, never the value
+// sets — keyed by column positions, valid while the table has `rows` rows.
+type distinctMemo struct {
+	mu     sync.Mutex
+	rows   int
+	counts map[string]int
 }
 
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
-	return &Table{Name: name, Schema: schema}
+	return &Table{Name: name, Schema: schema, distinct: &distinctMemo{}}
 }
 
 // Insert appends a tuple after checking arity and kinds (NULL is accepted in
@@ -168,15 +186,44 @@ func (t *Table) Column(name string) ([]value.Value, error) {
 
 // DistinctCount returns the number of distinct values in the named columns
 // taken jointly (the paper's N_i for a single column, N_J for a set).
+//
+// The count is memoized per column list, so only the first call after the
+// table last grew scans the rows; the optimizer asks for the same few
+// counts on every query. The memo is keyed by column position, which makes
+// a Qualified view and its base answer from the same entries, and is safe
+// under concurrent callers (the first one counts, the others wait for it).
 func (t *Table) DistinctCount(names ...string) (int, error) {
-	idxs := make([]int, len(names))
-	for i, n := range names {
+	// Both stay on the stack for the usual handful of columns, so a memo
+	// hit allocates nothing.
+	idxs := make([]int, 0, 4)
+	key := make([]byte, 0, 16)
+	for _, n := range names {
 		idx := t.Schema.ColumnIndex(n)
 		if idx < 0 {
 			return 0, fmt.Errorf("relation: %s has no column %q", t.Name, n)
 		}
-		idxs[i] = idx
+		idxs = append(idxs, idx)
+		key = binary.AppendUvarint(key, uint64(idx))
 	}
+	m := t.distinct
+	if m == nil {
+		return t.countDistinct(idxs), nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.rows != len(t.Rows) || m.counts == nil {
+		m.rows, m.counts = len(t.Rows), map[string]int{}
+	}
+	if d, ok := m.counts[string(key)]; ok {
+		return d, nil
+	}
+	d := t.countDistinct(idxs)
+	m.counts[string(key)] = d
+	return d, nil
+}
+
+// countDistinct is the row scan behind DistinctCount.
+func (t *Table) countDistinct(idxs []int) int {
 	seen := map[string]bool{}
 	vals := make([]value.Value, len(idxs))
 	for _, r := range t.Rows {
@@ -185,7 +232,7 @@ func (t *Table) DistinctCount(names ...string) (int, error) {
 		}
 		seen[value.KeyOf(vals...)] = true
 	}
-	return len(seen), nil
+	return len(seen)
 }
 
 // DistinctOn returns one representative tuple per distinct combination of
@@ -314,9 +361,10 @@ func (t *Table) SortBy(names ...string) (*Table, error) {
 }
 
 // Qualified returns a view of the table whose schema columns are qualified
-// with the table's name. Rows are shared, not copied.
+// with the table's name. Rows are shared, not copied, and so is the
+// distinct-count memo.
 func (t *Table) Qualified() *Table {
-	return &Table{Name: t.Name, Schema: t.Schema.Qualify(t.Name), Rows: t.Rows}
+	return &Table{Name: t.Name, Schema: t.Schema.Qualify(t.Name), Rows: t.Rows, distinct: t.distinct}
 }
 
 // String renders a compact description of the table.

@@ -276,9 +276,16 @@ func (s *Set) IndexVersion(ctx context.Context) (uint64, error) {
 }
 
 // PinSnapshot implements texservice.SnapshotPinner by delegating to the
-// replicas that support it: each replica pins its own view, and the
-// fresh-reads gate keeps pinned queries off replicas whose view is
-// behind the pin.
+// replicas that support it, and marks the context for fresh reads so the
+// gate keeps pinned queries off replicas whose view is behind the pin.
+// A replica may capture its view lazily, at its own first read
+// (ingest.Live does); the Set's read path therefore resolves every
+// replica's pin (SnapshotPinned) at the query's first read of the Set,
+// whichever replica serves it, so that all later reads — routed, hedged
+// or failed over to any copy — see the version the first one saw. The
+// replicas are resolved one after another: only a write still in flight
+// at that moment can land on some copies' side of the pin and not
+// others'.
 func (s *Set) PinSnapshot(ctx context.Context) context.Context {
 	for _, r := range s.replicas {
 		ctx = texservice.PinSnapshot(ctx, r.svc)
@@ -287,14 +294,17 @@ func (s *Set) PinSnapshot(ctx context.Context) context.Context {
 }
 
 // SnapshotPinned implements texservice.PinProber: behind-current if any
-// replica's pin is.
+// replica's pin is. Every replica is probed — no short-circuit — because
+// the probe is what makes a lazily pinning replica capture its view; on a
+// context that carries no pins it costs one context lookup per replica.
 func (s *Set) SnapshotPinned(ctx context.Context) bool {
+	behind := false
 	for _, r := range s.replicas {
 		if texservice.SnapshotPinned(ctx, r.svc) {
-			return true
+			behind = true
 		}
 	}
-	return false
+	return behind
 }
 
 // Lagging lists the indexes of replicas currently marked lagging.

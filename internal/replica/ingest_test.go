@@ -1,6 +1,7 @@
 package replica_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -381,5 +382,65 @@ func TestReadOnlyReplicaRejectsIngest(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "ingest") {
 		t.Errorf("unexpected error: %v", err)
+	}
+}
+
+// TestPinnedQuerySeesOneVersionAcrossReplicas: replicas capture their
+// views lazily, but the Set resolves all of them together at the query's
+// first read (or SnapshotPinned probe), so a write acked after that read
+// stays invisible whichever replica serves the later reads — and a write
+// acked between PinSnapshot and the first read is visible on all of them.
+func TestPinnedQuerySeesOneVersionAcrossReplicas(t *testing.T) {
+	q := textidx.Term{Field: "title", Word: "isolation"}
+	hits := func(t *testing.T, s *replica.Set, ctx context.Context, want int, when string) {
+		t.Helper()
+		for i := 0; i < 30; i++ {
+			got, err := s.Search(ctx, q, texservice.FormShort)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Hits) != want {
+				t.Fatalf("%s, pinned read %d: %d hits, want %d — replicas pinned different versions", when, i, len(got.Hits), want)
+			}
+		}
+	}
+	write := func(t *testing.T, s *replica.Set, ext string) {
+		t.Helper()
+		if _, err := s.Ingest(bg, []texservice.IngestOp{putOp(ext, "Snapshot Isolation")}); err != nil {
+			t.Fatal(err)
+		}
+		waitWritesSettled(t, s)
+	}
+
+	for seed := int64(1); seed <= 5; seed++ {
+		s := writableSet(t, 3, nil, replica.WithSeed(seed))
+
+		// First read fixes the version on every replica.
+		ctx := s.PinSnapshot(bg)
+		if got, err := s.Search(ctx, q, texservice.FormShort); err != nil || len(got.Hits) != 0 {
+			t.Fatalf("first pinned read: %v, %v", got, err)
+		}
+		write(t, s, "iso1")
+		hits(t, s, ctx, 0, "write after the first read")
+		if !s.SnapshotPinned(ctx) {
+			t.Error("SnapshotPinned = false for a query pinned behind an acked write")
+		}
+
+		// So does a probe: every replica resolves, not only those up to the
+		// first one found behind.
+		ctx = s.PinSnapshot(bg)
+		if s.SnapshotPinned(ctx) {
+			t.Error("SnapshotPinned = true on a fresh pin")
+		}
+		write(t, s, "iso2")
+		hits(t, s, ctx, 1, "write after the probe")
+
+		// A write acked before the first read is visible everywhere.
+		ctx = s.PinSnapshot(bg)
+		write(t, s, "iso3")
+		hits(t, s, ctx, 3, "write before the first read")
+		if s.SnapshotPinned(ctx) {
+			t.Error("SnapshotPinned = true although nothing was written after the first read")
+		}
 	}
 }

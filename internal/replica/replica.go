@@ -537,6 +537,9 @@ func (s *Set) do(ctx context.Context, op string, fresh bool, f func(context.Cont
 	base := texservice.DetachQueryMeter(ctx)
 	var minVer uint64
 	if fresh {
+		// A pinned query (PinSnapshot marks it fresh) fixes its version on
+		// every replica before its first read is routed to one of them.
+		s.SnapshotPinned(ctx)
 		minVer = s.version.Load()
 	}
 

@@ -103,12 +103,13 @@ func (s *Sharded) IndexVersion(ctx context.Context) (uint64, error) {
 }
 
 // PinSnapshot implements texservice.SnapshotPinner by pinning every
-// shard that supports it. The pins are taken sequentially, so the
+// shard that supports it. Each shard captures its view at the query's
+// first read of (or SnapshotPinned probe against) that shard, so the
 // federation-wide view is only per-shard consistent: a write that lands
-// between two pins is visible on some shards and not others for the
-// pinned query. In-process deployments get full isolation (each store
-// pin is a single atomic capture); remote shards do not pin at all —
-// their isolation is per-call.
+// between two shards' first reads is visible on some shards and not
+// others for the pinned query. In-process deployments get full isolation
+// per shard (each store pin is a single atomic capture); remote shards do
+// not pin at all — their isolation is per-call.
 func (s *Sharded) PinSnapshot(ctx context.Context) context.Context {
 	for _, svc := range s.shards {
 		ctx = texservice.PinSnapshot(ctx, svc)

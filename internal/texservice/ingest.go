@@ -95,10 +95,12 @@ type Versioned interface {
 }
 
 // SnapshotPinner is the snapshot-isolation capability: PinSnapshot
-// returns a context under which every read against the service uses the
-// collection state current at the pin, no matter how many writes land
-// afterwards. The query path pins once per query; services without the
-// capability (frozen backends, remotes) are unaffected.
+// returns a context under which every read against the service uses one
+// collection state, no matter how many writes land while the query runs.
+// Implementations may capture that state lazily, at the query's first
+// read or PinProber probe (ingest.Live does), so long as it is no older
+// than the PinSnapshot call. The query path pins once per query; services
+// without the capability (frozen backends, remotes) are unaffected.
 type SnapshotPinner interface {
 	PinSnapshot(ctx context.Context) context.Context
 }

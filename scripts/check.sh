@@ -75,6 +75,16 @@ go test -race -short -run 'TestVectorizedEquivalence' ./internal/exec
 # → project) must not allocate per Next once the pipeline is warm.
 go test -run 'TestSteadyStateAllocs' ./internal/vec
 
+# Cardinality-independence gate: once a query shape is warm, Prepare must
+# cost the same allocations and bytes over a 1k-row and a 64k-row table —
+# optimize is O(1) in table size (distinct counts are memoized on the
+# table), and any per-row work on the plan path fails this.
+go test -run 'TestPrepareIndependentOfCardinality' ./internal/core
+
+# Fuzz smoke: arbitrary bytes through parse → analyze → optimize may be
+# rejected but must not panic or hang.
+go test -run NONE -fuzz FuzzPrepare -fuzztime 5s ./internal/core
+
 # Live-ingest gates: the WAL torture tests (torn tail, corrupt CRC,
 # double replay), the model-based store property test, snapshot
 # isolation, cache-staleness regression and the live join-equivalence
