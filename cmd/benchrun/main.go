@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		exp  = flag.String("exp", "all", "experiment: table2, ranking, fig1a, fig1b, fig2, q5, validate, ablation, correlation, overhead, gateway, batchprobe, vector, ingest, replica, trace, all")
+		exp  = flag.String("exp", "all", "experiment: table2, ranking, fig1a, fig1b, fig2, q5, validate, ablation, correlation, overhead, gateway, batchprobe, ingest, replica, trace, all")
 		docs = flag.Int("docs", 2000, "corpus size D")
 		seed = flag.Int64("seed", 42, "generation seed")
 	)
@@ -160,27 +160,6 @@ func run(exp string, docs int, seed int64) error {
 			return err
 		}
 		bench.FormatBatchGateway(os.Stdout, grows)
-	}
-	if want("vector") {
-		ran = true
-		header("Vectorized execution — operator pipelines: seed engine vs row engine vs batch engine")
-		vrows, err := bench.VectorOperators()
-		if err != nil {
-			return err
-		}
-		bench.FormatVectorOps(os.Stdout, vrows)
-		header("Vectorized execution — closed-loop join-heavy workload throughput (text cache warm)")
-		wrows, err := bench.VectorWorkload(4, 4)
-		if err != nil {
-			return err
-		}
-		bench.FormatVectorWorkload(os.Stdout, wrows)
-		header("Vectorized execution — end-to-end gateway saturation on the cache-warm query, row vs vectorized")
-		grows, err := bench.VectorGateway(docs, seed, 4, 8, 8)
-		if err != nil {
-			return err
-		}
-		bench.FormatVectorGateway(os.Stdout, grows)
 	}
 	if want("ingest") {
 		ran = true

@@ -51,7 +51,6 @@ type EngineConfig struct {
 	SearchCache int           // shared search-result LRU entries, 0 = off
 	ProbeCache  int           // cross-query probe-result cache entries, 0 = off
 	BatchProbe  bool          // let the optimizer batch probe round trips
-	Vectorized  bool          // column-oriented batch execution (default on)
 	LiveIngest  bool          // mutable in-process index accepting live writes
 	IngestDir   string        // WAL + snapshot directory for -live (implies -live)
 	Replicas    int           // in-process replicas per partition (>1 enables the routing tier)
@@ -75,7 +74,6 @@ func Defaults() EngineConfig {
 		Mode:       "prl",
 		Pool:       texservice.DefaultPoolSize,
 		Retries:    1,
-		Vectorized: true,
 		Replicas:   1,
 		Partitions: 1,
 	}
@@ -96,7 +94,6 @@ func (c *EngineConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.SearchCache, "cache", c.SearchCache, "shared search-result cache entries, 0 = off")
 	fs.IntVar(&c.ProbeCache, "probe-cache", c.ProbeCache, "cross-query probe-result cache entries (keyed on normalized expressions), 0 = off")
 	fs.BoolVar(&c.BatchProbe, "batch-probe", c.BatchProbe, "let the optimizer batch probe round trips: distinct probe bindings packed into few large OR searches under the service's term limit")
-	fs.BoolVar(&c.Vectorized, "vectorized", c.Vectorized, "run relational operators as column-oriented batch pipelines; -vectorized=false falls back to the row-at-a-time engine")
 	fs.BoolVar(&c.LiveIngest, "live", c.LiveIngest, "serve the in-process text source from a mutable live-ingest index (accepts document writes); in-memory unless -ingest-dir is set")
 	fs.StringVar(&c.IngestDir, "ingest-dir", c.IngestDir, "durability directory for the live-ingest index (WAL + snapshots); implies -live, replays any existing log on start")
 	fs.IntVar(&c.Replicas, "replicas", c.Replicas, "serve the in-process corpus from this many interchangeable replicas per partition behind the load-aware routing tier (hedged requests, failover); 1 = unreplicated")
@@ -253,7 +250,6 @@ func (c *EngineConfig) BuildEngine() (*core.Engine, func(), error) {
 	opts.SearchCache = c.SearchCache
 	opts.ProbeCache = c.ProbeCache
 	opts.Optimizer.BatchProbe = c.BatchProbe
-	opts.RowEngine = !c.Vectorized
 
 	demo := workload.NewDemo(c.Docs, c.Seed)
 	cleanup := func() {}

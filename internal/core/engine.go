@@ -66,10 +66,6 @@ type Options struct {
 	// probe (a∧b vs b∧a) hit the same entry. Entries are keyed on the
 	// collection version, so live ingest invalidates them on its way through.
 	ProbeCache int
-	// RowEngine falls back to the row-at-a-time relational operators. The
-	// default (false) runs scans, joins and projections as column-oriented
-	// batch pipelines (internal/vec); results are identical either way.
-	RowEngine bool
 }
 
 // DefaultOptions returns the engine defaults (PrL space, fully correlated
@@ -169,8 +165,8 @@ type Result struct {
 	// many of those were batched (multi-binding) searches.
 	Probes      int
 	BatchRounds int
-	// Batches is the number of column batches the vectorized operators
-	// emitted (0 when running on the row engine).
+	// Batches is the number of column batches the relational operators
+	// emitted.
 	Batches int
 	// OptimizeTime and ExecuteTime are wall-clock durations.
 	OptimizeTime, ExecuteTime time.Duration
@@ -249,8 +245,7 @@ func (e *Engine) PrepareContext(ctx context.Context, src string) (*Prepared, err
 		osp.End()
 	}
 	// Post-optimization rewrites: push residual filters into scans and
-	// restrict scans to referenced columns. Engine-agnostic — the row and
-	// vectorized paths both honor the pruned plan.
+	// restrict scans to referenced columns.
 	pruned := plan.Prune(res.Plan, func(name string) (*relation.Schema, bool) {
 		t, ok := e.catalog.Tables[name]
 		if !ok {
@@ -298,8 +293,7 @@ func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
 	for _, svc := range p.services {
 		ctx = texservice.PinSnapshot(ctx, svc)
 	}
-	ex := &exec.Executor{Cat: p.engine.catalog, Svc: inertService{}, Services: p.services,
-		Vectorized: !p.engine.opts.RowEngine}
+	ex := &exec.Executor{Cat: p.engine.catalog, Svc: inertService{}, Services: p.services}
 	ectx, esp := obs.StartSpan(ctx, "execute")
 	start := time.Now()
 	table, st, err := ex.Run(ectx, p.plan)

@@ -35,8 +35,9 @@ type NodeActual struct {
 	// BatchRounds how many of those were batched (multi-binding).
 	Probes      int
 	BatchRounds int
-	// Batches is the number of column batches this node emitted on the
-	// vectorized path; zero for row-path nodes.
+	// Batches is the number of column batches this node emitted (for a
+	// Probe or TextJoin: the batches that fed its result to the enclosing
+	// pipeline).
 	Batches int
 }
 
@@ -71,9 +72,9 @@ func AnalysisFrom(ctx context.Context) *Analysis {
 }
 
 // record stores one node's actuals. A node can be recorded twice — once
-// by its vectorized operator wrapper (which knows the batch count) and
-// once by the row-path eval wrapper at the subtree root (which does not):
-// the batch count of the earlier record is preserved.
+// by its batch operator wrapper (which knows the batch count) and once by
+// Executor.eval at the subtree root (which does not): the batch count of
+// the earlier record is preserved.
 func (a *Analysis) record(n plan.Node, act NodeActual) {
 	a.mu.Lock()
 	if prev, ok := a.nodes[n]; ok && act.Batches == 0 {
@@ -84,8 +85,8 @@ func (a *Analysis) record(n plan.Node, act NodeActual) {
 }
 
 // addBatches merges a batch count into a node's existing record without
-// touching the row-path actuals (used for pipeline-boundary nodes whose
-// rows/time/usage were recorded by the row path).
+// touching its other actuals (used for pipeline-boundary nodes whose
+// rows/time/usage were recorded by Executor.eval).
 func (a *Analysis) addBatches(n plan.Node, batches int) {
 	a.mu.Lock()
 	act := a.nodes[n]
@@ -119,8 +120,7 @@ type AnalyzeNode struct {
 	// were batched multi-binding rounds.
 	ActProbes      int `json:"act_probes"`
 	ActBatchRounds int `json:"act_batch_rounds"`
-	// ActBatches is the number of column batches the node emitted on the
-	// vectorized path (0 = row path).
+	// ActBatches is the number of column batches the node emitted.
 	ActBatches int            `json:"act_batches,omitempty"`
 	Children   []*AnalyzeNode `json:"children,omitempty"`
 }

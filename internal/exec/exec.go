@@ -20,14 +20,12 @@ import (
 // Executor evaluates plan trees. Svc serves every text source; when a
 // query spans several sources with distinct backends, Services maps each
 // source name to its own service (falling back to Svc for absent names).
-// With Vectorized set, relational subtrees (scans, joins, projections)
-// run as column-oriented batch pipelines (internal/vec) instead of the
-// table-at-a-time row operators; results are identical either way.
+// Relational subtrees (scans, joins, projections) run as column-oriented
+// batch pipelines (internal/vec); the zero value is ready to use.
 type Executor struct {
-	Cat        *sqlparse.Catalog
-	Svc        texservice.Service
-	Services   map[string]texservice.Service
-	Vectorized bool
+	Cat      *sqlparse.Catalog
+	Svc      texservice.Service
+	Services map[string]texservice.Service
 }
 
 // svcFor resolves the service for a text source.
@@ -53,8 +51,8 @@ type RunStats struct {
 	// BatchRounds is how many of those round trips were batched
 	// (multi-binding) — zero under per-tuple probing.
 	BatchRounds int
-	// Batches counts the column batches the vectorized operators emitted
-	// over the whole run; zero on the pure row path.
+	// Batches counts the column batches the relational operators emitted
+	// over the whole run.
 	Batches int
 }
 
@@ -150,51 +148,15 @@ func opName(n plan.Node) string {
 
 func (e *Executor) evalNode(ctx context.Context, n plan.Node, st *RunStats) (*relation.Table, error) {
 	switch n := n.(type) {
-	case *plan.Scan:
-		if e.Vectorized {
-			return e.evalVec(ctx, n, st)
-		}
-		return e.evalScan(n)
+	case *plan.Scan, *plan.Join, *plan.Project:
+		return e.evalVec(ctx, n, st)
 	case *plan.Probe:
 		return e.evalProbe(ctx, n, st)
-	case *plan.Join:
-		if e.Vectorized {
-			return e.evalVec(ctx, n, st)
-		}
-		return e.evalJoin(ctx, n, st)
 	case *plan.TextJoin:
 		return e.evalTextJoin(ctx, n, st)
-	case *plan.Project:
-		if e.Vectorized {
-			return e.evalVec(ctx, n, st)
-		}
-		in, err := e.eval(ctx, n.Input, st)
-		if err != nil {
-			return nil, err
-		}
-		return in.Project(n.Columns...)
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}
-}
-
-func (e *Executor) evalScan(n *plan.Scan) (*relation.Table, error) {
-	base, ok := e.Cat.Tables[n.Table]
-	if !ok {
-		return nil, fmt.Errorf("exec: unknown table %q", n.Table)
-	}
-	q := base.Qualified()
-	if n.Pred != nil {
-		var err error
-		q, err = q.Select(n.Pred)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if n.Cols != nil {
-		return q.Project(n.Cols...)
-	}
-	return q, nil
 }
 
 func (e *Executor) evalProbe(ctx context.Context, n *plan.Probe, st *RunStats) (*relation.Table, error) {
@@ -219,25 +181,6 @@ func (e *Executor) evalProbe(ctx context.Context, n *plan.Probe, st *RunStats) (
 	st.Probes += stats.Probes
 	st.BatchRounds += stats.BatchRounds
 	return out, nil
-}
-
-func (e *Executor) evalJoin(ctx context.Context, n *plan.Join, st *RunStats) (*relation.Table, error) {
-	left, err := e.eval(ctx, n.Left, st)
-	if err != nil {
-		return nil, err
-	}
-	right, err := e.eval(ctx, n.Right, st)
-	if err != nil {
-		return nil, err
-	}
-	if len(n.Equi) > 0 {
-		return relation.HashJoin(left, right, n.Equi, n.Residual)
-	}
-	pred := n.Residual
-	if pred == nil {
-		pred = relation.True{}
-	}
-	return relation.NestedLoopJoin(left, right, pred)
 }
 
 func (e *Executor) evalTextJoin(ctx context.Context, n *plan.TextJoin, st *RunStats) (*relation.Table, error) {

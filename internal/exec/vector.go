@@ -11,20 +11,19 @@ import (
 	"textjoin/internal/vec"
 )
 
-// This file is the vectorized execution path: when Executor.Vectorized is
-// set, every maximal relational subtree (Scan/Join/Project chains) runs as
-// a pipeline of batch operators from internal/vec instead of the
-// table-at-a-time row operators. Probe and TextJoin nodes stay on the row
-// path — they talk to the text service tuple-wise by nature — and act as
-// pipeline boundaries: their (row) result feeds the enclosing batch
-// pipeline through a TableScan, and their own relational inputs re-enter
-// the vectorized path recursively.
+// This file is the relational execution path: every maximal relational
+// subtree (Scan/Join/Project chains) runs as a pipeline of batch operators
+// from internal/vec. Probe and TextJoin nodes are evaluated a table at a
+// time — they talk to the text service tuple-wise by nature — and act as
+// pipeline boundaries: their result feeds the enclosing batch pipeline
+// through a TableScan, and their own relational inputs re-enter the batch
+// path recursively.
 //
-// EXPLAIN ANALYZE semantics are preserved: each relational operator is
-// wrapped so that, at end of stream, it records cumulative actuals for its
-// subtree (rows, batches, wall time from operator construction, query-
-// meter usage delta) — the same cumulative-per-subtree semantics as the
-// row path, so estimate and actual stay directly comparable per node.
+// EXPLAIN ANALYZE semantics: each relational operator is wrapped so that,
+// at end of stream, it records cumulative actuals for its subtree (rows,
+// batches, wall time from operator construction, query-meter usage delta)
+// — the same cumulative-per-subtree semantics as the boundary nodes, so
+// estimate and actual stay directly comparable per node.
 
 // evalVec evaluates a relational subtree with batch operators and
 // materializes the result back to a row table at the subtree root.
@@ -45,14 +44,14 @@ func vecTableName(n plan.Node) string {
 }
 
 // buildVecOp translates a plan subtree into a batch operator tree. Nodes
-// outside the relational core (Probe, TextJoin) are evaluated through the
-// ordinary row path — with their full instrumentation — and re-enter the
+// outside the relational core (Probe, TextJoin) are evaluated through
+// Executor.eval — with their full instrumentation — and re-enter the
 // pipeline as a scan of their materialized result.
 func (e *Executor) buildVecOp(ctx context.Context, n plan.Node, st *RunStats) (vec.Operator, error) {
 	an := AnalysisFrom(ctx)
 	// Cumulative-actuals baseline: taken before children are built, so
 	// eagerly evaluated boundary descendants (probes, text joins) are
-	// charged to this subtree exactly as the row path would.
+	// charged to this subtree.
 	var w *vecInstrument
 	if an != nil {
 		w = &vecInstrument{n: n, an: an, st: st, start: time.Now(),
@@ -105,8 +104,8 @@ func (e *Executor) buildVecOp(ctx context.Context, n plan.Node, st *RunStats) (v
 			return nil, err
 		}
 	default:
-		// Pipeline boundary: run the node on the row path (recording its
-		// own actuals), then stream its materialized result.
+		// Pipeline boundary: evaluate the node a table at a time (recording
+		// its own actuals), then stream its materialized result.
 		tbl, err := e.eval(ctx, n, st)
 		if err != nil {
 			return nil, err
@@ -115,8 +114,8 @@ func (e *Executor) buildVecOp(ctx context.Context, n plan.Node, st *RunStats) (v
 		if err != nil {
 			return nil, err
 		}
-		// The boundary's row-path record already has rows/time/usage;
-		// merge in only the batch count of feeding it to the pipeline.
+		// The boundary's own record already has rows/time/usage; merge in
+		// only the batch count of feeding it to the pipeline.
 		return &boundaryCounter{Operator: scan, n: n, an: an, st: st}, nil
 	}
 	if w == nil {
@@ -141,8 +140,8 @@ func (c *batchCounter) Next() (*vec.Batch, error) {
 	return b, err
 }
 
-// boundaryCounter attributes the batches that feed a row-path boundary
-// node's result into the pipeline to that node's analysis entry.
+// boundaryCounter attributes the batches that feed a boundary node's
+// result into the pipeline to that node's analysis entry.
 type boundaryCounter struct {
 	vec.Operator
 	n       plan.Node

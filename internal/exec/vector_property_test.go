@@ -18,9 +18,9 @@ import (
 )
 
 // This file is the equivalence harness gating the vectorized execution
-// core: on random corpora, tables and plans, the vectorized engine and the
-// row engine must produce exactly the same rows as a from-first-principles
-// oracle (relational primitives + join.NaiveJoin), for every foreign-join
+// core: on random corpora, tables and plans, the executor must produce
+// exactly the same rows as a from-first-principles oracle (relational
+// primitives + join.NaiveJoin), for every foreign-join
 // method, against 1-, 2- and 4-shard federations with 30% of service calls
 // failing transiently under a retry budget that outlasts them. Every
 // execution also checks exact meter mirroring: the per-query meter's
@@ -188,16 +188,17 @@ func (tr *vecTrial) oracle() (*relation.Table, error) {
 		return nil, err
 	}
 	b := tr.cat.Tables["s"].Qualified()
-	var joined *relation.Table
+	var pred relation.Predicate = relation.True{}
 	if len(tr.equi) > 0 {
-		joined, err = relation.HashJoin(a, b, tr.equi, nil)
-	} else {
-		pred := tr.residual
-		if pred == nil {
-			pred = relation.True{}
+		var conj relation.And
+		for _, eq := range tr.equi {
+			conj = append(conj, relation.ColCol{Left: eq.Left, Op: relation.OpEq, Right: eq.Right})
 		}
-		joined, err = relation.NestedLoopJoin(a, b, pred)
+		pred = conj
+	} else if tr.residual != nil {
+		pred = tr.residual
 	}
+	joined, err := relation.NestedLoopJoin(a, b, pred)
 	if err != nil {
 		return nil, err
 	}
@@ -237,9 +238,9 @@ func faultyShardedExec(t *testing.T, ix *textidx.Index, n int, seed int64) *shar
 }
 
 // TestVectorizedEquivalence is the harness proper: every join method ×
-// {vectorized, row} engines × shard counts {1,2,4} × injected faults, all
-// asserted equivalent to the oracle, with exact meter mirroring on every
-// run and batch accounting consistent with the engine in use.
+// shard counts {1,2,4} × injected faults, all asserted equivalent to the
+// oracle, with exact meter mirroring and nonzero batch accounting on every
+// run.
 func TestVectorizedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(vectorPropertySeed))
 	trials := 8
@@ -271,43 +272,27 @@ func TestVectorizedEquivalence(t *testing.T) {
 		for _, n := range []int{1, 2, 4} {
 			seed := rng.Int63()
 			for _, c := range cases {
-				pl := tr.plan(c.method, c.probeCols)
-				var vecRows *relation.Table
-				for _, vectorized := range []bool{true, false} {
-					svc := faultyShardedExec(t, tr.ix, n, seed)
-					ex := &Executor{Cat: tr.cat, Svc: svc, Vectorized: vectorized}
-					rootBefore := svc.Meter().Snapshot()
-					got, st, err := ex.Run(bg, pl)
-					if err != nil {
-						t.Fatalf("trial %d n=%d %v vectorized=%v: %v", trial, n, c.method, vectorized, err)
-					}
-					if !join.SameRows(got, want) {
-						t.Errorf("trial %d n=%d %v vectorized=%v: %d rows, oracle %d rows",
-							trial, n, c.method, vectorized, got.Cardinality(), want.Cardinality())
-					}
-					// Exact meter mirroring: the per-query meter's charges
-					// (st.Usage) must equal the shared root meters' delta —
-					// the services are fresh, so nothing else charged them.
-					if delta := svc.Meter().Snapshot().Sub(rootBefore); delta != st.Usage {
-						t.Errorf("trial %d n=%d %v vectorized=%v: query meter %+v != root meter delta %+v",
-							trial, n, c.method, vectorized, st.Usage, delta)
-					}
-					if vectorized {
-						if got.Cardinality() > 0 && st.Batches == 0 {
-							t.Errorf("trial %d n=%d %v: vectorized run emitted rows but no batches",
-								trial, n, c.method)
-						}
-						vecRows = got
-					} else {
-						if st.Batches != 0 {
-							t.Errorf("trial %d n=%d %v: row engine reported %d batches",
-								trial, n, c.method, st.Batches)
-						}
-						if vecRows != nil && !join.SameRows(got, vecRows) {
-							t.Errorf("trial %d n=%d %v: row engine diverged from vectorized engine",
-								trial, n, c.method)
-						}
-					}
+				svc := faultyShardedExec(t, tr.ix, n, seed)
+				ex := &Executor{Cat: tr.cat, Svc: svc}
+				rootBefore := svc.Meter().Snapshot()
+				got, st, err := ex.Run(bg, tr.plan(c.method, c.probeCols))
+				if err != nil {
+					t.Fatalf("trial %d n=%d %v: %v", trial, n, c.method, err)
+				}
+				if !join.SameRows(got, want) {
+					t.Errorf("trial %d n=%d %v: %d rows, oracle %d rows",
+						trial, n, c.method, got.Cardinality(), want.Cardinality())
+				}
+				// Exact meter mirroring: the per-query meter's charges
+				// (st.Usage) must equal the shared root meters' delta —
+				// the services are fresh, so nothing else charged them.
+				if delta := svc.Meter().Snapshot().Sub(rootBefore); delta != st.Usage {
+					t.Errorf("trial %d n=%d %v: query meter %+v != root meter delta %+v",
+						trial, n, c.method, st.Usage, delta)
+				}
+				if got.Cardinality() > 0 && st.Batches == 0 {
+					t.Errorf("trial %d n=%d %v: run emitted rows but no batches",
+						trial, n, c.method)
 				}
 			}
 		}

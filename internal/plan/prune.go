@@ -7,8 +7,7 @@ import (
 // This file implements the two plan rewrites that feed the vectorized
 // execution core (internal/vec): filter pushdown and projection pruning.
 // Both run after optimization — they change what each operator carries,
-// not the join order or method the cost model chose — and both are engine-
-// agnostic: the row path honors them the same way the batch path does.
+// not the join order or method the cost model chose.
 //
 // Filter pushdown moves single-side conjuncts of join residuals down into
 // the scan that owns their columns, so rejected rows never reach a join.

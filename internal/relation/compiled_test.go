@@ -210,7 +210,7 @@ func legacyNestedLoopJoin(left, right *Table, pred Predicate) (*Table, error) {
 }
 
 // BenchmarkNestedLoopJoin measures the scratch-row nested-loop join (the
-// row-path fallback) against the legacy concat-per-candidate-pair
+// oracle's join) against the legacy concat-per-candidate-pair
 // formulation it replaced; the delta is recorded in EXPERIMENTS.md.
 func BenchmarkNestedLoopJoin(b *testing.B) {
 	left := benchTable("t", 512).Qualified()
@@ -235,22 +235,5 @@ func BenchmarkNestedLoopJoin(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkHashJoin measures the scratch-row hash join on the same data.
-func BenchmarkHashJoin(b *testing.B) {
-	left := benchTable("t", 4096).Qualified()
-	right := benchTable("u", 4096).Qualified()
-	conds := []EquiJoinCond{{Left: "t.id", Right: "u.id"}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := HashJoin(left, right, conds, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.Cardinality() != 4096 {
-			b.Fatalf("join produced %d rows", out.Cardinality())
-		}
 	}
 }

@@ -1,11 +1,5 @@
 package relation
 
-import (
-	"fmt"
-
-	"textjoin/internal/value"
-)
-
 // EquiJoinCond is one equality join condition between a column of the left
 // table and a column of the right table.
 type EquiJoinCond struct {
@@ -14,14 +8,11 @@ type EquiJoinCond struct {
 }
 
 // NestedLoopJoin joins left and right with an arbitrary join predicate that
-// is evaluated over the concatenated schema. It is the general (theta) join
-// used when no equality condition is available, e.g. Q5's
-// "faculty.dept != student.dept".
-// It is the row-at-a-time fallback of the vectorized nested-loop operator
-// (internal/vec); the predicate is compiled once and evaluated over a
-// reused scratch row, which is copied only on a match — the old
-// concatenate-then-test loop allocated a row per candidate pair even when
-// the predicate rejected it (see BenchmarkNestedLoopJoin for the delta).
+// is evaluated over the concatenated schema. Queries run their joins on
+// the batch operators of internal/vec; this table-at-a-time form is what
+// exec.NaiveQuery's whole-query oracle and the equivalence tests check
+// them against. The predicate is compiled once and evaluated over a
+// reused scratch row, which is copied only on a match.
 func NestedLoopJoin(left, right *Table, pred Predicate) (*Table, error) {
 	schema := left.Schema.Concat(right.Schema)
 	cp, err := Compile(pred, schema)
@@ -42,121 +33,6 @@ func NestedLoopJoin(left, right *Table, pred Predicate) (*Table, error) {
 			if ok {
 				out.Rows = append(out.Rows, scratch.Clone())
 			}
-		}
-	}
-	return out, nil
-}
-
-// HashJoin joins left and right on the conjunction of equality conditions,
-// optionally filtering with an extra residual predicate over the
-// concatenated schema (pass nil for none). It builds on the smaller input.
-func HashJoin(left, right *Table, conds []EquiJoinCond, residual Predicate) (*Table, error) {
-	if len(conds) == 0 {
-		p := residual
-		if p == nil {
-			p = True{}
-		}
-		return NestedLoopJoin(left, right, p)
-	}
-	lIdx := make([]int, len(conds))
-	rIdx := make([]int, len(conds))
-	for i, c := range conds {
-		li := left.Schema.ColumnIndex(c.Left)
-		if li < 0 {
-			return nil, fmt.Errorf("relation: %s has no column %q", left.Name, c.Left)
-		}
-		ri := right.Schema.ColumnIndex(c.Right)
-		if ri < 0 {
-			return nil, fmt.Errorf("relation: %s has no column %q", right.Name, c.Right)
-		}
-		lIdx[i], rIdx[i] = li, ri
-	}
-
-	schema := left.Schema.Concat(right.Schema)
-	var res *CompiledPred
-	if residual != nil {
-		var err error
-		res, err = Compile(residual, schema)
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := NewTable(left.Name+"⋈"+right.Name, schema)
-
-	// Build on right, probe with left, preserving left-major output order
-	// (same order as the nested-loop formulation, which keeps results
-	// comparable across join algorithms in tests). The residual is
-	// evaluated over a reused scratch row, copied only on a match.
-	build := map[string][]int{}
-	key := make([]value.Value, len(conds))
-	for i, rr := range right.Rows {
-		for j, idx := range rIdx {
-			key[j] = rr[idx]
-		}
-		k := value.KeyOf(key...)
-		build[k] = append(build[k], i)
-	}
-	la := left.Schema.Arity()
-	scratch := make(Tuple, schema.Arity())
-	for _, lr := range left.Rows {
-		for j, idx := range lIdx {
-			key[j] = lr[idx]
-		}
-		k := value.KeyOf(key...)
-		matches := build[k]
-		if len(matches) == 0 {
-			continue
-		}
-		copy(scratch[:la], lr)
-		for _, ri := range matches {
-			copy(scratch[la:], right.Rows[ri])
-			if res != nil {
-				ok, err := res.Eval(scratch)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out.Rows = append(out.Rows, scratch.Clone())
-		}
-	}
-	return out, nil
-}
-
-// SemiJoin returns the left tuples that have at least one match in right
-// under the equality conditions. It is the classical distributed-database
-// reducer the paper's probe nodes emulate against the text source.
-func SemiJoin(left, right *Table, conds []EquiJoinCond) (*Table, error) {
-	lIdx := make([]int, len(conds))
-	rIdx := make([]int, len(conds))
-	for i, c := range conds {
-		li := left.Schema.ColumnIndex(c.Left)
-		if li < 0 {
-			return nil, fmt.Errorf("relation: %s has no column %q", left.Name, c.Left)
-		}
-		ri := right.Schema.ColumnIndex(c.Right)
-		if ri < 0 {
-			return nil, fmt.Errorf("relation: %s has no column %q", right.Name, c.Right)
-		}
-		lIdx[i], rIdx[i] = li, ri
-	}
-	present := map[string]bool{}
-	key := make([]value.Value, len(conds))
-	for _, rr := range right.Rows {
-		for j, idx := range rIdx {
-			key[j] = rr[idx]
-		}
-		present[value.KeyOf(key...)] = true
-	}
-	out := NewTable(left.Name, left.Schema)
-	for _, lr := range left.Rows {
-		for j, idx := range lIdx {
-			key[j] = lr[idx]
-		}
-		if present[value.KeyOf(key...)] {
-			out.Rows = append(out.Rows, lr)
 		}
 	}
 	return out, nil

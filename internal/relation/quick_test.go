@@ -55,58 +55,6 @@ func sameMultiset(a, b *Table) bool {
 	return true
 }
 
-// TestHashJoinEqualsNestedLoop: on random tables, the hash join equals
-// the nested-loop join with the equivalent predicate (quick).
-func TestHashJoinEqualsNestedLoop(t *testing.T) {
-	prop := func(seedL, seedR int64) bool {
-		l := randTable(seedL, "l", 12)
-		r := randTable(seedR, "r", 12)
-		hj, err := HashJoin(l, r, []EquiJoinCond{{Left: "l1", Right: "r1"}}, nil)
-		if err != nil {
-			return false
-		}
-		nl, err := NestedLoopJoin(l, r, ColCol{Left: "l1", Op: OpEq, Right: "r1"})
-		if err != nil {
-			return false
-		}
-		return sameMultiset(hj, nl)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestSemiJoinIsFilter: semi-join output is a sub-bag of the left input
-// and contains exactly the tuples that appear in the join (quick).
-func TestSemiJoinIsFilter(t *testing.T) {
-	prop := func(seedL, seedR int64) bool {
-		l := randTable(seedL, "l", 12)
-		r := randTable(seedR, "r", 12)
-		sj, err := SemiJoin(l, r, []EquiJoinCond{{Left: "l1", Right: "r1"}})
-		if err != nil {
-			return false
-		}
-		if sj.Cardinality() > l.Cardinality() {
-			return false
-		}
-		// A tuple survives iff its key appears in r1.
-		present := map[string]bool{}
-		for _, row := range r.Rows {
-			present[row[0].Key()] = true
-		}
-		want := 0
-		for _, row := range l.Rows {
-			if present[row[0].Key()] {
-				want++
-			}
-		}
-		return sj.Cardinality() == want
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestDistinctOnInvariants: DistinctOn yields one row per distinct key,
 // each drawn from the input (quick).
 func TestDistinctOnInvariants(t *testing.T) {

@@ -293,7 +293,9 @@ func (t *Table) GroupBy(names ...string) (keys []string, groups map[string][]int
 
 // Select returns a new table holding the rows satisfying pred. The
 // predicate is compiled once against the schema, so per-row evaluation
-// does no column-name resolution.
+// does no column-name resolution. Queries filter on internal/vec's batch
+// operators; this table-at-a-time form serves exec.NaiveQuery's oracle,
+// the equivalence tests and callers holding a whole table.
 func (t *Table) Select(pred Predicate) (*Table, error) {
 	cp, err := Compile(pred, t.Schema)
 	if err != nil {
@@ -313,7 +315,9 @@ func (t *Table) Select(pred Predicate) (*Table, error) {
 }
 
 // Project returns a new table with only the named columns, in the given
-// order. Duplicates are retained (bag semantics).
+// order. Duplicates are retained (bag semantics). Like Select, it is the
+// table-at-a-time form exec.NaiveQuery's oracle uses; queries project on
+// internal/vec's batch operators.
 func (t *Table) Project(names ...string) (*Table, error) {
 	idxs := make([]int, len(names))
 	cols := make([]Column, len(names))

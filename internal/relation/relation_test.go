@@ -300,96 +300,6 @@ func TestNestedLoopJoin(t *testing.T) {
 	}
 }
 
-func TestHashJoinMatchesNestedLoop(t *testing.T) {
-	s := studentTable(t)
-	f := facultyTable(t)
-	nl, err := NestedLoopJoin(s, f, ColCol{"advisor", OpEq, "fname"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj, err := HashJoin(s, f, []EquiJoinCond{{"advisor", "fname"}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nl.Cardinality() != hj.Cardinality() {
-		t.Fatalf("hash join %d rows, nested loop %d", hj.Cardinality(), nl.Cardinality())
-	}
-	for i := range nl.Rows {
-		for j := range nl.Rows[i] {
-			if !value.Equal(nl.Rows[i][j], hj.Rows[i][j]) {
-				t.Fatalf("row %d differs between join algorithms", i)
-			}
-		}
-	}
-}
-
-func TestHashJoinResidual(t *testing.T) {
-	s := studentTable(t)
-	f := facultyTable(t)
-	out, err := HashJoin(s, f, []EquiJoinCond{{"advisor", "fname"}},
-		ColConst{"year", OpGt, value.Int(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cardinality() != 4 {
-		t.Fatalf("residual-filtered join produced %d rows, want 4", out.Cardinality())
-	}
-}
-
-func TestHashJoinNoCondsFallsBack(t *testing.T) {
-	s := studentTable(t)
-	f := facultyTable(t)
-	out, err := HashJoin(s, f, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cardinality() != s.Cardinality()*f.Cardinality() {
-		t.Fatalf("cross product size %d, want %d", out.Cardinality(), s.Cardinality()*f.Cardinality())
-	}
-}
-
-func TestHashJoinErrors(t *testing.T) {
-	s := studentTable(t)
-	f := facultyTable(t)
-	if _, err := HashJoin(s, f, []EquiJoinCond{{"zzz", "fname"}}, nil); err == nil {
-		t.Fatal("missing left column accepted")
-	}
-	if _, err := HashJoin(s, f, []EquiJoinCond{{"advisor", "zzz"}}, nil); err == nil {
-		t.Fatal("missing right column accepted")
-	}
-}
-
-func TestSemiJoin(t *testing.T) {
-	s := studentTable(t)
-	f := facultyTable(t)
-	out, err := SemiJoin(s, f, []EquiJoinCond{{"advisor", "fname"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cardinality() != 5 {
-		t.Fatalf("semi-join kept %d rows, want 5", out.Cardinality())
-	}
-	if out.Schema != s.Schema {
-		t.Fatal("semi-join must preserve the left schema")
-	}
-	// Shrink right so some students lose their advisor.
-	f2 := NewTable("faculty", f.Schema)
-	f2.MustInsert(Tuple{value.String("Garcia"), value.String("CS")})
-	out, err = SemiJoin(s, f2, []EquiJoinCond{{"advisor", "fname"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cardinality() != 3 {
-		t.Fatalf("semi-join kept %d rows, want 3", out.Cardinality())
-	}
-	if _, err := SemiJoin(s, f, []EquiJoinCond{{"zzz", "fname"}}); err == nil {
-		t.Fatal("missing column accepted")
-	}
-	if _, err := SemiJoin(s, f, []EquiJoinCond{{"advisor", "zzz"}}); err == nil {
-		t.Fatal("missing column accepted")
-	}
-}
-
 func TestTupleCloneAndConcat(t *testing.T) {
 	a := Tuple{value.Int(1), value.Int(2)}
 	c := a.Clone()

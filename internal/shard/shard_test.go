@@ -327,6 +327,49 @@ func TestStrictVsBestEffort(t *testing.T) {
 	}
 }
 
+// TestBestEffortPartialNotCached: a best-effort search that lost a shard
+// is returned Partial but never stored by the caches above it, so the
+// same search after the shard recovers returns every hit.
+func TestBestEffortPartialNotCached(t *testing.T) {
+	ix := fixture(t)
+	q := textidx.Term{Field: "title", Word: "text"}
+	for _, form := range []texservice.Form{texservice.FormShort, texservice.FormLong} {
+		want, err := localService(t, ix).Search(bg, q, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := NewLocalCluster(ix, 3,
+			[]texservice.LocalOption{texservice.WithShortFields("title", "author", "year")},
+			func(k int, svc texservice.Service) texservice.Service {
+				if k == 1 {
+					// Seed 11's first draw is below the rate and its second
+					// above: the shard fails its first call only.
+					return texservice.NewFaulty(svc, texservice.FaultConfig{ErrorRate: 0.5, Seed: 11})
+				}
+				return svc
+			}, WithBestEffort())
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := texservice.NewProbeCache(texservice.NewCached(sharded, 16), 16)
+		first, err := svc.Search(bg, q, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !first.Partial {
+			t.Fatalf("%v: first search not partial; the fault did not fire", form)
+		}
+		second, err := svc.Search(bg, q, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.Partial || len(second.Hits) != len(want.Hits) {
+			t.Fatalf("%v: after recovery got %d hits (partial=%v), want all %d",
+				form, len(second.Hits), second.Partial, len(want.Hits))
+		}
+	}
+}
+
 // TestStrictErrorNamesRootCause: when one shard fails and strict mode
 // cancels the slower shards, the returned error must carry the failing
 // shard's fault, not a victim's "context canceled".

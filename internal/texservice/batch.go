@@ -122,9 +122,7 @@ func SearchBatch(ctx context.Context, svc Service, exprs []textidx.Expr, form Fo
 // generation counter (entries must match both), keeping out-of-band
 // invalidations out of the store's monotonic version space. Probes whose
 // pinned snapshot view has fallen behind the current state bypass the
-// cache entirely — their answers reflect the old view. Invalidate is the
-// coarse hook; InvalidateDoc is the stub for finer-grained invalidation
-// — today it degrades to a full Invalidate.
+// cache entirely — their answers reflect the old view.
 type ProbeCache struct {
 	inner Service
 
@@ -202,8 +200,9 @@ func (c *ProbeCache) Search(ctx context.Context, e textidx.Expr, form Form) (*Re
 	c.misses++
 	// A write or invalidation racing with the backend call makes the
 	// result stale relative to the new collection version: return it (it
-	// was correct when issued) but do not cache it.
-	if !pinnedBehind && c.version == version && c.gen == gen {
+	// was correct when issued) but do not cache it. Nor is a Partial
+	// result cached (see Cached.Search).
+	if !pinnedBehind && !res.Partial && c.version == version && c.gen == gen {
 		if el, ok := c.entries[key]; ok {
 			c.lru.MoveToFront(el)
 		} else {
@@ -303,14 +302,6 @@ func (c *ProbeCache) PinSnapshot(ctx context.Context) context.Context {
 // SnapshotPinned implements PinProber when the inner service does.
 func (c *ProbeCache) SnapshotPinned(ctx context.Context) bool {
 	return SnapshotPinned(ctx, c.inner)
-}
-
-// InvalidateDoc is the per-document invalidation hook for future ingest.
-// Today it conservatively drops the whole cache: a changed document can
-// affect any cached result, and tracking result→document membership is
-// deferred until an ingest path exists to need it.
-func (c *ProbeCache) InvalidateDoc(id textidx.DocID) {
-	c.Invalidate()
 }
 
 // Retrieve implements Service (pass-through).

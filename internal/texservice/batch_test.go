@@ -202,9 +202,8 @@ func TestProbeCacheInvalidate(t *testing.T) {
 	if c.Version() != v0 {
 		t.Errorf("version %d after invalidation, want %d (version space belongs to the store)", c.Version(), v0)
 	}
-	c.InvalidateDoc(0) // stub: degrades to a full invalidation
-	if got := c.Invalidations(); got != 2 {
-		t.Errorf("%d invalidations recorded, want 2", got)
+	if got := c.Invalidations(); got != 1 {
+		t.Errorf("%d invalidations recorded, want 1", got)
 	}
 	if _, err := c.Search(bg, q, FormShort); err != nil {
 		t.Fatal(err)

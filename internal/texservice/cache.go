@@ -181,8 +181,11 @@ func (c *Cached) Search(ctx context.Context, e textidx.Expr, form Form) (*Result
 		// A write (or invalidation) racing with the backend call makes
 		// this result stale relative to the new version: return it (it was
 		// correct when issued) but only cache it if both counters are
-		// unchanged and the pinned view (if any) is still current.
-		if !pinnedBehind && call.version == c.version && call.gen == c.gen {
+		// unchanged and the pinned view (if any) is still current. A
+		// Partial result (a best-effort federation lost a shard) is
+		// returned but never stored: once the shard recovers, the next
+		// search must see every hit.
+		if !pinnedBehind && !res.Partial && call.version == c.version && call.gen == c.gen {
 			if el, ok := c.entries[key]; ok {
 				// Raced with another miss; keep the existing entry.
 				c.lru.MoveToFront(el)

@@ -229,8 +229,9 @@ func (p *Project) Close() { p.in.Close() }
 // HashJoin is the batch equi-join. It drains the right child into a
 // row-major build side keyed by the join columns, then streams left
 // batches through the hash table, emitting concatenated rows in left-major
-// order — exactly the order relation.HashJoin produces, which keeps
-// results comparable across engines in the equivalence tests.
+// order — exactly the order relation.NestedLoopJoin produces over the
+// equivalent predicate, which keeps results comparable with the oracle in
+// the equivalence tests.
 type HashJoin struct {
 	left, right Operator
 	schema      *relation.Schema

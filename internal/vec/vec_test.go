@@ -28,8 +28,10 @@ func testTable(name string, rows int, rng *rand.Rand) *relation.Table {
 	return tbl
 }
 
-// sameRows asserts exact equality of rows including order; the vectorized
-// operators are specified to preserve the row engine's output order.
+// sameRows asserts exact equality of rows including order; the batch
+// operators are specified to preserve the output order of relation's
+// table-at-a-time Select, Project and NestedLoopJoin — the "row engine"
+// the *MatchesRowEngine tests check them against.
 func sameRows(t *testing.T, got, want *relation.Table) {
 	t.Helper()
 	if got.Schema.String() != want.Schema.String() {
@@ -134,6 +136,21 @@ func TestSelectSkipsEmptyBatches(t *testing.T) {
 	}
 }
 
+// equiPred is the predicate form of an equi-join: the conjunction of the
+// conditions' column equalities and the residual (nil for none).
+func equiPred(conds []relation.EquiJoinCond, residual relation.Predicate) relation.Predicate {
+	var conj relation.And
+	for _, c := range conds {
+		conj = append(conj, relation.ColCol{Left: c.Left, Op: relation.OpEq, Right: c.Right})
+	}
+	if residual != nil {
+		conj = append(conj, residual)
+	}
+	return conj
+}
+
+// TestHashJoinMatchesRowEngine: the hash join equals relation's
+// nested-loop join over the equivalent predicate, row for row and in order.
 func TestHashJoinMatchesRowEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, rows := range []int{0, 3, BatchSize + 40} {
@@ -158,7 +175,7 @@ func TestHashJoinMatchesRowEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := relation.HashJoin(left, right, conds, residual)
+		want, err := relation.NestedLoopJoin(left, right, equiPred(conds, residual))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,9 +246,99 @@ func TestJoinOnSelectedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := relation.HashJoin(lf, right, conds, nil)
+	want, err := relation.NestedLoopJoin(lf, right, equiPred(conds, nil))
 	if err != nil {
 		t.Fatal(err)
+	}
+	sameRows(t, got, want)
+}
+
+// pairTable builds a two-column (id, grp) integer table.
+func pairTable(name string, rows ...[2]int64) *relation.Table {
+	tbl := relation.NewTable(name, relation.MustSchema(
+		relation.Column{Name: "id", Kind: value.KindInt},
+		relation.Column{Name: "grp", Kind: value.KindInt},
+	))
+	for _, r := range rows {
+		tbl.MustInsert(relation.Tuple{value.Int(r[0]), value.Int(r[1])})
+	}
+	return tbl.Qualified()
+}
+
+// scans opens a TableScan over each table.
+func scans(t *testing.T, tables ...*relation.Table) []Operator {
+	t.Helper()
+	ops := make([]Operator, len(tables))
+	for i, tbl := range tables {
+		op, err := NewTableScan(tbl, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops[i] = op
+	}
+	return ops
+}
+
+func TestHashJoinErrors(t *testing.T) {
+	left, right := pairTable("t"), pairTable("u")
+	for _, conds := range [][]relation.EquiJoinCond{
+		{{Left: "t.zzz", Right: "u.grp"}},
+		{{Left: "t.grp", Right: "u.zzz"}},
+		nil,
+	} {
+		ops := scans(t, left, right)
+		if _, err := NewHashJoin(ops[0], ops[1], conds, nil); err == nil {
+			t.Errorf("NewHashJoin accepted conds %v", conds)
+		}
+	}
+}
+
+func TestHashJoinResidual(t *testing.T) {
+	left := pairTable("t", [2]int64{1, 1}, [2]int64{2, 1}, [2]int64{3, 2}, [2]int64{4, 2})
+	right := pairTable("u", [2]int64{1, 1}, [2]int64{2, 2}, [2]int64{3, 2})
+	conds := []relation.EquiJoinCond{{Left: "t.grp", Right: "u.grp"}}
+	for _, c := range []struct {
+		residual relation.Predicate
+		want     int
+	}{
+		// grp 1: 2 x 1 pairs, grp 2: 2 x 2 pairs.
+		{nil, 6},
+		// Of those, only (1,1) and (3,3) also agree on id.
+		{relation.ColCol{Left: "t.id", Op: relation.OpEq, Right: "u.id"}, 2},
+	} {
+		ops := scans(t, left, right)
+		join, err := NewHashJoin(ops[0], ops[1], conds, c.residual)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Materialize("j", join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cardinality() != c.want {
+			t.Errorf("residual %v: %d rows, want %d", c.residual, got.Cardinality(), c.want)
+		}
+	}
+}
+
+func TestNestedLoopNilResidualIsCrossProduct(t *testing.T) {
+	left := pairTable("t", [2]int64{1, 1}, [2]int64{2, 1}, [2]int64{3, 2})
+	right := pairTable("u", [2]int64{1, 1}, [2]int64{2, 2})
+	ops := scans(t, left, right)
+	join, err := NewNestedLoop(ops[0], ops[1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Materialize("j", join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := relation.NestedLoopJoin(left, right, relation.True{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cardinality() != left.Cardinality()*right.Cardinality() {
+		t.Fatalf("%d rows, want %d", got.Cardinality(), left.Cardinality()*right.Cardinality())
 	}
 	sameRows(t, got, want)
 }
@@ -317,14 +424,6 @@ func BenchmarkVecHashJoin(b *testing.B) {
 	right := testTable("u", 8*BatchSize, rng).Qualified()
 	conds := []relation.EquiJoinCond{{Left: "t.id", Right: "u.id"}}
 
-	b.Run("row", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := relation.HashJoin(left, right, conds, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("vec", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -31,7 +31,6 @@ go test -race -short -run 'TestBatchedProbing|TestBatchProbe' ./internal/join
 
 # Gateway concurrency suite under the race detector: equivalence,
 # saturation shedding, budgets, drain.
-go vet ./cmd/queryd ./internal/gateway ./internal/loadgen ./internal/appcfg
 go test -race -run Gateway ./internal/gateway
 
 # Observability gates: the span recorder must be race-clean under
@@ -64,11 +63,11 @@ go run ./cmd/benchrun -exp trace
 test -s BENCH_trace.json
 
 # Vectorized execution gates. The equivalence harness runs every join
-# method on the same pruned plans through both engines (vectorized and
-# row) against the naive oracle, over faulty 1/2/4-shard federations,
-# under the race detector; the seed is fixed (vectorPropertySeed) so
-# failures reproduce. -short caps the trial count here, the full-trial
-# run happens in the go test -race ./... pass below.
+# method on the same pruned plans through the executor against the naive
+# oracle, over faulty 1/2/4-shard federations, under the race detector;
+# the seed is fixed (vectorPropertySeed) so failures reproduce. -short
+# caps the trial count here, the full-trial run happens in the
+# go test -race ./... pass below.
 go test -race -short -run 'TestVectorizedEquivalence' ./internal/exec
 
 # Allocation regression gate: the steady-state batch path (scan → select
