@@ -58,7 +58,9 @@ type Options struct {
 	// SearchCache, when positive, wraps every registered text source in
 	// an LRU of that many search results, so repeated instantiations —
 	// within one query or across queries — are answered locally (§3.1's
-	// caching idea generalized). Sound because indexes are frozen.
+	// caching idea generalized). Entries are keyed on the collection
+	// version and queries pinned behind it bypass the cache, so it stays
+	// sound under live ingest.
 	SearchCache int
 	// ProbeCache, when positive, additionally wraps every registered text
 	// source in a cross-query probe-result cache of that many entries,

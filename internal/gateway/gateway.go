@@ -179,10 +179,10 @@ type Gateway struct {
 	textCost histogram
 	qseq     atomic.Uint64 // per-gateway query trace IDs ("q-<n>")
 
-	caches      []*texservice.Cached     // cache decorators discovered on the engine
-	probeCaches []*texservice.ProbeCache // probe-result caches discovered on the engine
-	meters      []*texservice.Meter      // distinct shared meters, for Snapshot.Text
-	sources     []namedMeter             // same meters with a source label, for /metrics
+	caches      []cacheCounters     // search caches (Cached) discovered on the engine
+	probeCaches []cacheCounters     // probe-result caches (ProbeCache) discovered on the engine
+	meters      []*texservice.Meter // distinct shared meters, for Snapshot.Text
+	sources     []namedMeter        // same meters with a source label, for /metrics
 
 	// methods accumulates per-join-method outcome series for /metrics:
 	// which of the paper's §3 methods the optimizer picked and what each
@@ -788,6 +788,29 @@ func buildTelemetry(prep *core.Prepared, res *core.Result) *telemetry.Record {
 	return r
 }
 
+// cacheCounters is what both expression caches report.
+type cacheCounters interface {
+	Stats() (hits, misses int)
+	Dedups() int
+	Invalidations() int
+}
+
+// sumCaches adds up one kind of cache across the registered sources.
+func sumCaches(caches []cacheCounters) CacheStats {
+	var s CacheStats
+	for _, c := range caches {
+		hits, misses := c.Stats()
+		s.Hits += hits
+		s.Misses += misses
+		s.Dedups += c.Dedups()
+		s.Invalidations += c.Invalidations()
+	}
+	if total := s.Hits + s.Misses; total > 0 {
+		s.HitRate = float64(s.Hits) / float64(total)
+	}
+	return s
+}
+
 // Stats snapshots the gateway's counters, histograms, cache statistics
 // and shared-meter usage.
 func (g *Gateway) Stats() Snapshot {
@@ -797,24 +820,8 @@ func (g *Gateway) Stats() Snapshot {
 	g.mu.Lock()
 	s.Draining = g.draining
 	g.mu.Unlock()
-	for _, c := range g.caches {
-		hits, misses := c.Stats()
-		s.Cache.Hits += hits
-		s.Cache.Misses += misses
-		s.Cache.Dedups += c.Dedups()
-	}
-	if total := s.Cache.Hits + s.Cache.Misses; total > 0 {
-		s.Cache.HitRate = float64(s.Cache.Hits) / float64(total)
-	}
-	for _, c := range g.probeCaches {
-		hits, misses := c.Stats()
-		s.ProbeCache.Hits += hits
-		s.ProbeCache.Misses += misses
-		s.ProbeCache.Invalidations += c.Invalidations()
-	}
-	if total := s.ProbeCache.Hits + s.ProbeCache.Misses; total > 0 {
-		s.ProbeCache.HitRate = float64(s.ProbeCache.Hits) / float64(total)
-	}
+	s.Cache = sumCaches(g.caches)
+	s.ProbeCache = sumCaches(g.probeCaches)
 	for _, m := range g.meters {
 		s.Text = s.Text.Add(m.Snapshot())
 	}

@@ -68,8 +68,10 @@ func (g *Gateway) WriteMetrics(w io.Writer) {
 	counter("cache_hits_total", "Shared search-cache hits.", uint64(s.Cache.Hits))
 	counter("cache_misses_total", "Shared search-cache misses.", uint64(s.Cache.Misses))
 	counter("cache_dedups_total", "Searches answered by waiting on an identical in-flight search.", uint64(s.Cache.Dedups))
+	counter("cache_invalidations_total", "Shared search-cache invalidations (index version or generation moved).", uint64(s.Cache.Invalidations))
 	counter("probe_cache_hits_total", "Cross-query probe-result cache hits.", uint64(s.ProbeCache.Hits))
 	counter("probe_cache_misses_total", "Cross-query probe-result cache misses.", uint64(s.ProbeCache.Misses))
+	counter("probe_cache_dedups_total", "Probes answered by waiting on an identical in-flight probe.", uint64(s.ProbeCache.Dedups))
 	counter("probe_cache_invalidations_total", "Probe-result cache invalidations.", uint64(s.ProbeCache.Invalidations))
 
 	// Per-source cumulative usage, from the shared meters (all queries,

@@ -175,6 +175,10 @@ func TestMetricsPromFormat(t *testing.T) {
 		"textjoin_in_flight_peak":                        1,
 		"textjoin_query_latency_seconds_count":           3,
 		`textjoin_text_searches_total{source="mercury"}`: 1,
+		// Both caches report the same counters.
+		"textjoin_cache_invalidations_total":       0,
+		"textjoin_probe_cache_dedups_total":        0,
+		"textjoin_probe_cache_invalidations_total": 0,
 		// The in-program layer breakdown: both layers took some time.
 		`textjoin_layer_seconds_total{layer="optimize"}`: 1e-9,
 		`textjoin_layer_seconds_total{layer="execute"}`:  1e-9,

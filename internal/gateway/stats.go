@@ -183,20 +183,13 @@ func (h *histogram) quantileLocked(q float64) float64 {
 	return h.max
 }
 
-// CacheStats reports the shared search cache's effectiveness across every
-// registered text source that has a cache decorator.
+// CacheStats reports one kind of expression cache's effectiveness summed
+// across every registered text source that has one: the shared search
+// cache (Cached) or the cross-query probe-result cache (ProbeCache).
 type CacheStats struct {
-	Hits    int     `json:"hits"`
-	Misses  int     `json:"misses"`
-	Dedups  int     `json:"dedups"` // hits that were singleflight waits on an in-flight search
-	HitRate float64 `json:"hit_rate"`
-}
-
-// ProbeCacheStats reports the cross-query probe-result cache's
-// effectiveness across every registered text source that has one.
-type ProbeCacheStats struct {
 	Hits          int     `json:"hits"`
 	Misses        int     `json:"misses"`
+	Dedups        int     `json:"dedups"` // hits that were singleflight waits on an in-flight search
 	Invalidations int     `json:"invalidations"`
 	HitRate       float64 `json:"hit_rate"`
 }
@@ -238,8 +231,8 @@ type Snapshot struct {
 	IngestOps       uint64  `json:"ingest_ops"`
 	IngestFailed    uint64  `json:"ingest_failed"`
 
-	Cache      CacheStats      `json:"cache"`
-	ProbeCache ProbeCacheStats `json:"probe_cache"`
+	Cache      CacheStats `json:"cache"`
+	ProbeCache CacheStats `json:"probe_cache"`
 
 	Latency  HistSnapshot     `json:"latency_seconds"`
 	TextCost HistSnapshot     `json:"text_cost_seconds"`

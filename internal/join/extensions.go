@@ -39,7 +39,7 @@ func (TSBatch) Applicable(spec *Spec, svc texservice.Service) error {
 		return err
 	}
 	if _, ok := svc.(texservice.BatchSearcher); !ok {
-		return fmt.Errorf("join: service does not support batched invocation")
+		return fmt.Errorf("join: %w", texservice.ErrNoBatch)
 	}
 	selTerms := 0
 	if spec.TextSel != nil {

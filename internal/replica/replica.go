@@ -830,7 +830,7 @@ func (s *Set) BatchSearch(ctx context.Context, exprs []textidx.Expr, form texser
 	defer sp.End()
 	for i, r := range s.replicas {
 		if _, ok := r.svc.(texservice.BatchSearcher); !ok {
-			return nil, fmt.Errorf("texservice: replica %d does not support batched invocation", i)
+			return nil, fmt.Errorf("replica %d: %w", i, texservice.ErrNoBatch)
 		}
 	}
 	total := 0
@@ -871,7 +871,7 @@ func (s *Set) BatchSearch(ctx context.Context, exprs []textidx.Expr, form texser
 func (s *Set) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
 	for i, r := range s.replicas {
 		if _, ok := r.svc.(texservice.StatsProvider); !ok {
-			return 0, fmt.Errorf("texservice: replica %d does not export statistics", i)
+			return 0, fmt.Errorf("replica %d: %w", i, texservice.ErrNoStats)
 		}
 	}
 	v, _, err := s.do(ctx, "docfreq", FreshReads(ctx), func(ctx context.Context, svc texservice.Service) (interface{}, error) {

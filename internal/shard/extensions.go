@@ -24,7 +24,7 @@ func (s *Sharded) BatchSearch(ctx context.Context, exprs []textidx.Expr, form te
 	for k, svc := range s.shards {
 		b, ok := svc.(texservice.BatchSearcher)
 		if !ok {
-			return nil, fmt.Errorf("texservice: shard %d does not support batched invocation", k)
+			return nil, fmt.Errorf("shard %d: %w", k, texservice.ErrNoBatch)
 		}
 		batchers[k] = b
 	}
@@ -91,7 +91,7 @@ func (s *Sharded) TermDocFrequency(ctx context.Context, field, term string) (int
 	for k, svc := range s.shards {
 		p, ok := svc.(texservice.StatsProvider)
 		if !ok {
-			return 0, fmt.Errorf("texservice: shard %d does not export statistics", k)
+			return 0, fmt.Errorf("shard %d: %w", k, texservice.ErrNoStats)
 		}
 		df, err := p.TermDocFrequency(ctx, field, term)
 		if err != nil {

@@ -31,7 +31,7 @@ func (s *Sharded) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texse
 	for k, svc := range s.shards {
 		ing, ok := svc.(texservice.Ingestor)
 		if !ok {
-			return nil, fmt.Errorf("texservice: shard %d does not support ingest", k)
+			return nil, fmt.Errorf("shard %d: %w", k, texservice.ErrNoIngest)
 		}
 		ingestors[k] = ing
 	}
@@ -91,7 +91,7 @@ func (s *Sharded) IndexVersion(ctx context.Context) (uint64, error) {
 	for k, svc := range s.shards {
 		v, ok := svc.(texservice.Versioned)
 		if !ok {
-			return 0, fmt.Errorf("texservice: shard %d does not report an index version", k)
+			return 0, fmt.Errorf("shard %d: %w", k, texservice.ErrNoIngest)
 		}
 		ver, err := v.IndexVersion(ctx)
 		if err != nil {

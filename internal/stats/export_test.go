@@ -37,19 +37,25 @@ func TestStatsExportMatchesProbing(t *testing.T) {
 }
 
 // TestStatsExportFallsBack: a service without the capability silently
-// degrades to probing.
+// degrades to probing — also behind a decorator, which claims the
+// capability and refuses it with texservice.ErrNoStats.
 func TestStatsExportFallsBack(t *testing.T) {
-	svc, tbl := fixture(t)
-	est := New(hideStats{svc}, WithSampleSize(100), WithStatsExport())
-	e, err := est.Predicate(tbl, "name", "author")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Samples != 4 {
-		t.Fatalf("fallback estimate: %+v", e)
-	}
-	if u := svc.Meter().Snapshot(); u.Searches == 0 {
-		t.Fatal("fallback did not probe")
+	for _, wrap := range []func(texservice.Service) texservice.Service{
+		func(s texservice.Service) texservice.Service { return hideStats{s} },
+		func(s texservice.Service) texservice.Service { return texservice.NewCached(hideStats{s}, 8) },
+	} {
+		svc, tbl := fixture(t)
+		est := New(wrap(svc), WithSampleSize(100), WithStatsExport())
+		e, err := est.Predicate(tbl, "name", "author")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Samples != 4 {
+			t.Fatalf("fallback estimate: %+v", e)
+		}
+		if u := svc.Meter().Snapshot(); u.Searches == 0 {
+			t.Fatal("fallback did not probe")
+		}
 	}
 }
 

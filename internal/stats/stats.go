@@ -9,6 +9,7 @@ package stats
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -85,7 +86,8 @@ func WithSeed(seed int64) Option {
 // (texservice.StatsProvider) instead of probe searches when the service
 // offers them — the §8 extension that "eliminates the need for sending
 // all single-column probes". Sampling falls back to probing against
-// services without the capability.
+// services without the capability, or that refuse it with
+// texservice.ErrNoStats.
 func WithStatsExport() Option {
 	return func(e *Estimator) { e.useExport = true }
 }
@@ -164,10 +166,15 @@ func (e *Estimator) Predicate(tbl *relation.Table, column, field string) (Estima
 		var freq int
 		if useExport {
 			freq, err = provider.TermDocFrequency(context.Background(), field, v.Text())
-			if err != nil {
+			if errors.Is(err, texservice.ErrNoStats) {
+				// A layer offers the capability but cannot pass it on:
+				// sample by probing, as without the capability.
+				useExport = false
+			} else if err != nil {
 				return Estimate{}, err
 			}
-		} else {
+		}
+		if !useExport {
 			res, err := e.svc.Search(context.Background(), expr, texservice.FormShort)
 			if err != nil {
 				return Estimate{}, err

@@ -1,16 +1,10 @@
 package texservice
 
 import (
-	"errors"
 	"testing"
 
 	"textjoin/internal/textidx"
 )
-
-// nonBatching hides the inner service's optional capabilities: its method
-// set is exactly the Service interface, so SearchBatch must fall back to
-// per-expression searches and ProbeCache.BatchSearch must refuse.
-type nonBatching struct{ Service }
 
 func extIDs(r *Result) []string {
 	out := make([]string, len(r.Hits))
@@ -85,7 +79,7 @@ func TestSearchBatchWithoutCapability(t *testing.T) {
 		textidx.Term{Field: "title", Word: "text"},
 		textidx.Term{Field: "author", Word: "kao"},
 	}
-	results, invocations, err := SearchBatch(bg, nonBatching{local}, exprs, FormShort)
+	results, invocations, err := SearchBatch(bg, capless{local}, exprs, FormShort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,41 +223,5 @@ func TestProbeCacheEvicts(t *testing.T) {
 	}
 	if u := c.Meter().Snapshot(); u.Searches != 3 {
 		t.Errorf("meter charged %d searches, want 3 (first entry evicted)", u.Searches)
-	}
-}
-
-// TestProbeCacheCapabilities: the cache exposes the decorated service
-// (Unwrap) and forwards batched invocation and statistics when the inner
-// service has them — and refuses cleanly when it does not.
-func TestProbeCacheCapabilities(t *testing.T) {
-	local, err := NewLocal(testIndex(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewProbeCache(local, 10)
-	if c.Unwrap() != Service(local) {
-		t.Error("Unwrap did not return the decorated service")
-	}
-	exprs := []textidx.Expr{
-		textidx.Term{Field: "title", Word: "text"},
-		textidx.Term{Field: "title", Word: "belief"},
-	}
-	results, err := c.BatchSearch(bg, exprs, FormShort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(exprs) {
-		t.Fatalf("%d batch results for %d expressions", len(results), len(exprs))
-	}
-	if _, err := c.TermDocFrequency(bg, "title", "text"); err != nil {
-		t.Errorf("TermDocFrequency passthrough failed: %v", err)
-	}
-
-	blind := NewProbeCache(nonBatching{local}, 10)
-	if _, err := blind.BatchSearch(bg, exprs, FormShort); !errors.Is(err, errNoBatchCapability) {
-		t.Errorf("BatchSearch over a non-batching service: %v, want capability refusal", err)
-	}
-	if _, err := blind.TermDocFrequency(bg, "title", "text"); !errors.Is(err, errNoStatsCapability) {
-		t.Errorf("TermDocFrequency over a statless service: %v, want capability refusal", err)
 	}
 }

@@ -13,9 +13,47 @@ import (
 // Cached decorates a Service with an LRU cache of search results, the
 // cross-query generalization of §3.1's observation that repeated
 // instantiations need not be resent ("caching the values of join columns
-// for previous queries"). A cache hit answers locally, charging nothing —
-// the decorated meter only sees misses. Retrievals and metadata pass
-// through.
+// for previous queries"). It keys on the form plus the expression as
+// written, for every form. A cache hit answers locally, charging nothing —
+// the decorated meter only sees misses. Only Search and Ingest are
+// intercepted; see exprCache for the mechanism.
+type Cached struct{ exprCache }
+
+// NewCached wraps a service with an LRU of the given capacity (entries).
+func NewCached(inner Service, capacity int) *Cached {
+	return &Cached{newExprCache(inner, capacity, "cache.search", searchKey)}
+}
+
+func searchKey(e textidx.Expr, form Form) (string, bool) {
+	return form.String() + "\x00" + e.String(), true
+}
+
+// ProbeCache decorates a Service with a cross-query cache of short-form
+// search results keyed on *normalized* expressions (textidx.Normalize):
+// two probes that differ only in conjunct order or nesting share one
+// entry, so the batched-probe pushdown's OR groups and per-tuple probes
+// from different queries reuse each other's answers. Long-form searches
+// pass through uncached and uncounted (they are result transmission, not
+// probing). Batched invocations pass through whole: batched probes
+// already deduplicate upstream, so per-expression lookups would only
+// split invocations back apart. See exprCache for the mechanism.
+type ProbeCache struct{ exprCache }
+
+// NewProbeCache wraps a service with a probe-result LRU of the given
+// capacity (entries).
+func NewProbeCache(inner Service, capacity int) *ProbeCache {
+	return &ProbeCache{newExprCache(inner, capacity, "", probeKey)}
+}
+
+func probeKey(e textidx.Expr, form Form) (string, bool) {
+	if form != FormShort {
+		return "", false
+	}
+	return textidx.Normalize(e).String(), true
+}
+
+// exprCache is the one expression cache behind Cached and ProbeCache,
+// which differ only in their key function.
 //
 // Concurrent identical searches are deduplicated (singleflight): the
 // first miss becomes the leader and performs the backend call; every
@@ -27,7 +65,7 @@ import (
 //
 // Every entry is keyed on the index version it was filled at: a write to
 // the collection advances the cache's version (SetIndexVersion, called by
-// the Ingest forwarding below), and entries from an older version are
+// Ingest on its way through), and entries from an older version are
 // rejected on hit — a post-write search can never be answered from a
 // pre-write entry. Invalidate advances a separate generation counter
 // (entries must match both), so an out-of-band invalidation never burns
@@ -35,10 +73,14 @@ import (
 // snapshot view (SnapshotPinner/PinProber) has fallen behind the current
 // state bypass the cache entirely: their answers reflect the old pinned
 // view, and must neither be served current-version entries nor have
-// their answers filled for unpinned readers. On an immutable collection
-// the version never moves and the cache behaves exactly as before.
-type Cached struct {
-	inner Service
+// their answers filled for unpinned readers. A Partial result (a
+// best-effort federation lost a shard) is returned but never stored, so
+// once the shard recovers the next search sees every hit. On an immutable
+// collection the version never moves and none of this costs anything.
+type exprCache struct {
+	passThrough
+	span  string                                  // Search's span name; "" records none
+	keyOf func(textidx.Expr, Form) (string, bool) // false: pass through uncached
 
 	mu       sync.Mutex
 	lru      *list.List // of *cacheEntry, front = most recent
@@ -69,25 +111,37 @@ type inflightCall struct {
 	err     error
 }
 
-// NewCached wraps a service with an LRU of the given capacity (entries).
-func NewCached(inner Service, capacity int) *Cached {
-	if capacity < 1 {
-		capacity = 1
+func newExprCache(inner Service, capacity int, span string, keyOf func(textidx.Expr, Form) (string, bool)) exprCache {
+	return exprCache{
+		passThrough: passThrough{inner},
+		span:        span,
+		keyOf:       keyOf,
+		lru:         list.New(),
+		entries:     map[string]*list.Element{},
+		inflight:    map[string]*inflightCall{},
+		cap:         max(capacity, 1),
 	}
-	return &Cached{
-		inner:    inner,
-		lru:      list.New(),
-		entries:  map[string]*list.Element{},
-		inflight: map[string]*inflightCall{},
-		cap:      capacity,
+}
+
+// note records the cache's verdict on the search span, if any.
+func note(sp *obs.Span, verdict string) {
+	if sp != nil {
+		sp.SetAttr(obs.Str("cache", verdict))
 	}
 }
 
 // Search implements Service, serving repeats from the cache and merging
 // concurrent identical searches into one backend call.
-func (c *Cached) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
-	ctx, sp := obs.StartSpan(ctx, "cache.search")
-	defer sp.End()
+func (c *exprCache) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
+	key, cacheable := c.keyOf(e, form)
+	if !cacheable {
+		return c.inner.Search(ctx, e, form)
+	}
+	var sp *obs.Span
+	if c.span != "" {
+		ctx, sp = obs.StartSpan(ctx, c.span)
+		defer sp.End()
+	}
 	if SnapshotPinned(ctx, c.inner) {
 		// This query's pinned view has fallen behind the current index
 		// version: serving it a current-version entry would break its
@@ -95,12 +149,9 @@ func (c *Cached) Search(ctx context.Context, e textidx.Expr, form Form) (*Result
 		// pre-write results to unpinned readers. Bypass the cache in both
 		// directions. (A pin still at the current state reads through the
 		// cache normally.)
-		if sp != nil {
-			sp.SetAttr(obs.Str("cache", "pinned-bypass"))
-		}
+		note(sp, "pinned-bypass")
 		return c.inner.Search(ctx, e, form)
 	}
-	key := form.String() + "\x00" + e.String()
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
@@ -116,8 +167,7 @@ func (c *Cached) Search(ctx context.Context, e textidx.Expr, form Form) (*Result
 				return res, nil
 			}
 			// Filled before the last write: evict and fall through to a
-			// backend call — a post-write search never sees a pre-write
-			// entry.
+			// backend call.
 			c.lru.Remove(el)
 			delete(c.entries, key)
 		}
@@ -126,9 +176,7 @@ func (c *Cached) Search(ctx context.Context, e textidx.Expr, form Form) (*Result
 			// version: wait for it.
 			c.dedups++
 			c.mu.Unlock()
-			if sp != nil {
-				sp.SetAttr(obs.Str("cache", "dedup-wait"))
-			}
+			note(sp, "dedup-wait")
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
@@ -148,18 +196,14 @@ func (c *Cached) Search(ctx context.Context, e textidx.Expr, form Form) (*Result
 			// answer may predate the write, so bypass the dedup and ask
 			// the backend directly (uncached).
 			c.mu.Unlock()
-			if sp != nil {
-				sp.SetAttr(obs.Str("cache", "stale-leader-bypass"))
-			}
+			note(sp, "stale-leader-bypass")
 			return c.inner.Search(ctx, e, form)
 		}
 		call := &inflightCall{version: c.version, gen: c.gen, done: make(chan struct{})}
 		c.inflight[key] = call
 		c.mu.Unlock()
 
-		if sp != nil {
-			sp.SetAttr(obs.Str("cache", "miss"))
-		}
+		note(sp, "miss")
 		res, err := c.inner.Search(ctx, e, form)
 		// Re-probe the pin before publishing: a write can land between the
 		// top-of-search check and the leader registration, in which case
@@ -181,17 +225,14 @@ func (c *Cached) Search(ctx context.Context, e textidx.Expr, form Form) (*Result
 		// A write (or invalidation) racing with the backend call makes
 		// this result stale relative to the new version: return it (it was
 		// correct when issued) but only cache it if both counters are
-		// unchanged and the pinned view (if any) is still current. A
-		// Partial result (a best-effort federation lost a shard) is
-		// returned but never stored: once the shard recovers, the next
-		// search must see every hit.
+		// unchanged, the pinned view (if any) is still current and the
+		// result is complete.
 		if !pinnedBehind && !res.Partial && call.version == c.version && call.gen == c.gen {
 			if el, ok := c.entries[key]; ok {
 				// Raced with another miss; keep the existing entry.
 				c.lru.MoveToFront(el)
 			} else {
-				el := c.lru.PushFront(&cacheEntry{key: key, version: c.version, gen: c.gen, res: res})
-				c.entries[key] = el
+				c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, version: c.version, gen: c.gen, res: res})
 				if c.lru.Len() > c.cap {
 					oldest := c.lru.Back()
 					c.lru.Remove(oldest)
@@ -207,7 +248,7 @@ func (c *Cached) Search(ctx context.Context, e textidx.Expr, form Form) (*Result
 // SetIndexVersion keys the cache on an explicit index version: when it
 // differs from the current one, every existing entry (and in-flight
 // leader) is implicitly stale and will be rejected on its next lookup.
-func (c *Cached) SetIndexVersion(v uint64) {
+func (c *exprCache) SetIndexVersion(v uint64) {
 	c.mu.Lock()
 	if v != c.version {
 		c.version = v
@@ -216,30 +257,19 @@ func (c *Cached) SetIndexVersion(v uint64) {
 	c.mu.Unlock()
 }
 
-// Invalidate advances the cache's generation, invalidating every entry.
-// It deliberately does NOT touch the version counter: that space belongs
-// to the store's monotonic index version, and burning a value here would
-// make the next real write's SetIndexVersion a no-op — entries filled
-// between the Invalidate and that write would then be served as current.
-func (c *Cached) Invalidate() {
+// Invalidate drops every entry and advances the cache's generation, so
+// in-flight leaders will not fill either. It deliberately does NOT touch
+// the version counter: that space belongs to the store's monotonic index
+// version, and burning a value here would make the next real write's
+// SetIndexVersion a no-op — entries filled between the Invalidate and
+// that write would then be served as current.
+func (c *exprCache) Invalidate() {
 	c.mu.Lock()
 	c.gen++
 	c.invals++
+	c.lru.Init()
+	clear(c.entries)
 	c.mu.Unlock()
-}
-
-// Invalidations reports how many times the version moved.
-func (c *Cached) Invalidations() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.invals
-}
-
-// Version returns the index version the cache currently serves.
-func (c *Cached) Version() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
 }
 
 // Ingest implements Ingestor when the inner service does: the batch is
@@ -249,8 +279,8 @@ func (c *Cached) Version() uint64 {
 // before failing on another) and no new version will be adopted until a
 // later write succeeds, so the error path conservatively invalidates
 // rather than let entries that predate the partial write keep serving.
-func (c *Cached) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
-	res, err := IngestInto(ctx, c.inner, ops)
+func (c *exprCache) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
+	res, err := c.passThrough.Ingest(ctx, ops)
 	if err != nil {
 		if !errors.Is(err, ErrNoIngest) {
 			c.Invalidate()
@@ -261,53 +291,9 @@ func (c *Cached) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, err
 	return res, nil
 }
 
-// IndexVersion implements Versioned when the inner service does.
-func (c *Cached) IndexVersion(ctx context.Context) (uint64, error) {
-	v, ok := c.inner.(Versioned)
-	if !ok {
-		return 0, ErrNoIngest
-	}
-	return v.IndexVersion(ctx)
-}
-
-// PinSnapshot implements SnapshotPinner when the inner service does.
-// While the pinned view matches the current state the query reads
-// through the cache normally; once a write moves the collection past
-// the pin, its searches bypass the cache in both directions (see
-// Search), so pre-write answers never enter the version-keyed cache and
-// the pinned query keeps its snapshot.
-func (c *Cached) PinSnapshot(ctx context.Context) context.Context {
-	if p, ok := c.inner.(SnapshotPinner); ok {
-		return p.PinSnapshot(ctx)
-	}
-	return ctx
-}
-
-// SnapshotPinned implements PinProber when the inner service does.
-func (c *Cached) SnapshotPinned(ctx context.Context) bool {
-	return SnapshotPinned(ctx, c.inner)
-}
-
-// Retrieve implements Service (pass-through).
-func (c *Cached) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
-	return c.inner.Retrieve(ctx, id)
-}
-
-// NumDocs implements Service.
-func (c *Cached) NumDocs() (int, error) { return c.inner.NumDocs() }
-
-// MaxTerms implements Service.
-func (c *Cached) MaxTerms() int { return c.inner.MaxTerms() }
-
-// ShortFields implements Service.
-func (c *Cached) ShortFields() []string { return c.inner.ShortFields() }
-
-// Meter implements Service: the inner meter, which cache hits never touch.
-func (c *Cached) Meter() *Meter { return c.inner.Meter() }
-
 // Stats reports cache hits and misses. A search answered by waiting on an
 // in-flight identical search counts as a hit.
-func (c *Cached) Stats() (hits, misses int) {
+func (c *exprCache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
@@ -315,34 +301,22 @@ func (c *Cached) Stats() (hits, misses int) {
 
 // Dedups reports how many searches were deduplicated onto a concurrent
 // identical in-flight search instead of calling the backend.
-func (c *Cached) Dedups() int {
+func (c *exprCache) Dedups() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dedups
 }
 
-// Unwrap exposes the decorated service, so callers can walk a decorator
-// chain (e.g. a probe cache stacked on a search cache).
-func (c *Cached) Unwrap() Service { return c.inner }
-
-// BatchSearch implements BatchSearcher when the inner service does.
-// Batched invocations bypass the cache: their results are aligned
-// per-expression answers, cached (if at all) by a ProbeCache above.
-func (c *Cached) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
-	batcher, ok := c.inner.(BatchSearcher)
-	if !ok {
-		return nil, errNoBatchCapability
-	}
-	return batcher.BatchSearch(ctx, exprs, form)
+// Invalidations reports how many times the version or generation moved.
+func (c *exprCache) Invalidations() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.invals
 }
 
-// TermDocFrequency implements StatsProvider when the inner service does.
-func (c *Cached) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
-	provider, ok := c.inner.(StatsProvider)
-	if !ok {
-		return 0, errNoStatsCapability
-	}
-	return provider.TermDocFrequency(ctx, field, term)
+// Version returns the index version the cache currently serves.
+func (c *exprCache) Version() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.version
 }
-
-var _ Service = (*Cached)(nil)

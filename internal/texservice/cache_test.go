@@ -188,43 +188,76 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestSingleflightDedup: concurrent identical searches make exactly one
 // backend call; the duplicates wait for the leader and count as hits.
+// For the probe cache "identical" means equal after normalization, so
+// a∧b and b∧a in flight at once share one backend search.
 func TestSingleflightDedup(t *testing.T) {
-	local, err := NewLocal(testIndex(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated := &gatedService{Local: local, release: make(chan struct{})}
-	c := NewCached(gated, 8)
-	q := textidx.Term{Field: "title", Word: "text"}
+	ab := textidx.And{textidx.Term{Field: "title", Word: "text"}, textidx.Term{Field: "year", Word: "1994"}}
+	ba := textidx.And{ab[1], ab[0]}
+	for _, tc := range []struct {
+		name  string
+		cache func(Service) searchCache
+		exprs []textidx.Expr // callers cycle through these
+	}{
+		{"Cached", func(s Service) searchCache { return NewCached(s, 8) }, []textidx.Expr{ab}},
+		{"ProbeCache", func(s Service) searchCache { return NewProbeCache(s, 8) }, []textidx.Expr{ab, ba}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			local, err := NewLocal(testIndex(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gated := &gatedService{Local: local, release: make(chan struct{})}
+			c := tc.cache(gated)
 
-	const callers = 6
-	results := make(chan error, callers)
-	for i := 0; i < callers; i++ {
-		go func() {
-			_, err := c.Search(bg, q, FormShort)
-			results <- err
-		}()
+			const callers = 6
+			results := make(chan error, callers)
+			for i := 0; i < callers; i++ {
+				q := tc.exprs[i%len(tc.exprs)]
+				go func() {
+					_, err := c.Search(bg, q, FormShort)
+					results <- err
+				}()
+			}
+			// One caller became the leader (reached the backend), the rest
+			// are parked on its in-flight call.
+			waitFor(t, func() bool { return gated.Calls() == 1 && c.Dedups() == callers-1 })
+			close(gated.release)
+			for i := 0; i < callers; i++ {
+				if err := <-results; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if gated.Calls() != 1 {
+				t.Fatalf("backend saw %d calls, want 1", gated.Calls())
+			}
+			hits, misses := c.Stats()
+			if misses != 1 || hits != callers-1 {
+				t.Fatalf("hits=%d misses=%d, want %d/1", hits, misses, callers-1)
+			}
+			// The meter was charged once.
+			if u := c.Meter().Snapshot(); u.Searches != 1 {
+				t.Fatalf("meter charged %d searches", u.Searches)
+			}
+		})
 	}
-	// One caller became the leader (reached the backend), the rest are
-	// parked on its in-flight call.
-	waitFor(t, func() bool { return gated.Calls() == 1 && c.Dedups() == callers-1 })
-	close(gated.release)
-	for i := 0; i < callers; i++ {
-		if err := <-results; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if gated.Calls() != 1 {
-		t.Fatalf("backend saw %d calls, want 1", gated.Calls())
-	}
-	hits, misses := c.Stats()
-	if misses != 1 || hits != callers-1 {
-		t.Fatalf("hits=%d misses=%d, want %d/1", hits, misses, callers-1)
-	}
-	// The meter was charged once.
-	if u := c.Meter().Snapshot(); u.Searches != 1 {
-		t.Fatalf("meter charged %d searches", u.Searches)
-	}
+}
+
+// searchCache is what Cached and ProbeCache both offer.
+type searchCache interface {
+	decorator
+	Stats() (hits, misses int)
+	Dedups() int
+	Invalidate()
+	SetIndexVersion(uint64)
+}
+
+// caches are the two cache constructors, for tests both must pass.
+var caches = []struct {
+	name string
+	wrap func(Service, int) searchCache
+}{
+	{"Cached", func(s Service, n int) searchCache { return NewCached(s, n) }},
+	{"ProbeCache", func(s Service, n int) searchCache { return NewProbeCache(s, n) }},
 }
 
 // TestSingleflightLeaderErrorDoesNotPoison: a failing leader must not
@@ -314,73 +347,46 @@ func TestSingleflightWaiterHonorsContext(t *testing.T) {
 // under the old version++ scheme (version 100, Invalidate, then a real
 // write at 101).
 func TestInvalidateDoesNotBurnVersions(t *testing.T) {
-	local, err := NewLocal(testIndex(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCached(local, 8)
-	q := textidx.Term{Field: "title", Word: "text"}
-	backend := func() int { return c.Meter().Snapshot().Searches }
+	for _, tc := range caches {
+		t.Run(tc.name, func(t *testing.T) {
+			local, err := NewLocal(testIndex(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := tc.wrap(local, 8)
+			q := textidx.Term{Field: "title", Word: "text"}
+			backend := func() int { return c.Meter().Snapshot().Searches }
 
-	c.SetIndexVersion(100)
-	for i := 0; i < 2; i++ {
-		if _, err := c.Search(bg, q, FormShort); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if backend() != 1 {
-		t.Fatalf("warm-up reached the backend %d times, want 1", backend())
-	}
-	c.Invalidate()
-	// The entry is gone; the next search refills at the post-invalidate
-	// generation.
-	for i := 0; i < 2; i++ {
-		if _, err := c.Search(bg, q, FormShort); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if backend() != 2 {
-		t.Fatalf("post-invalidate searches reached the backend %d times, want 2", backend())
-	}
-	// A real write now advances the store version to 101. The refilled
-	// entry predates the write and must be rejected.
-	c.SetIndexVersion(101)
-	if _, err := c.Search(bg, q, FormShort); err != nil {
-		t.Fatal(err)
-	}
-	if backend() != 3 {
-		t.Fatalf("post-write search served from a pre-write entry (backend calls = %d, want 3)", backend())
-	}
-}
-
-// TestProbeCacheInvalidateDoesNotBurnVersions is the ProbeCache analog.
-func TestProbeCacheInvalidateDoesNotBurnVersions(t *testing.T) {
-	local, err := NewLocal(testIndex(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewProbeCache(local, 8)
-	q := textidx.Term{Field: "title", Word: "text"}
-	backend := func() int { return c.Meter().Snapshot().Searches }
-
-	c.SetIndexVersion(100)
-	for i := 0; i < 2; i++ {
-		if _, err := c.Search(bg, q, FormShort); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Invalidate()
-	for i := 0; i < 2; i++ {
-		if _, err := c.Search(bg, q, FormShort); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.SetIndexVersion(101)
-	if _, err := c.Search(bg, q, FormShort); err != nil {
-		t.Fatal(err)
-	}
-	if backend() != 3 {
-		t.Fatalf("post-write probe served from a pre-write entry (backend calls = %d, want 3)", backend())
+			c.SetIndexVersion(100)
+			for i := 0; i < 2; i++ {
+				if _, err := c.Search(bg, q, FormShort); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if backend() != 1 {
+				t.Fatalf("warm-up reached the backend %d times, want 1", backend())
+			}
+			c.Invalidate()
+			// The entry is gone; the next search refills at the
+			// post-invalidate generation.
+			for i := 0; i < 2; i++ {
+				if _, err := c.Search(bg, q, FormShort); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if backend() != 2 {
+				t.Fatalf("post-invalidate searches reached the backend %d times, want 2", backend())
+			}
+			// A real write now advances the store version to 101. The
+			// refilled entry predates the write and must be rejected.
+			c.SetIndexVersion(101)
+			if _, err := c.Search(bg, q, FormShort); err != nil {
+				t.Fatal(err)
+			}
+			if backend() != 3 {
+				t.Fatalf("post-write search served from a pre-write entry (backend calls = %d, want 3)", backend())
+			}
+		})
 	}
 }
 
@@ -403,32 +409,20 @@ func TestFailedIngestInvalidates(t *testing.T) {
 	ops := []IngestOp{{Kind: IngestPut, ExtID: "n1", Fields: map[string]string{"title": "x"}}}
 	q := textidx.Term{Field: "title", Word: "text"}
 
-	c := NewCached(&failingIngestor{local}, 8)
-	if _, err := c.Search(bg, q, FormShort); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Ingest(bg, ops); err == nil {
-		t.Fatal("failing ingest succeeded")
-	}
-	if _, err := c.Search(bg, q, FormShort); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := c.Stats(); misses != 2 {
-		t.Fatalf("search after failed ingest served from cache (misses = %d, want 2)", misses)
-	}
-
-	p := NewProbeCache(&failingIngestor{local}, 8)
-	if _, err := p.Search(bg, q, FormShort); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Ingest(bg, ops); err == nil {
-		t.Fatal("failing ingest succeeded")
-	}
-	if _, err := p.Search(bg, q, FormShort); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := p.Stats(); misses != 2 {
-		t.Fatalf("probe after failed ingest served from cache (misses = %d, want 2)", misses)
+	for _, tc := range caches {
+		c := tc.wrap(&failingIngestor{local}, 8)
+		if _, err := c.Search(bg, q, FormShort); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Ingest(bg, ops); err == nil {
+			t.Fatalf("%s: failing ingest succeeded", tc.name)
+		}
+		if _, err := c.Search(bg, q, FormShort); err != nil {
+			t.Fatal(err)
+		}
+		if _, misses := c.Stats(); misses != 2 {
+			t.Fatalf("%s: search after failed ingest served from cache (misses = %d, want 2)", tc.name, misses)
+		}
 	}
 
 	// A service without the write capability applied nothing: ErrNoIngest
@@ -468,5 +462,30 @@ func TestCachedJoinRepeatIsFree(t *testing.T) {
 	}
 	if after := c.Meter().Snapshot(); after != before {
 		t.Fatalf("repeats charged the meter: %+v", after.Sub(before))
+	}
+}
+
+// BenchmarkCacheHit measures each cache's hit path: a warm entry served
+// to an unpinned caller.
+func BenchmarkCacheHit(b *testing.B) {
+	local, err := NewLocal(testIndex(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := textidx.And{textidx.Term{Field: "title", Word: "text"}, textidx.Term{Field: "year", Word: "1994"}}
+	for _, tc := range caches {
+		b.Run(tc.name, func(b *testing.B) {
+			c := tc.wrap(local, 8)
+			if _, err := c.Search(bg, q, FormShort); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Search(bg, q, FormShort); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -321,9 +322,21 @@ func (r *Remote) call(ctx context.Context, op string, req wireRequest) (*wireRes
 		sp.AttachRemote(*resp.Spans, r.addr)
 	}
 	if resp.Error != "" {
-		return nil, fmt.Errorf("texservice: %s: %s", op, resp.Error)
+		return nil, replyError(op, resp.Error)
 	}
 	return resp, nil
+}
+
+// replyError rebuilds a server's error reply. A capability refusal keeps
+// its sentinel across the wire, so a client of a server without batching,
+// statistics or ingest degrades exactly as an in-process caller would.
+func replyError(op, msg string) error {
+	for _, refusal := range []error{ErrNoBatch, ErrNoStats, ErrNoIngest} {
+		if prefix, ok := strings.CutSuffix(msg, refusal.Error()); ok {
+			return fmt.Errorf("texservice: %s: %s%w", op, prefix, refusal)
+		}
+	}
+	return fmt.Errorf("texservice: %s: %s", op, msg)
 }
 
 // Search implements Service.

@@ -2,6 +2,7 @@ package texservice
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"textjoin/internal/textidx"
@@ -21,7 +22,19 @@ import (
 //     costs for the queries will be reduced").
 //
 // Both are optional capabilities discovered by interface assertion, so
-// integration code degrades gracefully against systems without them.
+// integration code degrades gracefully against systems without them. A
+// layer that offers a capability it cannot pass on (a decorator, a
+// federation, a remote whose server lacks it) refuses the call with
+// ErrNoBatch or ErrNoStats, and callers degrade on that refusal as they
+// do on a failed assertion.
+
+// ErrNoBatch is returned when a batched invocation reaches a service
+// without the BatchSearcher capability.
+var ErrNoBatch = errors.New("texservice: service does not support batched invocation")
+
+// ErrNoStats is returned when a statistics request reaches a service
+// without the StatsProvider capability.
+var ErrNoStats = errors.New("texservice: service does not export statistics")
 
 // StatsProvider is the exported-statistics capability: the document
 // frequency of a term can be fetched directly instead of being measured

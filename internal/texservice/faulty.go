@@ -42,10 +42,12 @@ import (
 //     slow-replica case hedged requests exist for. 1 (or 0) = healthy.
 //
 // Injected errors are transient (retryable) unless Permanent is set.
-// Metadata operations (NumDocs, MaxTerms, ShortFields, Meter) pass
-// through unharmed.
+// Metadata operations (NumDocs, MaxTerms, ShortFields, Meter, the index
+// version, snapshot pins) pass through unharmed, and a capability the
+// inner service lacks is refused before the gate, so a refusal is never
+// counted, delayed or replaced by a fault.
 type Faulty struct {
-	inner    Service
+	passThrough
 	cfg      FaultConfig
 	latency  atomic.Int64  // current per-operation latency in ns; see SetLatency
 	brownout atomic.Uint64 // latency multiplier as float64 bits; 0 = 1x; see SetBrownout
@@ -161,7 +163,7 @@ func NewFaulty(inner Service, cfg FaultConfig) *Faulty {
 	if seed == 0 {
 		seed = 1
 	}
-	f := &Faulty{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	f := &Faulty{passThrough: passThrough{inner}, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 	f.latency.Store(int64(cfg.Latency))
 	if cfg.Brownout > 0 {
 		f.SetBrownout(cfg.Brownout)
@@ -260,82 +262,76 @@ func (f *Faulty) transmit(ctx context.Context, nDocs int) error {
 	return sleepCtx(ctx, d)
 }
 
+// inject runs op behind the fault gate and, when docs is non-nil,
+// applies the per-document latency for the documents op transmitted.
+func inject[T any](ctx context.Context, f *Faulty, docs func(T) int, op func() (T, error)) (T, error) {
+	var zero T
+	if err := f.gate(ctx); err != nil {
+		return zero, err
+	}
+	v, err := op()
+	if err != nil {
+		return zero, err
+	}
+	if docs != nil {
+		if err := f.transmit(ctx, docs(v)); err != nil {
+			return zero, err
+		}
+	}
+	return v, nil
+}
+
 // Search implements Service.
 func (f *Faulty) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
-	if err := f.gate(ctx); err != nil {
-		return nil, err
-	}
-	res, err := f.inner.Search(ctx, e, form)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.transmit(ctx, len(res.Hits)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return inject(ctx, f, func(res *Result) int { return len(res.Hits) }, func() (*Result, error) {
+		return f.inner.Search(ctx, e, form)
+	})
 }
 
 // Retrieve implements Service.
 func (f *Faulty) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
-	if err := f.gate(ctx); err != nil {
-		return textidx.Document{}, err
-	}
-	doc, err := f.inner.Retrieve(ctx, id)
-	if err != nil {
-		return textidx.Document{}, err
-	}
-	if err := f.transmit(ctx, 1); err != nil {
-		return textidx.Document{}, err
-	}
-	return doc, nil
+	return inject(ctx, f, func(textidx.Document) int { return 1 }, func() (textidx.Document, error) {
+		return f.inner.Retrieve(ctx, id)
+	})
 }
 
 // BatchSearch implements BatchSearcher when the inner service does.
 func (f *Faulty) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
-	batcher, ok := f.inner.(BatchSearcher)
-	if !ok {
-		return nil, fmt.Errorf("texservice: inner service does not support batched invocation")
+	if _, ok := f.inner.(BatchSearcher); !ok {
+		return nil, ErrNoBatch
 	}
-	if err := f.gate(ctx); err != nil {
-		return nil, err
+	docs := func(out []*Result) (n int) {
+		for _, res := range out {
+			n += len(res.Hits)
+		}
+		return n
 	}
-	out, err := batcher.BatchSearch(ctx, exprs, form)
-	if err != nil {
-		return nil, err
-	}
-	docs := 0
-	for _, res := range out {
-		docs += len(res.Hits)
-	}
-	if err := f.transmit(ctx, docs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return inject(ctx, f, docs, func() ([]*Result, error) {
+		return f.passThrough.BatchSearch(ctx, exprs, form)
+	})
 }
 
 // TermDocFrequency implements StatsProvider when the inner service does.
 func (f *Faulty) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
-	provider, ok := f.inner.(StatsProvider)
-	if !ok {
-		return 0, fmt.Errorf("texservice: inner service does not export statistics")
+	if _, ok := f.inner.(StatsProvider); !ok {
+		return 0, ErrNoStats
 	}
-	if err := f.gate(ctx); err != nil {
-		return 0, err
-	}
-	return provider.TermDocFrequency(ctx, field, term)
+	return inject(ctx, f, nil, func() (int, error) {
+		return f.passThrough.TermDocFrequency(ctx, field, term)
+	})
 }
 
-// NumDocs implements Service.
-func (f *Faulty) NumDocs() (int, error) { return f.inner.NumDocs() }
-
-// MaxTerms implements Service.
-func (f *Faulty) MaxTerms() int { return f.inner.MaxTerms() }
-
-// ShortFields implements Service.
-func (f *Faulty) ShortFields() []string { return f.inner.ShortFields() }
-
-// Meter implements Service.
-func (f *Faulty) Meter() *Meter { return f.inner.Meter() }
+// Ingest implements Ingestor when the inner service does. Writes pass
+// through the same fault gate as reads, so chaos suites exercise lost
+// acks and retried batches on the write path too.
+func (f *Faulty) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
+	if _, ok := f.inner.(Ingestor); !ok {
+		return nil, ErrNoIngest
+	}
+	return inject(ctx, f, nil, func() (*IngestResult, error) {
+		return f.passThrough.Ingest(ctx, ops)
+	})
+}
 
 // Calls reports the number of gated operations seen.
 func (f *Faulty) Calls() int {
@@ -356,40 +352,4 @@ func (f *Faulty) Stats() FaultStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.stats
-}
-
-var (
-	_ Service       = (*Faulty)(nil)
-	_ BatchSearcher = (*Faulty)(nil)
-	_ StatsProvider = (*Faulty)(nil)
-)
-
-// Ingest implements Ingestor when the inner service does. Writes pass
-// through the same fault gate as reads, so chaos suites exercise lost
-// acks and retried batches on the write path too.
-func (f *Faulty) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
-	if err := f.gate(ctx); err != nil {
-		return nil, err
-	}
-	return IngestInto(ctx, f.inner, ops)
-}
-
-// IndexVersion implements Versioned when the inner service does
-// (metadata: not gated).
-func (f *Faulty) IndexVersion(ctx context.Context) (uint64, error) {
-	v, ok := f.inner.(Versioned)
-	if !ok {
-		return 0, ErrNoIngest
-	}
-	return v.IndexVersion(ctx)
-}
-
-// PinSnapshot implements SnapshotPinner when the inner service does.
-func (f *Faulty) PinSnapshot(ctx context.Context) context.Context {
-	return PinSnapshot(ctx, f.inner)
-}
-
-// SnapshotPinned implements PinProber when the inner service does.
-func (f *Faulty) SnapshotPinned(ctx context.Context) bool {
-	return SnapshotPinned(ctx, f.inner)
 }

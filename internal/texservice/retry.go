@@ -18,9 +18,9 @@ import (
 // This file implements the fault-tolerance layer of the loose integration:
 // a retry policy with exponential backoff and jitter, a transient-error
 // classifier, and a Retrying decorator usable around any Service. Every
-// operation the Service boundary offers (search, retrieve, batch search,
-// statistics) is a pure read over an immutable, frozen collection, so all
-// of them are idempotent and safe to resend — the "idempotent-only"
+// operation the Service boundary offers is idempotent — searches,
+// retrieves and statistics are reads, and ingest ops are upserts and
+// deletes — so all of them are safe to resend: the "idempotent-only"
 // precondition for retrying holds by construction here.
 
 // RetryPolicy configures retries of transient failures. The zero value
@@ -142,10 +142,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Retrying decorates a Service with transient-failure retries under a
 // RetryPolicy. Failed attempts are charged to the meter via ChargeRetry
 // (the wasted invocation overhead is real work on the remote system).
-// Batch and statistics capabilities are forwarded when the inner service
-// has them and fail with a clear error otherwise.
+// Batch, statistics and ingest calls are retried like searches; the other
+// capabilities pass through, and one the inner service lacks is refused
+// with its sentinel at once (a refusal is not transient).
 type Retrying struct {
-	inner  Service
+	passThrough
 	policy RetryPolicy
 
 	mu      sync.Mutex
@@ -157,13 +158,13 @@ type Retrying struct {
 // filled from DefaultRetryPolicy).
 func NewRetrying(inner Service, policy RetryPolicy) *Retrying {
 	p := policy.withDefaults()
-	return &Retrying{inner: inner, policy: p, rng: rand.New(rand.NewSource(p.Seed))}
+	return &Retrying{passThrough: passThrough{inner}, policy: p, rng: rand.New(rand.NewSource(p.Seed))}
 }
 
-// do runs op under the retry loop. One span covers the whole logical
+// retry runs op under r's retry loop. One span covers the whole logical
 // operation and records how many attempts it took; the inner service's
 // own spans (one per attempt) nest under it.
-func (r *Retrying) do(ctx context.Context, op string, f func(context.Context) error) error {
+func retry[T any](ctx context.Context, r *Retrying, op string, f func(context.Context) (T, error)) (T, error) {
 	ctx, sp := obs.StartSpan(ctx, "retry."+op)
 	var used int
 	if sp != nil {
@@ -172,6 +173,7 @@ func (r *Retrying) do(ctx context.Context, op string, f func(context.Context) er
 			sp.End()
 		}()
 	}
+	var zero T
 	var err error
 	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
 		used = attempt + 1
@@ -182,138 +184,61 @@ func (r *Retrying) do(ctx context.Context, op string, f func(context.Context) er
 			d := r.policy.delay(r.rng, attempt-1)
 			r.mu.Unlock()
 			if serr := sleepCtx(ctx, d); serr != nil {
-				return serr
+				return zero, serr
 			}
 		}
-		err = f(ctx)
-		if err == nil {
-			return nil
+		var v T
+		if v, err = f(ctx); err == nil {
+			return v, nil
 		}
 		if !IsTransient(err) || ctx.Err() != nil {
-			return err
+			return zero, err
 		}
 	}
-	return fmt.Errorf("texservice: %s failed after %d attempts: %w", op, r.policy.MaxAttempts, err)
+	return zero, fmt.Errorf("texservice: %s failed after %d attempts: %w", op, r.policy.MaxAttempts, err)
 }
 
 // Search implements Service.
 func (r *Retrying) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
-	var res *Result
-	err := r.do(ctx, "search", func(ctx context.Context) error {
-		var ferr error
-		res, ferr = r.inner.Search(ctx, e, form)
-		return ferr
+	return retry(ctx, r, "search", func(ctx context.Context) (*Result, error) {
+		return r.inner.Search(ctx, e, form)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // Retrieve implements Service.
 func (r *Retrying) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
-	var doc textidx.Document
-	err := r.do(ctx, "retrieve", func(ctx context.Context) error {
-		var ferr error
-		doc, ferr = r.inner.Retrieve(ctx, id)
-		return ferr
+	return retry(ctx, r, "retrieve", func(ctx context.Context) (textidx.Document, error) {
+		return r.inner.Retrieve(ctx, id)
 	})
-	if err != nil {
-		return textidx.Document{}, err
-	}
-	return doc, nil
 }
 
 // BatchSearch implements BatchSearcher when the inner service does.
 func (r *Retrying) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
-	batcher, ok := r.inner.(BatchSearcher)
-	if !ok {
-		return nil, fmt.Errorf("texservice: inner service does not support batched invocation")
-	}
-	var out []*Result
-	err := r.do(ctx, "batch search", func(ctx context.Context) error {
-		var ferr error
-		out, ferr = batcher.BatchSearch(ctx, exprs, form)
-		return ferr
+	return retry(ctx, r, "batch search", func(ctx context.Context) ([]*Result, error) {
+		return r.passThrough.BatchSearch(ctx, exprs, form)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // TermDocFrequency implements StatsProvider when the inner service does.
 func (r *Retrying) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
-	provider, ok := r.inner.(StatsProvider)
-	if !ok {
-		return 0, fmt.Errorf("texservice: inner service does not export statistics")
-	}
-	var df int
-	err := r.do(ctx, "docfreq", func(ctx context.Context) error {
-		var ferr error
-		df, ferr = provider.TermDocFrequency(ctx, field, term)
-		return ferr
+	return retry(ctx, r, "docfreq", func(ctx context.Context) (int, error) {
+		return r.passThrough.TermDocFrequency(ctx, field, term)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return df, nil
 }
-
-// NumDocs implements Service.
-func (r *Retrying) NumDocs() (int, error) { return r.inner.NumDocs() }
-
-// MaxTerms implements Service.
-func (r *Retrying) MaxTerms() int { return r.inner.MaxTerms() }
-
-// ShortFields implements Service.
-func (r *Retrying) ShortFields() []string { return r.inner.ShortFields() }
-
-// Meter implements Service.
-func (r *Retrying) Meter() *Meter { return r.inner.Meter() }
-
-// Retries reports how many retries this decorator has issued.
-func (r *Retrying) Retries() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retries
-}
-
-var (
-	_ Service       = (*Retrying)(nil)
-	_ BatchSearcher = (*Retrying)(nil)
-	_ StatsProvider = (*Retrying)(nil)
-)
 
 // Ingest implements Ingestor when the inner service does, retrying
 // transient failures: puts are upserts and deletes are idempotent, so
 // resending a batch whose ack was lost converges to the same state (the
 // re-applied ops consume fresh sequence numbers but change nothing).
 func (r *Retrying) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
-	var res *IngestResult
-	err := r.do(ctx, "ingest", func(ctx context.Context) error {
-		var ferr error
-		res, ferr = IngestInto(ctx, r.inner, ops)
-		return ferr
+	return retry(ctx, r, "ingest", func(ctx context.Context) (*IngestResult, error) {
+		return r.passThrough.Ingest(ctx, ops)
 	})
-	return res, err
 }
 
-// IndexVersion implements Versioned when the inner service does.
-func (r *Retrying) IndexVersion(ctx context.Context) (uint64, error) {
-	v, ok := r.inner.(Versioned)
-	if !ok {
-		return 0, ErrNoIngest
-	}
-	return v.IndexVersion(ctx)
-}
-
-// PinSnapshot implements SnapshotPinner when the inner service does.
-func (r *Retrying) PinSnapshot(ctx context.Context) context.Context {
-	return PinSnapshot(ctx, r.inner)
-}
-
-// SnapshotPinned implements PinProber when the inner service does.
-func (r *Retrying) SnapshotPinned(ctx context.Context) bool {
-	return SnapshotPinned(ctx, r.inner)
+// Retries reports how many retries this decorator has issued.
+func (r *Retrying) Retries() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.retries
 }

@@ -186,7 +186,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest) (resp wireRespon
 	case "docfreq":
 		provider, ok := s.svc.(StatsProvider)
 		if !ok {
-			return wireResponse{Error: "texservice: server does not export statistics"}, false
+			return errResponse(ErrNoStats)
 		}
 		df, err := provider.TermDocFrequency(ctx, req.Field, req.Term)
 		if err != nil {
@@ -236,7 +236,7 @@ func errResponse(err error) (wireResponse, bool) {
 func (s *Server) handleBatchSearch(ctx context.Context, req wireRequest) (wireResponse, bool) {
 	batcher, ok := s.svc.(BatchSearcher)
 	if !ok {
-		return wireResponse{Error: "texservice: server does not support batched invocation"}, false
+		return errResponse(ErrNoBatch)
 	}
 	form, err := parseForm(req.Form)
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 	"textjoin/internal/textidx"
 )
 
-func testIndex(t *testing.T) *textidx.Index {
+func testIndex(t testing.TB) *textidx.Index {
 	t.Helper()
 	ix := textidx.NewIndex()
 	docs := []textidx.Document{

@@ -111,5 +111,11 @@ go test -race -run 'TestHedgeCancellationNoLeaks' ./internal/replica
 # before/after evidence for the execution core and rot silently otherwise.
 go test -run 'NOTESTS' -bench . -benchtime 1x ./internal/vec ./internal/relation
 
+# Benchmark self-test (about 5 s): every workload end to end at tiny
+# sizes, decorated ≡ undecorated stacks (rows, Usage, cache counters),
+# the engine stack still exposing both expression caches, and
+# BENCHMARK.json against the metric names the benchmark reports.
+go test ./benchmark
+
 go test ./...
 go test -race ./...
