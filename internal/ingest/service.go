@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -120,46 +119,26 @@ func (l *Live) view(ctx context.Context) *View {
 	return l.store.CurrentView()
 }
 
-// Search implements texservice.Service.
+// Search implements texservice.Service: a batch of one.
 func (l *Live) Search(ctx context.Context, e textidx.Expr, form texservice.Form) (*texservice.Result, error) {
-	ctx, sp := obs.StartSpan(ctx, "live.search")
+	return texservice.Single(l.search(ctx, "live.search", []textidx.Expr{e}, form))
+}
+
+// BatchSearch implements texservice.BatchSearcher.
+func (l *Live) BatchSearch(ctx context.Context, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, error) {
+	return l.search(ctx, "live.batchsearch", exprs, form)
+}
+
+// search is Live's one request path: the expressions are evaluated in
+// order against one view and charged as one invocation.
+func (l *Live) search(ctx context.Context, span string, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, error) {
+	ctx, sp := obs.StartSpan(ctx, span)
 	defer sp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if tc := e.TermCount(); tc > l.maxTerms {
-		return nil, fmt.Errorf("texservice: search has %d terms, limit is %d", tc, l.maxTerms)
-	}
-	v := l.view(ctx)
-	hits, postings, err := l.store.Search(v, e)
-	if err != nil {
+	if err := texservice.CheckTermLimit(exprs, l.maxTerms); err != nil {
 		return nil, err
-	}
-	out := &texservice.Result{Postings: postings, Hits: make([]texservice.Hit, 0, len(hits))}
-	for _, h := range hits {
-		out.Hits = append(out.Hits, texservice.Hit{ID: h.ID, ExtID: h.Doc.ExtID, Fields: l.formFields(h.Doc, form)})
-	}
-	l.meter.ChargeSearch(ctx, postings, len(out.Hits), form)
-	if sp != nil {
-		sp.SetAttr(obs.Str("query", e.String()), obs.Str("form", form.String()),
-			obs.Int("postings", postings), obs.Int("hits", len(out.Hits)),
-			obs.Int("view_seq", int(v.Seq())))
-	}
-	return out, nil
-}
-
-// BatchSearch implements texservice.BatchSearcher: the whole batch is
-// one invocation evaluated against one view.
-func (l *Live) BatchSearch(ctx context.Context, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, e := range exprs {
-		total += e.TermCount()
-	}
-	if total > l.maxTerms {
-		return nil, &texservice.TermLimitError{Terms: total, Limit: l.maxTerms}
 	}
 	v := l.view(ctx)
 	out := make([]*texservice.Result, len(exprs))
@@ -171,31 +150,19 @@ func (l *Live) BatchSearch(ctx context.Context, exprs []textidx.Expr, form texse
 		}
 		r := &texservice.Result{Postings: p, Hits: make([]texservice.Hit, 0, len(hits))}
 		for _, h := range hits {
-			r.Hits = append(r.Hits, texservice.Hit{ID: h.ID, ExtID: h.Doc.ExtID, Fields: l.formFields(h.Doc, form)})
+			r.Hits = append(r.Hits, texservice.ShapeHit(h.ID, h.Doc, form, l.shortFields))
 		}
 		out[i] = r
 		postings += p
 		docs += len(r.Hits)
 	}
 	l.meter.ChargeSearch(ctx, postings, docs, form)
+	if sp != nil {
+		sp.SetAttr(texservice.QueryAttr(exprs), obs.Str("form", form.String()),
+			obs.Int("postings", postings), obs.Int("hits", docs),
+			obs.Int("view_seq", int(v.Seq())))
+	}
 	return out, nil
-}
-
-func (l *Live) formFields(doc textidx.Document, form texservice.Form) map[string]string {
-	if form == texservice.FormLong {
-		out := make(map[string]string, len(doc.Fields))
-		for k, v := range doc.Fields {
-			out[k] = v
-		}
-		return out
-	}
-	out := make(map[string]string, len(l.shortFields))
-	for _, f := range l.shortFields {
-		if v, ok := doc.Fields[f]; ok {
-			out[f] = v
-		}
-	}
-	return out
 }
 
 // Retrieve implements texservice.Service.

@@ -25,8 +25,9 @@ import (
 //     exceeded.
 
 // TSBatch is tuple substitution using the BatchSearcher capability: the
-// substituted queries are packed into batches under the term limit M and
-// each batch is one invocation.
+// substituted queries go through texservice.SearchBatch, which packs them
+// into batches under the term limit M, each batch one invocation, and
+// falls back to one search per query when a layer below refuses batching.
 type TSBatch struct{}
 
 // Name implements Method.
@@ -59,56 +60,31 @@ func (m TSBatch) Execute(ctx context.Context, spec *Spec, svc texservice.Service
 	if err := m.Applicable(spec, svc); err != nil {
 		return nil, err
 	}
-	batcher := svc.(texservice.BatchSearcher)
 	return run(ctx, m.Name(), spec, svc, func(ex *execution) error {
-		cols := spec.JoinColumns()
-		keys, groups, err := spec.Relation.GroupBy(cols...)
+		keys, groups, err := spec.Relation.GroupBy(spec.JoinColumns()...)
 		if err != nil {
 			return err
 		}
-		form := ex.searchForm()
-		limit := svc.MaxTerms()
-
-		var batchExprs []textidx.Expr
-		var batchKeys []string
-		batchTerms := 0
-		flush := func() error {
-			if len(batchExprs) == 0 {
-				return nil
-			}
-			results, err := batcher.BatchSearch(ex.ctx, batchExprs, form)
-			if err != nil {
-				return err
-			}
-			for i, key := range batchKeys {
-				for _, rowIdx := range groups[key] {
-					for _, hit := range results[i].Hits {
-						ex.emit(spec.Relation.Rows[rowIdx], hit.ExtID, hit.Fields)
-					}
-				}
-			}
-			batchExprs = batchExprs[:0]
-			batchKeys = batchKeys[:0]
-			batchTerms = 0
-			return nil
-		}
+		var exprs []textidx.Expr
+		var exprKeys []string
 		for _, key := range keys {
-			rep := spec.Relation.Rows[groups[key][0]]
-			expr, ok := spec.SubstExpr(rep, spec.Preds)
-			if !ok {
-				continue
+			if expr, ok := spec.SubstExpr(spec.Relation.Rows[groups[key][0]], spec.Preds); ok {
+				exprs = append(exprs, expr)
+				exprKeys = append(exprKeys, key)
 			}
-			t := expr.TermCount()
-			if batchTerms+t > limit {
-				if err := flush(); err != nil {
-					return err
+		}
+		results, _, err := texservice.SearchBatch(ex.ctx, svc, exprs, ex.searchForm())
+		if err != nil {
+			return err
+		}
+		for i, key := range exprKeys {
+			for _, rowIdx := range groups[key] {
+				for _, hit := range results[i].Hits {
+					ex.emit(spec.Relation.Rows[rowIdx], hit.ExtID, hit.Fields)
 				}
 			}
-			batchExprs = append(batchExprs, expr)
-			batchKeys = append(batchKeys, key)
-			batchTerms += t
 		}
-		return flush()
+		return nil
 	})
 }
 

@@ -64,6 +64,34 @@ func TestTSBatchRequiresCapability(t *testing.T) {
 // noBatch hides the batch capability of a service.
 type noBatch struct{ texservice.Service }
 
+// TestTSBatchOverDecoratorWithoutBatching: a decorator offers BatchSearch
+// by construction, so TSBatch is applicable over a cache whose backend
+// cannot batch; the refusal from below degrades to one search per
+// binding and the answer is still the naive join's.
+func TestTSBatchOverDecoratorWithoutBatching(t *testing.T) {
+	ix := corpus(t)
+	spec := q3Spec(t, false)
+	want, err := NaiveJoin(spec, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := texservice.NewCached(noBatch{service(t, ix)}, 64)
+	if err := (TSBatch{}).Applicable(spec, svc); err != nil {
+		t.Fatalf("TS(batched) not applicable over a decorator: %v", err)
+	}
+	res, err := TSBatch{}.Execute(bg, spec, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !SameRows(res.Table, want) {
+		t.Fatal("TS(batched) over a decorator without batching differs from naive")
+	}
+	// 8 distinct bindings, each its own search.
+	if res.Stats.Usage.Searches != 8 {
+		t.Fatalf("degraded TS(batched) used %d searches, want 8", res.Stats.Usage.Searches)
+	}
+}
+
 func TestTSBatchRejectsOversizedConjunct(t *testing.T) {
 	ix := corpus(t)
 	svc, err := texservice.NewLocal(ix, texservice.WithMaxTerms(1))

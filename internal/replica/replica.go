@@ -284,19 +284,12 @@ func New(replicas []texservice.Service, opts ...Option) (*Set, error) {
 	if o.hedgeMax < o.hedgeMin {
 		o.hedgeMax = o.hedgeMin
 	}
-	short := canonicalFields(replicas[0].ShortFields())
-	maxTerms := replicas[0].MaxTerms()
+	short, maxTerms, err := texservice.CheckMembers("replica", replicas)
+	if err != nil {
+		return nil, err
+	}
 	states := make([]*replicaState, len(replicas))
 	for i, svc := range replicas {
-		if i > 0 {
-			if got := canonicalFields(svc.ShortFields()); !equalFields(short, got) {
-				return nil, fmt.Errorf("replica: replica %d short-form fields %v differ from replica 0's %v",
-					i, got, short)
-			}
-			if mt := svc.MaxTerms(); mt < maxTerms {
-				maxTerms = mt
-			}
-		}
 		states[i] = &replicaState{idx: i, svc: svc}
 		states[i].ackedBatch.Store(-1)
 	}
@@ -312,24 +305,6 @@ func New(replicas []texservice.Service, opts ...Option) (*Set, error) {
 		shortFields: short,
 		rng:         rand.New(rand.NewSource(o.seed)),
 	}, nil
-}
-
-func canonicalFields(fields []string) []string {
-	out := append([]string(nil), fields...)
-	sort.Strings(out)
-	return out
-}
-
-func equalFields(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // NumReplicas returns R.
@@ -523,16 +498,17 @@ type doStats struct {
 // errExhausted distinguishes "every replica tried and failed" for tests.
 var errExhausted = errors.New("replica: all replicas failed")
 
-// do routes one operation: pick a primary by P2C, hedge to a second
+// do routes one operation of s: pick a primary by P2C, hedge to a second
 // replica if the budget elapses, fail over on error, cancel the losers,
 // and report who won. f runs against an individual replica backend with
 // the per-query meter detached — the Set's root meter is charged once by
 // the caller with the winner's result, exactly like the shard layer's
 // scatter accounting.
-func (s *Set) do(ctx context.Context, op string, fresh bool, f func(context.Context, texservice.Service) (interface{}, error)) (interface{}, *doStats, error) {
+func do[T any](ctx context.Context, s *Set, op string, fresh bool, f func(context.Context, texservice.Service) (T, error)) (T, *doStats, error) {
 	st := &doStats{}
+	var zero T
 	if err := ctx.Err(); err != nil {
-		return nil, st, err
+		return zero, st, err
 	}
 	base := texservice.DetachQueryMeter(ctx)
 	var minVer uint64
@@ -554,7 +530,7 @@ func (s *Set) do(ctx context.Context, op string, fresh bool, f func(context.Cont
 	}
 	type outcome struct {
 		at  *attempt
-		v   interface{}
+		v   T
 		err error
 	}
 	n := len(s.replicas)
@@ -610,7 +586,7 @@ func (s *Set) do(ctx context.Context, op string, fresh bool, f func(context.Cont
 
 	primary, probe := s.pick(tried, minVer)
 	if primary == nil {
-		return nil, st, s.noReplicaError(op, minVer)
+		return zero, st, s.noReplicaError(op, minVer)
 	}
 	launch(primary, false, probe)
 
@@ -626,7 +602,7 @@ func (s *Set) do(ctx context.Context, op string, fresh bool, f func(context.Cont
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, st, ctx.Err()
+			return zero, st, ctx.Err()
 		case <-hedgeC:
 			hedgeC = nil
 			if r, probe := s.pick(tried, minVer); r != nil {
@@ -681,7 +657,7 @@ func (s *Set) do(ctx context.Context, op string, fresh bool, f func(context.Cont
 				if at.probe {
 					at.r.probing.Store(false)
 				}
-				return nil, st, ctx.Err()
+				return zero, st, ctx.Err()
 			}
 			// A loser we cancelled ourselves reports context.Canceled on a
 			// dead attempt context; that is bookkeeping, not a failure.
@@ -708,7 +684,7 @@ func (s *Set) do(ctx context.Context, op string, fresh bool, f func(context.Cont
 				if firstErr == nil {
 					firstErr = out.err
 				}
-				return nil, st, fmt.Errorf("replica: %s failed on %d replica(s): %w (%w)",
+				return zero, st, fmt.Errorf("replica: %s failed on %d replica(s): %w (%w)",
 					op, attempts, firstErr, errExhausted)
 			}
 			// A hedge (or failover) is still in flight; its answer may yet
@@ -747,29 +723,48 @@ func annotate(sp *obs.Span, st *doStats) {
 		obs.Str("hedge_win", fmt.Sprint(st.hedgeWin)))
 }
 
-// Search implements texservice.Service: route to one replica with
-// hedging and failover, charge the root meter with the winner's result.
+// Search implements texservice.Service: a batch of one.
 func (s *Set) Search(ctx context.Context, e textidx.Expr, form texservice.Form) (*texservice.Result, error) {
-	ctx, sp := obs.StartSpan(ctx, "replica.search")
-	defer sp.End()
-	if tc := e.TermCount(); tc > s.maxTerms {
-		return nil, fmt.Errorf("texservice: search has %d terms, limit is %d", tc, s.maxTerms)
+	return texservice.Single(s.search(ctx, false, []textidx.Expr{e}, form))
+}
+
+// search is the Set's one request path: route the request whole to one
+// replica with hedging and failover (the replica receives the call the
+// Set was asked for, see texservice.Invoke) and charge the root meter
+// once with the winner's result — a single invocation, mirroring the
+// single-backend contract — plus the hedge/retry overhead.
+func (s *Set) search(ctx context.Context, batch bool, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, error) {
+	op, span := "search", "replica.search"
+	if batch {
+		op, span = "batch search", "replica.batchsearch"
 	}
-	v, st, err := s.do(ctx, "search", FreshReads(ctx), func(ctx context.Context, svc texservice.Service) (interface{}, error) {
-		res, err := svc.Search(ctx, e, form)
-		if err != nil {
-			return nil, err
+	ctx, sp := obs.StartSpan(ctx, span)
+	defer sp.End()
+	if batch {
+		for i, r := range s.replicas {
+			if _, ok := r.svc.(texservice.BatchSearcher); !ok {
+				return nil, fmt.Errorf("replica %d: %w", i, texservice.ErrNoBatch)
+			}
 		}
-		return res, nil
+	}
+	if err := texservice.CheckTermLimit(exprs, s.maxTerms); err != nil {
+		return nil, err
+	}
+	out, st, err := do(ctx, s, op, FreshReads(ctx), func(ctx context.Context, svc texservice.Service) ([]*texservice.Result, error) {
+		return texservice.Invoke(ctx, svc, batch, exprs, form)
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := v.(*texservice.Result)
-	s.meter.ChargeSearch(ctx, res.Postings, len(res.Hits), form)
+	postings, docs := 0, 0
+	for _, res := range out {
+		postings += res.Postings
+		docs += len(res.Hits)
+	}
+	s.meter.ChargeSearch(ctx, postings, docs, form)
 	s.chargeOverhead(ctx, st)
 	annotate(sp, st)
-	return res, nil
+	return out, nil
 }
 
 // Retrieve implements texservice.Service: any replica holds the whole
@@ -777,12 +772,8 @@ func (s *Set) Search(ctx context.Context, e textidx.Expr, form texservice.Form) 
 func (s *Set) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
 	ctx, sp := obs.StartSpan(ctx, "replica.retrieve")
 	defer sp.End()
-	v, st, err := s.do(ctx, "retrieve", FreshReads(ctx), func(ctx context.Context, svc texservice.Service) (interface{}, error) {
-		doc, err := svc.Retrieve(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		return doc, nil
+	doc, st, err := do(ctx, s, "retrieve", FreshReads(ctx), func(ctx context.Context, svc texservice.Service) (textidx.Document, error) {
+		return svc.Retrieve(ctx, id)
 	})
 	if err != nil {
 		return textidx.Document{}, err
@@ -790,7 +781,7 @@ func (s *Set) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document,
 	s.meter.ChargeRetrieve(ctx)
 	s.chargeOverhead(ctx, st)
 	annotate(sp, st)
-	return v.(textidx.Document), nil
+	return doc, nil
 }
 
 // NumDocs implements texservice.Service: replicas are copies, so the
@@ -823,46 +814,9 @@ func (s *Set) Meter() *texservice.Meter { return s.meter }
 
 // BatchSearch implements texservice.BatchSearcher when every replica
 // does: the whole batch is routed to one replica (hedged and failed over
-// like any call) and charged as a single invocation, mirroring the
-// single-backend batch contract.
+// like any call) and charged as a single invocation.
 func (s *Set) BatchSearch(ctx context.Context, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, error) {
-	ctx, sp := obs.StartSpan(ctx, "replica.batchsearch")
-	defer sp.End()
-	for i, r := range s.replicas {
-		if _, ok := r.svc.(texservice.BatchSearcher); !ok {
-			return nil, fmt.Errorf("replica %d: %w", i, texservice.ErrNoBatch)
-		}
-	}
-	total := 0
-	for _, e := range exprs {
-		total += e.TermCount()
-	}
-	if total > s.maxTerms {
-		return nil, &texservice.TermLimitError{Terms: total, Limit: s.maxTerms}
-	}
-	v, st, err := s.do(ctx, "batch search", FreshReads(ctx), func(ctx context.Context, svc texservice.Service) (interface{}, error) {
-		out, err := svc.(texservice.BatchSearcher).BatchSearch(ctx, exprs, form)
-		if err != nil {
-			return nil, err
-		}
-		if len(out) != len(exprs) {
-			return nil, fmt.Errorf("texservice: replica returned %d results for %d queries", len(out), len(exprs))
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := v.([]*texservice.Result)
-	postings, docs := 0, 0
-	for _, res := range out {
-		postings += res.Postings
-		docs += len(res.Hits)
-	}
-	s.meter.ChargeSearch(ctx, postings, docs, form)
-	s.chargeOverhead(ctx, st)
-	annotate(sp, st)
-	return out, nil
+	return s.search(ctx, true, exprs, form)
 }
 
 // TermDocFrequency implements texservice.StatsProvider when every
@@ -874,17 +828,10 @@ func (s *Set) TermDocFrequency(ctx context.Context, field, term string) (int, er
 			return 0, fmt.Errorf("replica %d: %w", i, texservice.ErrNoStats)
 		}
 	}
-	v, _, err := s.do(ctx, "docfreq", FreshReads(ctx), func(ctx context.Context, svc texservice.Service) (interface{}, error) {
-		df, err := svc.(texservice.StatsProvider).TermDocFrequency(ctx, field, term)
-		if err != nil {
-			return nil, err
-		}
-		return df, nil
+	df, _, err := do(ctx, s, "docfreq", FreshReads(ctx), func(ctx context.Context, svc texservice.Service) (int, error) {
+		return svc.(texservice.StatsProvider).TermDocFrequency(ctx, field, term)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return v.(int), nil
+	return df, err
 }
 
 // InFlight snapshots each replica's in-flight count (observability and

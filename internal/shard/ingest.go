@@ -38,23 +38,17 @@ func (s *Sharded) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texse
 	ctx, sp := obs.StartSpan(ctx, "shard.ingest")
 	defer sp.End()
 
-	acks := make([]*texservice.IngestResult, len(s.shards))
-	results := s.scatter(ctx, func(ctx context.Context, k int, svc texservice.Service) (*texservice.Result, error) {
-		ack, err := ingestors[k].Ingest(ctx, ops)
-		if err != nil {
-			return nil, err
-		}
-		acks[k] = ack
-		return nil, nil
+	acks, errs := scatter(ctx, s, func(ctx context.Context, k int, svc texservice.Service) (*texservice.IngestResult, error) {
+		return ingestors[k].Ingest(ctx, ops)
 	})
 	var firstErr error
-	for k, r := range results {
-		if r.err != nil {
+	for k, err := range errs {
+		if err != nil {
 			s.mu.Lock()
 			s.shardErrs[k]++
 			s.mu.Unlock()
 			if firstErr == nil {
-				firstErr = fmt.Errorf("shard: ingest on shard %d/%d: %w", k, len(s.shards), r.err)
+				firstErr = fmt.Errorf("shard: ingest on shard %d/%d: %w", k, len(s.shards), err)
 			}
 		}
 	}

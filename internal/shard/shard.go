@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"textjoin/internal/obs"
@@ -113,16 +112,9 @@ func New(shards []texservice.Service, opts ...Option) (*Sharded, error) {
 			backends[i] = texservice.NewRetrying(s, p)
 		}
 	}
-	short := canonicalFields(backends[0].ShortFields())
-	maxTerms := backends[0].MaxTerms()
-	for i, s := range backends[1:] {
-		if got := canonicalFields(s.ShortFields()); !equalFields(short, got) {
-			return nil, fmt.Errorf("shard: shard %d short-form fields %v differ from shard 0's %v",
-				i+1, got, short)
-		}
-		if mt := s.MaxTerms(); mt < maxTerms {
-			maxTerms = mt
-		}
+	short, maxTerms, err := texservice.CheckMembers("shard", backends)
+	if err != nil {
+		return nil, err
 	}
 	meter := cfg.meter
 	if meter == nil {
@@ -150,24 +142,6 @@ func DeriveRetrySeed(base int64, k int) int64 {
 	return base + int64(k+1)*0x9E3779B9
 }
 
-func canonicalFields(fields []string) []string {
-	out := append([]string(nil), fields...)
-	sort.Strings(out)
-	return out
-}
-
-func equalFields(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // NumShards returns the partition width N.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
@@ -175,40 +149,36 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // instead of failing the search.
 func (s *Sharded) BestEffort() bool { return s.bestEffort }
 
-// shardResult carries one shard's outcome of a fan-out.
-type shardResult struct {
-	res *texservice.Result
-	err error
-}
-
-// scatter runs f concurrently against every shard. In strict mode the
-// first failure cancels the remaining shards' calls. The per-query meter
-// is detached from the shard calls' context: each backend charges its own
+// scatter runs f concurrently against every shard and returns each
+// shard's value and error, indexed by shard. In strict mode the first
+// failure cancels the remaining shards' calls. The per-query meter is
+// detached from the shard calls' context: each backend charges its own
 // local meter, and the query-visible accounting is the root meter's
 // single ChargeScatter — mirroring both would double-charge the query.
-func (s *Sharded) scatter(ctx context.Context, f func(ctx context.Context, k int, svc texservice.Service) (*texservice.Result, error)) []shardResult {
+func scatter[T any](ctx context.Context, s *Sharded, f func(ctx context.Context, k int, svc texservice.Service) (T, error)) ([]T, []error) {
 	ctx, cancel := context.WithCancel(texservice.DetachQueryMeter(ctx))
 	defer cancel()
-	out := make([]shardResult, len(s.shards))
+	vals := make([]T, len(s.shards))
+	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
 	for k, svc := range s.shards {
 		wg.Add(1)
 		go func(k int, svc texservice.Service) {
 			defer wg.Done()
 			legCtx, leg := obs.StartSpan(ctx, "shard.leg")
-			res, err := f(legCtx, k, svc)
+			v, err := f(legCtx, k, svc)
 			if leg != nil {
 				leg.SetAttr(obs.Int("shard", k), obs.Str("err", errString(err)))
 				leg.End()
 			}
-			out[k] = shardResult{res: res, err: err}
+			vals[k], errs[k] = v, err
 			if err != nil && !s.bestEffort {
 				cancel() // strict: no point finishing the other shards
 			}
 		}(k, svc)
 	}
 	wg.Wait()
-	return out
+	return vals, errs
 }
 
 // errString renders an error for a span attribute ("" when nil).
@@ -225,17 +195,17 @@ func errString(err error) string {
 // of the successful shards. The reported error prefers a root cause over
 // a cancellation: in strict mode the first failing shard cancels the
 // rest, and their "context canceled" must not mask why.
-func (s *Sharded) gather(op string, results []shardResult) (ok []int, partial bool, err error) {
+func (s *Sharded) gather(op string, errs []error) (ok []int, partial bool, err error) {
 	var firstErr error
 	firstShard := -1
-	for k, r := range results {
-		if r.err != nil {
+	for k, e := range errs {
+		if e != nil {
 			s.mu.Lock()
 			s.shardErrs[k]++
 			s.mu.Unlock()
 			if firstErr == nil ||
-				(errors.Is(firstErr, context.Canceled) && !errors.Is(r.err, context.Canceled)) {
-				firstErr, firstShard = r.err, k
+				(errors.Is(firstErr, context.Canceled) && !errors.Is(e, context.Canceled)) {
+				firstErr, firstShard = e, k
 			}
 			continue
 		}
@@ -254,49 +224,73 @@ func (s *Sharded) gather(op string, results []shardResult) (ok []int, partial bo
 	return ok, true, nil
 }
 
-// Search implements texservice.Service: scatter the expression to every
-// shard, merge the sorted per-shard hits into global docid order, and
-// charge the fan-out to the root meter with parallel cost semantics.
+// Search implements texservice.Service: a batch of one.
 func (s *Sharded) Search(ctx context.Context, e textidx.Expr, form texservice.Form) (*texservice.Result, error) {
-	ctx, sp := obs.StartSpan(ctx, "shard.search")
-	defer sp.End()
-	if tc := e.TermCount(); tc > s.maxTerms {
-		return nil, fmt.Errorf("texservice: search has %d terms, limit is %d", tc, s.maxTerms)
+	return texservice.Single(s.search(ctx, false, []textidx.Expr{e}, form))
+}
+
+// search is the federation's one request path: scatter the unchanged
+// request to every shard (each leg makes the backend call the federation
+// was asked for, see texservice.Invoke), merge the k-th answer of every
+// shard into the k-th federated answer in global docid order, and charge
+// the fan-out to the root meter once, with parallel cost semantics — one
+// invocation per shard for the whole request, each shard's postings and
+// documents summed across it. In best-effort mode failed shards are
+// dropped from every answer and each answer is marked Partial.
+func (s *Sharded) search(ctx context.Context, batch bool, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, error) {
+	op, span := "search", "shard.search"
+	if batch {
+		op, span = "batch search", "shard.batchsearch"
+		for k, svc := range s.shards {
+			if _, ok := svc.(texservice.BatchSearcher); !ok {
+				return nil, fmt.Errorf("shard %d: %w", k, texservice.ErrNoBatch)
+			}
+		}
 	}
-	results := s.scatter(ctx, func(ctx context.Context, k int, svc texservice.Service) (*texservice.Result, error) {
-		return svc.Search(ctx, e, form)
+	ctx, sp := obs.StartSpan(ctx, span)
+	defer sp.End()
+	if err := texservice.CheckTermLimit(exprs, s.maxTerms); err != nil {
+		return nil, err
+	}
+	legs, errs := scatter(ctx, s, func(ctx context.Context, k int, svc texservice.Service) ([]*texservice.Result, error) {
+		return texservice.Invoke(ctx, svc, batch, exprs, form)
 	})
-	ok, partial, err := s.gather("search", results)
+	ok, partial, err := s.gather(op, errs)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]texservice.ScatterPart, 0, len(ok))
-	perShard := make([][]texservice.Hit, 0, len(ok))
-	postings := 0
-	for _, k := range ok {
-		res := results[k].res
-		parts = append(parts, texservice.ScatterPart{Postings: res.Postings, Docs: len(res.Hits)})
-		perShard = append(perShard, s.globalize(k, res.Hits))
-		postings += res.Postings
+	parts := make([]texservice.ScatterPart, len(ok))
+	for i, k := range ok {
+		for _, res := range legs[k] {
+			parts[i].Postings += res.Postings
+			parts[i].Docs += len(res.Hits)
+		}
 	}
 	s.meter.ChargeScatter(ctx, parts, form)
-	merged := mergeHits(perShard)
+	out := make([]*texservice.Result, len(exprs))
+	perShard := make([][]texservice.Hit, len(ok))
+	hits, postings := 0, 0
+	for i := range exprs {
+		res := &texservice.Result{Partial: partial}
+		for j, k := range ok {
+			perShard[j] = s.globalize(k, legs[k][i].Hits)
+			res.Postings += legs[k][i].Postings
+		}
+		res.Hits = mergeHits(perShard)
+		out[i] = res
+		hits += len(res.Hits)
+		postings += res.Postings
+	}
 	if sp != nil {
 		crit := 0.0
 		for _, p := range parts {
-			if c := s.meter.Costs().SearchCost(p.Postings, p.Docs, form); c > crit {
-				crit = c
-			}
+			crit = max(crit, s.meter.Costs().SearchCost(p.Postings, p.Docs, form))
 		}
 		sp.SetAttr(obs.Int("shards", len(s.shards)), obs.Int("shards_ok", len(ok)),
-			obs.Int("hits", len(merged)), obs.Int("postings", postings),
+			obs.Int("hits", hits), obs.Int("postings", postings),
 			obs.F64("crit_cost", crit), obs.Str("partial", fmt.Sprint(partial)))
 	}
-	return &texservice.Result{
-		Hits:     merged,
-		Postings: postings,
-		Partial:  partial,
-	}, nil
+	return out, nil
 }
 
 // globalize rewrites one shard's hit docids from shard-local to global

@@ -339,23 +339,54 @@ func replyError(op, msg string) error {
 	return fmt.Errorf("texservice: %s: %s", op, msg)
 }
 
-// Search implements Service.
+// Search implements Service: one "search" round trip.
 func (r *Remote) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
-	if tc := e.TermCount(); tc > r.maxTerms {
-		return nil, fmt.Errorf("texservice: search has %d terms, limit is %d", tc, r.maxTerms)
+	return Single(r.search(ctx, false, []textidx.Expr{e}, form))
+}
+
+// search is Remote's one request path: one round trip — op "search" for
+// a single search, "batchsearch" for a batch — charged as one invocation.
+// The server's own meter is also charged; the client meter is the one the
+// experiments read, since the cost model describes the integrated system
+// from the database side.
+func (r *Remote) search(ctx context.Context, batch bool, exprs []textidx.Expr, form Form) ([]*Result, error) {
+	if err := CheckTermLimit(exprs, r.maxTerms); err != nil {
+		return nil, err
 	}
-	resp, err := r.call(ctx, "search", wireRequest{Op: "search", Query: e.String(), Form: form.String()})
+	op, req := "search", wireRequest{Op: "search", Form: form.String()}
+	if batch {
+		op, req.Op = "batch search", "batchsearch"
+		req.Queries = make([]string, len(exprs))
+		for i, e := range exprs {
+			req.Queries[i] = e.String()
+		}
+	} else {
+		req.Query = exprs[0].String()
+	}
+	resp, err := r.call(ctx, op, req)
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Postings: resp.Postings, Hits: make([]Hit, len(resp.Hits))}
-	for i, h := range resp.Hits {
-		out.Hits[i] = Hit{ID: textidx.DocID(h.ID), ExtID: h.ExtID, Fields: h.Fields}
+	replies := resp.Batch
+	if !batch {
+		replies = []wireBatchResult{{Hits: resp.Hits, Postings: resp.Postings}}
 	}
-	// The server's own meter is also charged; the client meter is the one
-	// the experiments read, since the cost model describes the integrated
-	// system from the database side.
-	r.meter.ChargeSearch(ctx, resp.Postings, len(out.Hits), form)
+	if len(replies) != len(exprs) {
+		return nil, fmt.Errorf("texservice: batch search returned %d results for %d queries",
+			len(replies), len(exprs))
+	}
+	out := make([]*Result, len(replies))
+	postings, docs := 0, 0
+	for i, b := range replies {
+		res := &Result{Postings: b.Postings, Hits: make([]Hit, len(b.Hits))}
+		for j, h := range b.Hits {
+			res.Hits[j] = Hit{ID: textidx.DocID(h.ID), ExtID: h.ExtID, Fields: h.Fields}
+		}
+		out[i] = res
+		postings += b.Postings
+		docs += len(b.Hits)
+	}
+	r.meter.ChargeSearch(ctx, postings, docs, form)
 	return out, nil
 }
 
@@ -370,41 +401,9 @@ func (r *Remote) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Docume
 }
 
 // BatchSearch implements BatchSearcher over the wire: the whole batch is
-// one network round trip and is charged one invocation cost.
+// one "batchsearch" round trip and is charged one invocation cost.
 func (r *Remote) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
-	total := 0
-	queries := make([]string, len(exprs))
-	for i, e := range exprs {
-		total += e.TermCount()
-		queries[i] = e.String()
-	}
-	if total > r.maxTerms {
-		return nil, &TermLimitError{Terms: total, Limit: r.maxTerms}
-	}
-	resp, err := r.call(ctx, "batch search", wireRequest{Op: "batchsearch", Queries: queries, Form: form.String()})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Batch) != len(exprs) {
-		return nil, fmt.Errorf("texservice: batch search returned %d results for %d queries",
-			len(resp.Batch), len(exprs))
-	}
-	out := make([]*Result, len(resp.Batch))
-	postings, docs := 0, 0
-	for i, b := range resp.Batch {
-		res := &Result{Postings: b.Postings, Hits: make([]Hit, len(b.Hits))}
-		for j, h := range b.Hits {
-			res.Hits[j] = Hit{ID: textidx.DocID(h.ID), ExtID: h.ExtID, Fields: h.Fields}
-		}
-		out[i] = res
-		postings += b.Postings
-		docs += len(b.Hits)
-	}
-	// One invocation for the batch (the server's local meter double-
-	// charges its own side; the client meter is authoritative for the
-	// integrated system's experiments).
-	r.meter.ChargeSearch(ctx, postings, docs, form)
-	return out, nil
+	return r.search(ctx, true, exprs, form)
 }
 
 // Ingest implements Ingestor over the wire: the batch is one round trip

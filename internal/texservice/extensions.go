@@ -87,40 +87,7 @@ func (l *Local) TermDocFrequency(ctx context.Context, field, term string) (int, 
 
 // BatchSearch implements BatchSearcher on the local service.
 func (l *Local) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, e := range exprs {
-		total += e.TermCount()
-	}
-	if total > l.maxTerms {
-		return nil, &TermLimitError{Terms: total, Limit: l.maxTerms}
-	}
-	out := make([]*Result, len(exprs))
-	postings := 0
-	docs := 0
-	for i, e := range exprs {
-		res, err := l.index.Eval(e)
-		if err != nil {
-			return nil, err
-		}
-		r := &Result{Postings: res.Postings, Hits: make([]Hit, 0, len(res.Docs))}
-		for _, id := range res.Docs {
-			doc, err := l.index.Doc(id)
-			if err != nil {
-				return nil, err
-			}
-			r.Hits = append(r.Hits, Hit{ID: id, ExtID: doc.ExtID, Fields: l.formFields(doc, form)})
-		}
-		out[i] = r
-		postings += res.Postings
-		docs += len(r.Hits)
-	}
-	// One invocation for the whole batch: charge c_i once by reporting
-	// the batch as a single search.
-	l.meter.ChargeSearch(ctx, postings, docs, form)
-	return out, nil
+	return l.search(ctx, "local.batchsearch", exprs, form)
 }
 
 // TermLimitError reports a search exceeding the per-invocation term limit.
@@ -130,6 +97,20 @@ type TermLimitError struct {
 
 func (e *TermLimitError) Error() string {
 	return fmt.Sprintf("texservice: search uses %d terms, limit is %d", e.Terms, e.Limit)
+}
+
+// CheckTermLimit returns a *TermLimitError when the expressions of one
+// invocation — a single search or a whole batch — together use more than
+// limit basic search terms.
+func CheckTermLimit(exprs []textidx.Expr, limit int) error {
+	total := 0
+	for _, e := range exprs {
+		total += e.TermCount()
+	}
+	if total > limit {
+		return &TermLimitError{Terms: total, Limit: limit}
+	}
+	return nil
 }
 
 var (

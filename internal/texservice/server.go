@@ -179,10 +179,8 @@ func (s *Server) handle(ctx context.Context, req wireRequest) (wireResponse, boo
 // from a Faulty backend or server shutdown mid-call).
 func (s *Server) dispatch(ctx context.Context, req wireRequest) (resp wireResponse, drop bool) {
 	switch req.Op {
-	case "search":
-		return s.handleSearch(ctx, req)
-	case "batchsearch":
-		return s.handleBatchSearch(ctx, req)
+	case "search", "batchsearch":
+		return s.search(ctx, req)
 	case "docfreq":
 		provider, ok := s.svc.(StatsProvider)
 		if !ok {
@@ -233,54 +231,40 @@ func errResponse(err error) (wireResponse, bool) {
 	return wireResponse{Error: err.Error()}, false
 }
 
-func (s *Server) handleBatchSearch(ctx context.Context, req wireRequest) (wireResponse, bool) {
-	batcher, ok := s.svc.(BatchSearcher)
-	if !ok {
-		return errResponse(ErrNoBatch)
-	}
+// search serves both search ops: "search" carries one query and is
+// answered by the backend's Search, "batchsearch" carries several and is
+// answered by its BatchSearch (see Invoke); the reply keeps the request's
+// shape.
+func (s *Server) search(ctx context.Context, req wireRequest) (wireResponse, bool) {
+	batch := req.Op == "batchsearch"
 	form, err := parseForm(req.Form)
 	if err != nil {
 		return wireResponse{Error: err.Error()}, false
 	}
-	exprs := make([]textidx.Expr, len(req.Queries))
-	for i, q := range req.Queries {
-		e, err := textidx.Parse(q, nil)
-		if err != nil {
+	queries := req.Queries
+	if !batch {
+		queries = []string{req.Query}
+	}
+	exprs := make([]textidx.Expr, len(queries))
+	for i, q := range queries {
+		if exprs[i], err = textidx.Parse(q, nil); err != nil {
 			return wireResponse{Error: err.Error()}, false
 		}
-		exprs[i] = e
 	}
-	results, err := batcher.BatchSearch(ctx, exprs, form)
+	results, err := Invoke(ctx, s.svc, batch, exprs, form)
 	if err != nil {
 		return errResponse(err)
 	}
-	batch := make([]wireBatchResult, len(results))
+	replies := make([]wireBatchResult, len(results))
 	for i, r := range results {
 		hits := make([]wireHit, len(r.Hits))
 		for j, h := range r.Hits {
 			hits[j] = wireHit{ID: int32(h.ID), ExtID: h.ExtID, Fields: h.Fields}
 		}
-		batch[i] = wireBatchResult{Hits: hits, Postings: r.Postings}
+		replies[i] = wireBatchResult{Hits: hits, Postings: r.Postings}
 	}
-	return wireResponse{Batch: batch}, false
-}
-
-func (s *Server) handleSearch(ctx context.Context, req wireRequest) (wireResponse, bool) {
-	expr, err := textidx.Parse(req.Query, nil)
-	if err != nil {
-		return wireResponse{Error: err.Error()}, false
+	if !batch {
+		return wireResponse{Hits: replies[0].Hits, Postings: replies[0].Postings}, false
 	}
-	form, err := parseForm(req.Form)
-	if err != nil {
-		return wireResponse{Error: err.Error()}, false
-	}
-	res, err := s.svc.Search(ctx, expr, form)
-	if err != nil {
-		return errResponse(err)
-	}
-	hits := make([]wireHit, len(res.Hits))
-	for i, h := range res.Hits {
-		hits[i] = wireHit{ID: int32(h.ID), ExtID: h.ExtID, Fields: h.Fields}
-	}
-	return wireResponse{Hits: hits, Postings: res.Postings}, false
+	return wireResponse{Batch: replies}, false
 }

@@ -389,53 +389,80 @@ func NewLocal(ix *textidx.Index, opts ...LocalOption) (*Local, error) {
 	return l, nil
 }
 
-// Search implements Service. The context is honored even though the
-// backend is in-process, so decorators and tests see uniform semantics.
+// Search implements Service: a batch of one. The context is honored even
+// though the backend is in-process, so decorators and tests see uniform
+// semantics.
 func (l *Local) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
-	ctx, sp := obs.StartSpan(ctx, "local.search")
+	return Single(l.search(ctx, "local.search", []textidx.Expr{e}, form))
+}
+
+// search is Local's one request path: the expressions are evaluated in
+// order and charged as one invocation (batched invocation, §8).
+func (l *Local) search(ctx context.Context, span string, exprs []textidx.Expr, form Form) ([]*Result, error) {
+	ctx, sp := obs.StartSpan(ctx, span)
 	defer sp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if tc := e.TermCount(); tc > l.maxTerms {
-		return nil, fmt.Errorf("texservice: search has %d terms, limit is %d", tc, l.maxTerms)
-	}
-	res, err := l.index.Eval(e)
-	if err != nil {
+	if err := CheckTermLimit(exprs, l.maxTerms); err != nil {
 		return nil, err
 	}
-	out := &Result{Postings: res.Postings, Hits: make([]Hit, 0, len(res.Docs))}
-	for _, id := range res.Docs {
-		doc, err := l.index.Doc(id)
+	out := make([]*Result, len(exprs))
+	postings, docs := 0, 0
+	for i, e := range exprs {
+		res, err := l.index.Eval(e)
 		if err != nil {
 			return nil, err
 		}
-		out.Hits = append(out.Hits, Hit{ID: id, ExtID: doc.ExtID, Fields: l.formFields(doc, form)})
+		r := &Result{Postings: res.Postings, Hits: make([]Hit, 0, len(res.Docs))}
+		for _, id := range res.Docs {
+			doc, err := l.index.Doc(id)
+			if err != nil {
+				return nil, err
+			}
+			r.Hits = append(r.Hits, ShapeHit(id, doc, form, l.shortFields))
+		}
+		out[i] = r
+		postings += res.Postings
+		docs += len(r.Hits)
 	}
-	l.meter.ChargeSearch(ctx, res.Postings, len(out.Hits), form)
+	l.meter.ChargeSearch(ctx, postings, docs, form)
 	if sp != nil {
-		sp.SetAttr(obs.Str("query", e.String()), obs.Str("form", form.String()),
-			obs.Int("postings", res.Postings), obs.Int("hits", len(out.Hits)),
-			obs.F64("cost", l.meter.Costs().SearchCost(res.Postings, len(out.Hits), form)))
+		sp.SetAttr(QueryAttr(exprs), obs.Str("form", form.String()),
+			obs.Int("postings", postings), obs.Int("hits", docs),
+			obs.F64("cost", l.meter.Costs().SearchCost(postings, docs, form)))
 	}
 	return out, nil
 }
 
-func (l *Local) formFields(doc textidx.Document, form Form) map[string]string {
+// ShapeHit is the hit an in-process backend transmits for one matching
+// document: every field in long form, only the given short fields in
+// short form.
+func ShapeHit(id textidx.DocID, doc textidx.Document, form Form, shortFields []string) Hit {
+	var fields map[string]string
 	if form == FormLong {
-		out := make(map[string]string, len(doc.Fields))
+		fields = make(map[string]string, len(doc.Fields))
 		for k, v := range doc.Fields {
-			out[k] = v
+			fields[k] = v
 		}
-		return out
-	}
-	out := make(map[string]string, len(l.shortFields))
-	for _, f := range l.shortFields {
-		if v, ok := doc.Fields[f]; ok {
-			out[f] = v
+	} else {
+		fields = make(map[string]string, len(shortFields))
+		for _, f := range shortFields {
+			if v, ok := doc.Fields[f]; ok {
+				fields[f] = v
+			}
 		}
 	}
-	return out
+	return Hit{ID: id, ExtID: doc.ExtID, Fields: fields}
+}
+
+// QueryAttr labels a search span with what was asked: the expression of a
+// single search, the number of expressions of a batch.
+func QueryAttr(exprs []textidx.Expr) obs.Attr {
+	if len(exprs) == 1 {
+		return obs.Str("query", exprs[0].String())
+	}
+	return obs.Int("queries", len(exprs))
 }
 
 // Retrieve implements Service.

@@ -70,10 +70,10 @@ func TestRemoteSpanReturn(t *testing.T) {
 	rec.Root().End()
 	snap := rec.Root().Snapshot()
 
-	for _, want := range []struct{ client, server string }{
-		{"remote.search", "textserve.search"},
-		{"remote.retrieve", "textserve.retrieve"},
-		{"remote.batchsearch", "textserve.batchsearch"},
+	for _, want := range []struct{ client, server, backend string }{
+		{"remote.search", "textserve.search", "local.search"},
+		{"remote.retrieve", "textserve.retrieve", "local.retrieve"},
+		{"remote.batchsearch", "textserve.batchsearch", "local.batchsearch"},
 	} {
 		call, ok := findSpan(snap, want.client)
 		if !ok {
@@ -91,10 +91,8 @@ func TestRemoteSpanReturn(t *testing.T) {
 			t.Errorf("grafted root StartNs = %d, want 0 (skew-proof anchoring)", srvSpan.StartNs)
 		}
 		// The server's backend recorded real work under its root.
-		if want.server == "textserve.search" {
-			if _, ok := findSpan(srvSpan, "local.search"); !ok {
-				t.Errorf("server subtree has no local.search child: %+v", srvSpan)
-			}
+		if _, ok := findSpan(srvSpan, want.backend); !ok {
+			t.Errorf("server subtree has no %s child: %+v", want.backend, srvSpan)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse parses a Boolean search expression in the syntax of the paper's
@@ -61,9 +62,12 @@ func lexSearch(s string) ([]searchTok, error) {
 	var toks []searchTok
 	i := 0
 	for i < len(s) {
+		// Outside quotes the syntax is ASCII: a byte ≥ 0x80 is part of a
+		// multi-byte rune (or not UTF-8 at all), never a letter or a space
+		// on its own, so it falls through to "unexpected character".
 		r := rune(s[i])
 		switch {
-		case unicode.IsSpace(r):
+		case r < utf8.RuneSelf && unicode.IsSpace(r):
 			i++
 		case r == '(':
 			toks = append(toks, searchTok{kind: tokLParen, text: "("})
@@ -84,7 +88,7 @@ func lexSearch(s string) ([]searchTok, error) {
 			}
 			toks = append(toks, searchTok{kind: tokString, text: s[i+1 : j]})
 			i = j + 1
-		case unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_':
+		case isWordByte(s[i]):
 			j := i
 			for j < len(s) && (isWordByte(s[j]) || s[j] == '?') {
 				j++
@@ -115,6 +119,7 @@ func lexSearch(s string) ([]searchTok, error) {
 			}
 			i = j
 		default:
+			r, _ = utf8.DecodeRuneInString(s[i:])
 			return nil, fmt.Errorf("textidx: unexpected character %q at %d", r, i)
 		}
 	}

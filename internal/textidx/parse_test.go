@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseSimple(t *testing.T) {
@@ -209,4 +210,62 @@ func TestExprStrings(t *testing.T) {
 	if unscoped.String() != "'x' near2 'y'" {
 		t.Errorf("unscoped near rendering = %q", unscoped.String())
 	}
+}
+
+// parseHangInputs are non-ASCII bytes outside quotes: the lexer used to
+// read such a byte as a Latin-1 letter, enter the identifier branch, take
+// zero bytes and loop forever appending empty tokens.
+var parseHangInputs = []string{"é", "\xcc:pws", "\xff", "TI='x' and é='y'", "a\u00a0='x'", "\xa0"}
+
+// TestParseRejectsNonASCIIPromptly: every such input is an error, and
+// the error comes back well inside a deadline instead of never.
+func TestParseRejectsNonASCIIPromptly(t *testing.T) {
+	for _, q := range parseHangInputs {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Parse(q, nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("Parse(%q) succeeded", q)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Parse(%q) did not return within 2s", q)
+		}
+	}
+	// Quoted strings still take any bytes.
+	if _, err := Parse("'café'", nil); err != nil {
+		t.Fatalf("quoted non-ASCII rejected: %v", err)
+	}
+}
+
+// FuzzParse: Parse terminates on any input, and whatever it accepts
+// renders back (Expr.String) to text that parses to the same expression —
+// the remote client ships e.String() for the server to re-parse.
+func FuzzParse(f *testing.F) {
+	for _, q := range append([]string{
+		"TI='belief update' and (AU='gravano' or AU='kao')",
+		"not AU='smith' and TI='filter?'",
+		"'information' near10 'filtering'",
+		"a='x' or (b='y' and not c='z')",
+		"TI=text and (AU=Gravano or AU=Kao)",
+		"nearby='update' and 'a' near 'b'",
+	}, parseHangInputs...) {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		e, err := Parse(q, MercuryAliases)
+		if err != nil {
+			return
+		}
+		again, err := Parse(e.String(), nil)
+		if err != nil {
+			t.Fatalf("Parse(%q) = %q, which does not re-parse: %v", q, e.String(), err)
+		}
+		if !reflect.DeepEqual(e, again) {
+			t.Fatalf("round trip of %q changed the expression:\n  first : %#v\n  second: %#v", q, e, again)
+		}
+	})
 }

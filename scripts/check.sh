@@ -80,9 +80,14 @@ go test -run 'TestSteadyStateAllocs' ./internal/vec
 # table), and any per-row work on the plan path fails this.
 go test -run 'TestPrepareIndependentOfCardinality' ./internal/core
 
-# Fuzz smoke: arbitrary bytes through parse → analyze → optimize may be
-# rejected but must not panic or hang.
+# Fuzz smokes: arbitrary bytes through parse → analyze → optimize may be
+# rejected but must not panic or hang; the text-search parser terminates
+# and round-trips what it accepts through Expr.String (the remote client
+# ships that rendering for the server to re-parse); and any decodable
+# wire request gets a reply from the text server, never a panic or a hang.
 go test -run NONE -fuzz FuzzPrepare -fuzztime 5s ./internal/core
+go test -run NONE -fuzz FuzzParse -fuzztime 5s ./internal/textidx
+go test -run NONE -fuzz FuzzServerDispatch -fuzztime 5s ./internal/texservice
 
 # Live-ingest gates: the WAL torture tests (torn tail, corrupt CRC,
 # double replay), the model-based store property test, snapshot
