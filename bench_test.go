@@ -217,6 +217,30 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmQuery measures one warm query in process — Engine.Query's
+// parse → optimize → execute, every search a cache hit — over the repeated
+// serving shapes at 16 384 fact rows, cycling through the four shapes: the
+// in-process core of the repository benchmark's warm_repeat. The
+// committed before/after pair is BENCH_rtp.json.
+func BenchmarkWarmQuery(b *testing.B) {
+	eng, w, err := bench.RepeatedEngine(1<<14, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range w.Queries {
+		if _, err := eng.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Query(w.Queries[i%len(w.Queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkIndexBuild measures inverted-index construction throughput.
 func BenchmarkIndexBuild(b *testing.B) {
 	b.ReportAllocs()

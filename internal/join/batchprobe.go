@@ -17,8 +17,8 @@ import (
 // discipline), the deduplicated bindings are sorted and packed into large
 // OR-expressions capped by the service's term limit M, so ⌈N_J·t/(M−t_sel)⌉
 // round trips replace N_J. Results are attributed back to bindings by
-// relational string matching (the same TermOccursIn semantics the
-// semi-join method and the NaiveJoin oracle rely on), so every probing
+// relational string matching (the hitMatcher the semi-join method uses,
+// with the NaiveJoin oracle's TermOccursIn semantics), so every probing
 // method produces exactly the same rows batched as unbatched.
 //
 // Strategy selection is by capability, always falling back to something
@@ -128,10 +128,7 @@ func batchProbe(ctx context.Context, spec *Spec, probeCols []string, svc texserv
 // per-tuple semantics — including surfacing the same error a per-tuple
 // probe of it would.
 func orPackProbe(ctx context.Context, spec *Spec, probePreds []Pred, order []string, groups map[string][]int, svc texservice.Service, needHits bool, outcomes map[string]probeOutcome) (probes, rounds int, err error) {
-	selTerms := 0
-	if spec.TextSel != nil {
-		selTerms = spec.TextSel.TermCount()
-	}
+	selTerms := spec.selTerms()
 	limit := svc.MaxTerms()
 
 	type disjunct struct {
@@ -163,18 +160,14 @@ func orPackProbe(ctx context.Context, spec *Spec, probePreds []Pred, order []str
 		// Attributing the OR result to bindings is relational matching
 		// work, charged like the semi-join method's.
 		svc.Meter().ChargeRTP(fctx, len(res.Hits))
+		m := newHitMatcher(spec, res.Hits, probePreds)
 		for _, d := range batch {
-			rep := spec.Relation.Rows[groups[d.key][0]]
-			out := probeOutcome{}
-			for _, hit := range res.Hits {
-				if !spec.matchesRelationally(rep, probePreds, hit.Fields) {
-					continue
+			matched := m.match(spec.Relation.Rows[groups[d.key][0]])
+			out := probeOutcome{success: len(matched) > 0}
+			if needHits {
+				for _, h := range matched {
+					out.hits = append(out.hits, res.Hits[h])
 				}
-				out.success = true
-				if !needHits {
-					break
-				}
-				out.hits = append(out.hits, hit)
 			}
 			outcomes[d.key] = out
 		}

@@ -42,10 +42,7 @@ func (TSBatch) Applicable(spec *Spec, svc texservice.Service) error {
 	if _, ok := svc.(texservice.BatchSearcher); !ok {
 		return fmt.Errorf("join: %w", texservice.ErrNoBatch)
 	}
-	selTerms := 0
-	if spec.TextSel != nil {
-		selTerms = spec.TextSel.TermCount()
-	}
+	selTerms := spec.selTerms()
 	for _, row := range spec.Relation.Rows {
 		if t := spec.TupleTermCount(row); t >= 0 && selTerms+t > svc.MaxTerms() {
 			return fmt.Errorf("join: a substituted query needs %d terms; limit is %d",

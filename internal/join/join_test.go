@@ -264,8 +264,23 @@ func TestSJRejectsOversizedTuple(t *testing.T) {
 	// "Belief Update in Knowledge Bases" as a member value needs 5 terms.
 	spec.Relation.MustInsert(relation.Tuple{
 		value.String("PWS"), value.String("A Very Long Member Name")})
-	if err := (SJRTP{}).Applicable(spec, svc); err == nil {
+	applErr := (SJRTP{}).Applicable(spec, svc)
+	if applErr == nil {
 		t.Fatal("oversized conjunct accepted")
+	}
+	// Execute rejects the spec with the same error before any search: the
+	// oversized binding comes last, so a packer that checked bindings as it
+	// flushed them would already have searched the earlier ones.
+	before := svc.Meter().Snapshot()
+	res, err := (SJRTP{}).Execute(bg, spec, svc)
+	if err == nil || res != nil {
+		t.Fatalf("Execute = %v, %v; want the oversize error", res, err)
+	}
+	if err.Error() != applErr.Error() {
+		t.Fatalf("Execute error %q, Applicable error %q", err, applErr)
+	}
+	if d := svc.Meter().Snapshot().Sub(before); d.Searches != 0 {
+		t.Fatalf("Execute searched %d times before rejecting", d.Searches)
 	}
 }
 

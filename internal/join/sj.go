@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"textjoin/internal/texservice"
+	"textjoin/internal/textidx"
 )
 
 var errNoSelection = errors.New("join: method requires a text selection")
@@ -50,101 +51,98 @@ func (m SJRTP) orColumns(spec *Spec) []string {
 // selection) must fit in one search, and the join-predicate fields must be
 // in the short form for the relational matching step.
 func (m SJRTP) Applicable(spec *Spec, svc texservice.Service) error {
+	_, err := m.bindings(spec, svc)
+	return err
+}
+
+// sjBinding is one distinct, searchable binding of the OR columns.
+type sjBinding struct {
+	// rows are the binding's row indexes, in relation order.
+	rows []int
+	// conj is the binding's OR conjunct and terms its term count.
+	conj  textidx.Expr
+	terms int
+}
+
+// bindings checks applicability and prepares the OR disjuncts: the
+// distinct bindings of the OR columns in first-appearance order, each
+// conjunct built once. Bindings with a value that has no searchable words
+// are dropped (they cannot match). The first binding whose conjunct plus
+// the selection exceeds the term limit is an error, so nothing is searched
+// for a spec that some tuple makes inapplicable.
+func (m SJRTP) bindings(spec *Spec, svc texservice.Service) ([]sjBinding, error) {
 	if err := spec.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := requireShortFields(spec.Preds, svc); err != nil {
-		return err
+		return nil, err
 	}
 	if len(m.OrColumns) > 0 {
 		if err := validateProbeColumns(spec, m.OrColumns); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	selTerms := 0
-	if spec.TextSel != nil {
-		selTerms = spec.TextSel.TermCount()
+	// Distinct bindings over the OR columns only: restricting the OR set
+	// shrinks the number of disjuncts too.
+	orCols := m.orColumns(spec)
+	keys, groups, err := spec.Relation.GroupBy(orCols...)
+	if err != nil {
+		return nil, err
 	}
-	orPreds := spec.predsOn(m.orColumns(spec))
-	for _, row := range spec.Relation.Rows {
-		if e, ok := spec.substPreds(row, orPreds); ok {
-			if t := e.TermCount(); selTerms+t > svc.MaxTerms() {
-				return fmt.Errorf("join: a tuple's conjunct needs %d terms; limit is %d",
-					selTerms+t, svc.MaxTerms())
-			}
+	orPreds := spec.predsOn(orCols)
+	selTerms := spec.selTerms()
+	out := make([]sjBinding, 0, len(keys))
+	for _, key := range keys {
+		rows := groups[key]
+		conj, ok := spec.substPreds(spec.Relation.Rows[rows[0]], orPreds)
+		if !ok {
+			continue
 		}
+		t := conj.TermCount()
+		if selTerms+t > svc.MaxTerms() {
+			return nil, fmt.Errorf("join: a tuple's conjunct needs %d terms; limit is %d",
+				selTerms+t, svc.MaxTerms())
+		}
+		out = append(out, sjBinding{rows: rows, conj: conj, terms: t})
 	}
-	return nil
+	return out, nil
 }
 
 // Execute implements Method.
 func (s SJRTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
-	if err := s.Applicable(spec, svc); err != nil {
+	bindings, err := s.bindings(spec, svc)
+	if err != nil {
 		return nil, err
 	}
-	orCols := s.orColumns(spec)
-	orPreds := spec.predsOn(orCols)
 	return run(ctx, s.Name(), spec, svc, func(ex *execution) error {
-		// Distinct bindings over the OR columns only: restricting the OR
-		// set shrinks the number of disjuncts too.
-		keys, groups, err := spec.Relation.GroupBy(orCols...)
-		if err != nil {
-			return err
-		}
-		selTerms := 0
-		if spec.TextSel != nil {
-			selTerms = spec.TextSel.TermCount()
-		}
-		limit := svc.MaxTerms()
-
 		// Greedily pack distinct bindings into batches under the term
-		// limit, then flush each batch as one OR search.
-		var batchKeys []string
-		batchTerms := selTerms
-		flush := func() error {
-			if len(batchKeys) == 0 {
-				return nil
-			}
-			err := ex.runSJBatch(batchKeys, groups, orPreds)
-			batchKeys = batchKeys[:0]
-			batchTerms = selTerms
-			return err
-		}
-		for _, key := range keys {
-			rep := spec.Relation.Rows[groups[key][0]]
-			conj, ok := spec.substPreds(rep, orPreds)
-			if !ok {
-				continue // unsearchable binding: cannot match
-			}
-			t := conj.TermCount()
-			if batchTerms+t > limit {
-				if err := flush(); err != nil {
+		// limit, each batch one OR search.
+		selTerms := spec.selTerms()
+		start, terms := 0, selTerms
+		for i, b := range bindings {
+			if terms+b.terms > svc.MaxTerms() && i > start {
+				if err := ex.runSJBatch(bindings[start:i]); err != nil {
 					return err
 				}
+				start, terms = i, selTerms
 			}
-			batchKeys = append(batchKeys, key)
-			batchTerms += t
+			terms += b.terms
 		}
-		return flush()
+		if start == len(bindings) {
+			return nil
+		}
+		return ex.runSJBatch(bindings[start:])
 	})
 }
 
 // runSJBatch sends one OR-of-conjuncts search for the given bindings and
 // attributes its results to the bindings' tuples relationally (on all
 // join predicates, covering those outside the OR set).
-func (ex *execution) runSJBatch(batchKeys []string, groups map[string][]int, orPreds []Pred) error {
+func (ex *execution) runSJBatch(batch []sjBinding) error {
 	spec := ex.spec
-	var disj []textidxExpr
-	for _, key := range batchKeys {
-		rep := spec.Relation.Rows[groups[key][0]]
-		conj, ok := spec.substPreds(rep, orPreds)
-		if !ok {
-			continue
-		}
-		disj = append(disj, conj)
-	}
-	if len(disj) == 0 {
-		return nil
+	disj := make([]textidx.Expr, len(batch))
+	for i, b := range batch {
+		disj[i] = b.conj
 	}
 	expr := orAll(disj)
 	if spec.TextSel != nil {
@@ -155,14 +153,12 @@ func (ex *execution) runSJBatch(batchKeys []string, groups map[string][]int, orP
 		return err
 	}
 	ex.svc.Meter().ChargeRTP(ex.ctx, len(res.Hits))
-	for _, key := range batchKeys {
-		for _, rowIdx := range groups[key] {
+	m := newHitMatcher(spec, res.Hits, spec.Preds)
+	for _, b := range batch {
+		for _, rowIdx := range b.rows {
 			tuple := spec.Relation.Rows[rowIdx]
-			for _, hit := range res.Hits {
-				if !spec.matchesRelationally(tuple, spec.Preds, hit.Fields) {
-					continue
-				}
-				if err := ex.emitHit(tuple, hit, false); err != nil {
+			for _, h := range m.match(tuple) {
+				if err := ex.emitHit(tuple, res.Hits[h], false); err != nil {
 					return err
 				}
 			}

@@ -171,6 +171,15 @@ func (s *Spec) TupleTermCount(tuple relation.Tuple) int {
 	return n
 }
 
+// selTerms returns the number of basic search terms the text selection
+// uses (zero without one).
+func (s *Spec) selTerms() int {
+	if s.TextSel == nil {
+		return 0
+	}
+	return s.TextSel.TermCount()
+}
+
 // bindingKey returns the grouping key of a tuple over the given columns.
 func (s *Spec) bindingKey(tuple relation.Tuple, cols []string) string {
 	vals := make([]value.Value, len(cols))
@@ -357,15 +366,4 @@ func requireShortFields(preds []Pred, svc texservice.Service) error {
 		return fmt.Errorf("join: fields %v are not in the service's short form; relational text processing is inapplicable", missing)
 	}
 	return nil
-}
-
-// matchesRelationally evaluates the predicates against a short-form hit
-// using SQL-style string matching (the shared TermOccursIn semantics).
-func (s *Spec) matchesRelationally(tuple relation.Tuple, preds []Pred, fields map[string]string) bool {
-	for _, p := range preds {
-		if !textidx.TermOccursIn(tuple[s.offset(p.Column)].Text(), fields[p.Field]) {
-			return false
-		}
-	}
-	return true
 }

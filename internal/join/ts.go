@@ -163,15 +163,13 @@ func (RTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Re
 var _ Method = RTP{}
 
 // matchHitsRelationally emits a row for every (tuple, hit) pair satisfying
-// the predicates by string matching, fetching long forms through the cache
-// when the spec requires them.
+// the predicates by string matching, in tuple-then-hit order, fetching long
+// forms through the cache when the spec requires them.
 func matchHitsRelationally(ex *execution, tuples []relation.Tuple, hits []texservice.Hit, preds []Pred) error {
+	m := newHitMatcher(ex.spec, hits, preds)
 	for _, tuple := range tuples {
-		for _, hit := range hits {
-			if !ex.spec.matchesRelationally(tuple, preds, hit.Fields) {
-				continue
-			}
-			if err := ex.emitHit(tuple, hit, false); err != nil {
+		for _, h := range m.match(tuple) {
+			if err := ex.emitHit(tuple, hits[h], false); err != nil {
 				return err
 			}
 		}

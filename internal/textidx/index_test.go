@@ -77,6 +77,10 @@ func TestTermOccursIn(t *testing.T) {
 		{"update belief", "on Belief Update today", false}, // order matters
 		{"", "anything", false},
 		{"a b", "a c b", false}, // adjacency matters
+		{"a b", "a a b", true},  // a false start does not hide the phrase
+		{"a b c", "x a b", false},
+		{"b", "", false},
+		{"--", "-- anything --", false}, // no searchable words
 	}
 	for _, c := range cases {
 		if got := TermOccursIn(c.term, c.text); got != c.want {

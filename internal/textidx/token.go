@@ -38,24 +38,23 @@ func normalizeToken(w string) string { return strings.ToLower(strings.TrimSpace(
 
 // TermOccursIn reports whether the (single-word or phrase) term occurs in
 // the field text, using exactly the index's tokenization and adjacency
-// semantics. It is the shared ground-truth matcher used by relational text
-// processing (§3.2) and by the property tests that compare index search
-// results against a full scan.
+// semantics. It is the ground-truth matcher of the naive full-scan join
+// and of the property tests that compare index search results, and the
+// relational matcher's results, against a full scan.
 func TermOccursIn(term, fieldText string) bool {
-	words := Tokenize(term)
+	return ContainsPhrase(Tokenize(fieldText), Tokenize(term))
+}
+
+// ContainsPhrase reports whether the tokenized words occur adjacently, in
+// order, in the tokenized field: membership for one word, adjacency for a
+// phrase. An empty word list (a term with no searchable words) occurs
+// nowhere. It is the one definition of "term occurs in field" behind
+// TermOccursIn and the relational text-processing matcher (§3.2), which
+// tokenizes each field once and reuses the tokens across many terms.
+func ContainsPhrase(toks, words []string) bool {
 	if len(words) == 0 {
 		return false
 	}
-	toks := Tokenize(fieldText)
-	if len(words) == 1 {
-		for _, t := range toks {
-			if t == words[0] {
-				return true
-			}
-		}
-		return false
-	}
-	// Phrase: adjacent occurrence.
 outer:
 	for i := 0; i+len(words) <= len(toks); i++ {
 		for j, w := range words {

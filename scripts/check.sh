@@ -113,8 +113,9 @@ go test -race -run 'TestJoinMethodsOverReplicated|TestFailover|TestProbeReadmiss
 go test -race -run 'TestHedgeCancellationNoLeaks' ./internal/replica
 
 # Benchmarks must at least compile and run one iteration — they are the
-# before/after evidence for the execution core and rot silently otherwise.
-go test -run 'NOTESTS' -bench . -benchtime 1x ./internal/vec ./internal/relation
+# before/after evidence for the execution core and the relational matcher
+# (BenchmarkMatchHits, BENCH_rtp.json) and rot silently otherwise.
+go test -run 'NOTESTS' -bench . -benchtime 1x ./internal/vec ./internal/relation ./internal/join
 
 # Benchmark self-test (about 5 s): every workload end to end at tiny
 # sizes, decorated ≡ undecorated stacks (rows, Usage, cache counters),
