@@ -7,11 +7,8 @@
 package textjoin_test
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"textjoin/internal/bench"
 	"textjoin/internal/cost"
@@ -305,75 +302,6 @@ func BenchmarkRemoteSearch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkParallelTSOverLatency measures tuple substitution against a
-// remote server with simulated WAN latency, sequential vs a worker pool:
-// independent substituted searches overlap, so wall time drops by roughly
-// the worker count while the simulated cost (resource usage) is
-// unchanged.
-func BenchmarkParallelTSOverLatency(b *testing.B) {
-	local, err := texservice.NewLocal(benchCorpus.Index,
-		texservice.WithShortFields("title", "author", "year"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := texservice.NewServer(local)
-	srv.Logf = b.Logf
-	srv.Latency = 2 * time.Millisecond
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-
-	sc, err := benchCorpus.Q2(workload.Q2Config{N: 30, S1: 0.5, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			// Each goroutine needs its own connection to overlap requests.
-			conns := make([]texservice.Service, workers)
-			for i := range conns {
-				r, err := texservice.Dial(addr, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer r.Close()
-				conns[i] = r
-			}
-			svc := roundRobin{conns: conns, n: new(atomic.Uint64)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := (join.TS{Workers: workers}).Execute(bg, sc.Spec, svc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// roundRobin fans Search calls out over several connections so parallel
-// workers are not serialized on one socket.
-type roundRobin struct {
-	conns []texservice.Service
-	n     *atomic.Uint64
-}
-
-func (r roundRobin) pick() texservice.Service {
-	return r.conns[int(r.n.Add(1))%len(r.conns)]
-}
-
-func (r roundRobin) Search(ctx context.Context, e textidx.Expr, f texservice.Form) (*texservice.Result, error) {
-	return r.pick().Search(ctx, e, f)
-}
-func (r roundRobin) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
-	return r.pick().Retrieve(ctx, id)
-}
-func (r roundRobin) NumDocs() (int, error)    { return r.conns[0].NumDocs() }
-func (r roundRobin) MaxTerms() int            { return r.conns[0].MaxTerms() }
-func (r roundRobin) ShortFields() []string    { return r.conns[0].ShortFields() }
-func (r roundRobin) Meter() *texservice.Meter { return r.conns[0].Meter() }
 
 // BenchmarkJoinMethodsScaling measures how TS and SJ+RTP scale with the
 // relation size on a fixed corpus.

@@ -68,8 +68,7 @@ func BatchProbeRounds(c *workload.Corpus) ([]BatchProbeRow, error) {
 				if err != nil {
 					return join.Stats{}, err
 				}
-				_, st, err := join.ProbeReduceOpts(context.Background(), sc.Spec, cols, svc,
-					join.ProbeOpts{Batched: batched})
+				_, st, err := join.ProbeReduce(context.Background(), sc.Spec, cols, svc, batched)
 				return st, err
 			}
 			plain, err := probe(false)

@@ -48,8 +48,7 @@ func runProbe(t *testing.T, sc *workload.Scenario, cols []string, batched bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := join.ProbeReduceOpts(context.Background(), sc.Spec, cols, svc,
-		join.ProbeOpts{Batched: batched})
+	_, st, err := join.ProbeReduce(context.Background(), sc.Spec, cols, svc, batched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func (e *Executor) evalProbe(ctx context.Context, n *plan.Probe, st *RunStats) (
 		TextSel:  n.TextSel,
 	}
 	cols := probeColumns(n.Preds)
-	out, stats, err := join.ProbeReduceOpts(ctx, spec, cols, svc, join.ProbeOpts{Batched: n.Batched})
+	out, stats, err := join.ProbeReduce(ctx, spec, cols, svc, n.Batched)
 	if err != nil {
 		return nil, err
 	}

@@ -152,11 +152,11 @@ func TestBatchedProbingEquivalence(t *testing.T) {
 
 			// ProbeReduce must keep exactly the same tuples batched as not.
 			probeCols := []string{"c0"}
-			plain, _, err := ProbeReduceOpts(bg, spec, probeCols, faultySharded(t, ix, n, seed), ProbeOpts{})
+			plain, _, err := ProbeReduce(bg, spec, probeCols, faultySharded(t, ix, n, seed), false)
 			if err != nil {
 				t.Fatalf("trial %d n=%d: probe reduce: %v", trial, n, err)
 			}
-			reduced, st, err := ProbeReduceOpts(bg, spec, probeCols, faultySharded(t, ix, n, seed), ProbeOpts{Batched: true})
+			reduced, st, err := ProbeReduce(bg, spec, probeCols, faultySharded(t, ix, n, seed), true)
 			if err != nil {
 				t.Fatalf("trial %d n=%d: batched probe reduce: %v", trial, n, err)
 			}

@@ -2,38 +2,37 @@ package join
 
 import (
 	"context"
-	"sort"
 
 	"textjoin/internal/obs"
 	"textjoin/internal/relation"
 	"textjoin/internal/texservice"
 	"textjoin/internal/textidx"
-	"textjoin/internal/value"
-	"textjoin/internal/vec"
 )
 
-// This file implements batched probe pushdown: instead of issuing one
-// probe search per distinct probe-column binding (§3.3's row-at-a-time
-// discipline), the deduplicated bindings are sorted and packed into large
-// OR-expressions capped by the service's term limit M, so ⌈N_J·t/(M−t_sel)⌉
-// round trips replace N_J. Results are attributed back to bindings by
-// relational string matching (the hitMatcher the semi-join method uses,
-// with the NaiveJoin oracle's TermOccursIn semantics), so every probing
-// method produces exactly the same rows batched as unbatched.
+// This file is the probe phase every probing method shares (P+TS eager,
+// P+RTP and the probe reducer): the outcome of every distinct probe-column
+// binding, with the bindings probed in sorted key order in every mode so
+// wire traffic, traces and cache keys are deterministic across runs.
 //
-// Strategy selection is by capability, always falling back to something
-// correct:
+// Unbatched, each binding is one probe search (§3.3's row-at-a-time
+// discipline). Batched probe pushdown sends the deduplicated bindings in
+// few invocations instead, choosing by capability and always falling back
+// to something correct:
 //
-//   - OR packing when the probe fields are in the service's short form —
-//     hits can then be attributed to bindings relationally.
+//   - OR packing when the probe fields are in the service's short form:
+//     the bindings' conjuncts are packed into large OR-expressions capped by
+//     the term limit M, so ⌈N_J·t/(M−t_sel)⌉ round trips replace N_J, and
+//     each batch's hits are attributed back to bindings by relational
+//     string matching (the hitMatcher the semi-join method uses, with the
+//     NaiveJoin oracle's TermOccursIn semantics).
 //   - Batched invocation (texservice.SearchBatch over the BatchSearcher
 //     capability) otherwise: per-binding probes travel in few invocations
 //     with aligned answers, no attribution needed.
 //   - Per-binding searches when neither applies (SearchBatch degrades to
 //     this on its own).
 //
-// Bindings are probed in sorted key order in every path — batched or not —
-// so wire traffic, traces and cache keys are deterministic across runs.
+// Every probing method therefore produces exactly the same rows batched as
+// unbatched.
 
 // probeOutcome is one distinct probe binding's result.
 type probeOutcome struct {
@@ -44,81 +43,66 @@ type probeOutcome struct {
 	hits []texservice.Hit
 }
 
-// sortedKeys returns the binding keys in sorted order without mutating
-// the input.
-func sortedKeys(keys []string) []string {
-	out := append([]string(nil), keys...)
-	sort.Strings(out)
-	return out
-}
-
-// bindingVectors gathers the distinct bindings of the probe columns from
-// column vectors: a vec.TableScan over just those columns streams dense
-// batches, and the composite keys are computed straight down the vectors
-// instead of indexing across full row tuples. Row indices in groups refer
-// to spec.Relation.Rows (the scan preserves source order).
-func bindingVectors(spec *Spec, cols []string) (keys []string, groups map[string][]int, err error) {
-	scan, err := vec.NewTableScan(spec.Relation, cols, nil)
-	if err != nil {
-		return nil, nil, err
+// probeAll computes the outcome of every probe binding, aligned with
+// probes. needHits keeps each successful binding's hits and charges their
+// relational matching. A binding with an unsearchable value cannot match
+// any document and gets the zero outcome without a search.
+func (ex *execution) probeAll(probeCols []string, probes []binding, batched, needHits bool) ([]probeOutcome, error) {
+	preds := ex.spec.predsOn(probeCols)
+	order := byKey(probes)
+	outcomes := make([]probeOutcome, len(probes))
+	if batched {
+		return outcomes, ex.batchProbe(preds, probes, order, needHits, outcomes)
 	}
-	defer scan.Close()
-	groups = map[string][]int{}
-	vals := make([]value.Value, len(cols))
-	base := 0
-	for {
-		b, err := scan.Next()
+	for _, i := range order {
+		o, err := ex.probe(ex.ctx, preds, ex.spec.rep(probes[i]), needHits)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if b == nil {
-			return keys, groups, nil
-		}
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			for j := range vals {
-				vals[j] = b.Col(j)[i] // scan batches are dense
-			}
-			k := value.KeyOf(vals...)
-			if _, ok := groups[k]; !ok {
-				keys = append(keys, k)
-			}
-			groups[k] = append(groups[k], base+i)
-		}
-		base += n
+		outcomes[i] = o
 	}
+	return outcomes, nil
 }
 
-// batchProbe computes the probe outcome of every distinct binding of the
-// probe columns, batching probes under the service's term limit. It
-// returns the outcomes keyed by binding key, the number of probe searches
-// issued (round trips), and how many of those were batched (multi-binding)
-// invocations. Bindings with unsearchable values have no outcome entry —
-// they cannot match any document, exactly as in per-tuple probing.
-func batchProbe(ctx context.Context, spec *Spec, probeCols []string, svc texservice.Service, needHits bool) (map[string]probeOutcome, int, int, error) {
-	keys, groups, err := bindingVectors(spec, probeCols)
-	if err != nil {
-		return nil, 0, 0, err
+// probe sends one binding's own probe search: the selection and the probe
+// predicates instantiated with the tuple's values, in short form.
+func (ex *execution) probe(ctx context.Context, preds []Pred, rep relation.Tuple, needHits bool) (probeOutcome, error) {
+	pexpr, ok := ex.spec.SubstExpr(rep, preds)
+	if !ok {
+		return probeOutcome{}, nil
 	}
-	ctx, sp := obs.StartSpan(ctx, "probe.batch")
-	defer sp.End()
-	probePreds := spec.predsOn(probeCols)
-	outcomes := make(map[string]probeOutcome, len(keys))
-	order := sortedKeys(keys)
+	pres, err := ex.svc.Search(ctx, pexpr, texservice.FormShort)
+	if err != nil {
+		return probeOutcome{}, err
+	}
+	ex.stats.Probes++
+	out := probeOutcome{success: !pres.IsEmpty()}
+	if needHits && out.success {
+		ex.svc.Meter().ChargeRTP(ctx, len(pres.Hits))
+		out.hits = pres.Hits
+	}
+	return out, nil
+}
 
-	var probes, rounds int
+// batchProbe fills the outcomes of the bindings, taken in the given
+// order, with batched probe pushdown.
+func (ex *execution) batchProbe(preds []Pred, probes []binding, order []int, needHits bool, outcomes []probeOutcome) error {
+	ctx, sp := obs.StartSpan(ex.ctx, "probe.batch")
+	defer sp.End()
+	probesBefore, roundsBefore := ex.stats.Probes, ex.stats.BatchRounds
 	strategy := "or-pack"
-	if requireShortFields(probePreds, svc) == nil {
-		probes, rounds, err = orPackProbe(ctx, spec, probePreds, order, groups, svc, needHits, outcomes)
+	var err error
+	if requireShortFields(preds, ex.svc) == nil {
+		err = ex.orPackProbe(ctx, preds, probes, order, needHits, outcomes)
 	} else {
 		strategy = "aligned"
-		probes, rounds, err = alignedBatchProbe(ctx, spec, probePreds, order, groups, svc, needHits, outcomes)
+		err = ex.alignedBatchProbe(ctx, preds, probes, order, needHits, outcomes)
 	}
 	if sp != nil {
 		sp.SetAttr(obs.Str("strategy", strategy), obs.Int("bindings", len(order)),
-			obs.Int("probes", probes), obs.Int("batch_rounds", rounds))
+			obs.Int("probes", ex.stats.Probes-probesBefore), obs.Int("batch_rounds", ex.stats.BatchRounds-roundsBefore))
 	}
-	return outcomes, probes, rounds, err
+	return err
 }
 
 // orPackProbe packs per-binding probe conjuncts into OR groups under the
@@ -127,12 +111,13 @@ func batchProbe(ctx context.Context, spec *Spec, probeCols []string, svc texserv
 // alone exceeds the limit is probed individually, with exactly the
 // per-tuple semantics — including surfacing the same error a per-tuple
 // probe of it would.
-func orPackProbe(ctx context.Context, spec *Spec, probePreds []Pred, order []string, groups map[string][]int, svc texservice.Service, needHits bool, outcomes map[string]probeOutcome) (probes, rounds int, err error) {
+func (ex *execution) orPackProbe(ctx context.Context, preds []Pred, probes []binding, order []int, needHits bool, outcomes []probeOutcome) error {
+	spec := ex.spec
 	selTerms := spec.selTerms()
-	limit := svc.MaxTerms()
+	limit := ex.svc.MaxTerms()
 
 	type disjunct struct {
-		key  string
+		i    int // index in probes
 		conj textidx.Expr
 	}
 	var batch []disjunct
@@ -150,26 +135,26 @@ func orPackProbe(ctx context.Context, spec *Spec, probePreds []Pred, order []str
 		if spec.TextSel != nil {
 			expr = andPair(spec.TextSel, expr)
 		}
-		res, err := svc.Search(fctx, expr, texservice.FormShort)
+		res, err := ex.svc.Search(fctx, expr, texservice.FormShort)
 		if err != nil {
 			fsp.End()
 			return err
 		}
-		probes++
-		rounds++
+		ex.stats.Probes++
+		ex.stats.BatchRounds++
 		// Attributing the OR result to bindings is relational matching
 		// work, charged like the semi-join method's.
-		svc.Meter().ChargeRTP(fctx, len(res.Hits))
-		m := newHitMatcher(spec, res.Hits, probePreds)
+		ex.svc.Meter().ChargeRTP(fctx, len(res.Hits))
+		m := newHitMatcher(spec, res.Hits, preds)
 		for _, d := range batch {
-			matched := m.match(spec.Relation.Rows[groups[d.key][0]])
+			matched := m.match(spec.rep(probes[d.i]))
 			out := probeOutcome{success: len(matched) > 0}
 			if needHits {
 				for _, h := range matched {
 					out.hits = append(out.hits, res.Hits[h])
 				}
 			}
-			outcomes[d.key] = out
+			outcomes[d.i] = out
 		}
 		if fsp != nil {
 			fsp.SetAttr(obs.Int("disjuncts", len(batch)), obs.Int("terms", batchTerms),
@@ -180,53 +165,33 @@ func orPackProbe(ctx context.Context, spec *Spec, probePreds []Pred, order []str
 		batchTerms = selTerms
 		return nil
 	}
-	for _, key := range order {
-		rep := spec.Relation.Rows[groups[key][0]]
-		conj, ok := spec.substPreds(rep, probePreds)
+	for _, i := range order {
+		rep := spec.rep(probes[i])
+		conj, ok := spec.substPreds(rep, preds)
 		if !ok {
 			continue // unsearchable binding: cannot match
 		}
 		t := conj.TermCount()
 		if selTerms+t > limit {
 			if err := flush(); err != nil {
-				return probes, rounds, err
+				return err
 			}
-			if err := individualProbe(ctx, spec, probePreds, key, rep, svc, needHits, outcomes, &probes); err != nil {
-				return probes, rounds, err
+			o, err := ex.probe(ctx, preds, rep, needHits)
+			if err != nil {
+				return err
 			}
+			outcomes[i] = o
 			continue
 		}
 		if batchTerms+t > limit {
 			if err := flush(); err != nil {
-				return probes, rounds, err
+				return err
 			}
 		}
-		batch = append(batch, disjunct{key: key, conj: conj})
+		batch = append(batch, disjunct{i: i, conj: conj})
 		batchTerms += t
 	}
-	err = flush()
-	return probes, rounds, err
-}
-
-// individualProbe sends one binding's own probe search (the per-tuple
-// discipline), used for bindings that no batch can hold.
-func individualProbe(ctx context.Context, spec *Spec, probePreds []Pred, key string, rep relation.Tuple, svc texservice.Service, needHits bool, outcomes map[string]probeOutcome, probes *int) error {
-	pexpr, ok := spec.SubstExpr(rep, probePreds)
-	if !ok {
-		return nil
-	}
-	pres, err := svc.Search(ctx, pexpr, texservice.FormShort)
-	if err != nil {
-		return err
-	}
-	*probes++
-	out := probeOutcome{success: !pres.IsEmpty()}
-	if needHits && out.success {
-		svc.Meter().ChargeRTP(ctx, len(pres.Hits))
-		out.hits = pres.Hits
-	}
-	outcomes[key] = out
-	return nil
+	return flush()
 }
 
 // alignedBatchProbe issues the per-binding probe expressions through
@@ -234,34 +199,31 @@ func individualProbe(ctx context.Context, spec *Spec, probePreds []Pred, key str
 // under the term limit is one invocation with aligned answers; without it
 // the entry point degrades to individual searches. No short-form fields
 // are required because no relational attribution happens.
-func alignedBatchProbe(ctx context.Context, spec *Spec, probePreds []Pred, order []string, groups map[string][]int, svc texservice.Service, needHits bool, outcomes map[string]probeOutcome) (probes, rounds int, err error) {
+func (ex *execution) alignedBatchProbe(ctx context.Context, preds []Pred, probes []binding, order []int, needHits bool, outcomes []probeOutcome) error {
 	var exprs []textidx.Expr
-	var exprKeys []string
-	for _, key := range order {
-		rep := spec.Relation.Rows[groups[key][0]]
-		pexpr, ok := spec.SubstExpr(rep, probePreds)
-		if !ok {
-			continue
+	var searched []int
+	for _, i := range order {
+		if pexpr, ok := ex.spec.SubstExpr(ex.spec.rep(probes[i]), preds); ok {
+			exprs = append(exprs, pexpr)
+			searched = append(searched, i)
 		}
-		exprs = append(exprs, pexpr)
-		exprKeys = append(exprKeys, key)
 	}
-	results, invocations, err := texservice.SearchBatch(ctx, svc, exprs, texservice.FormShort)
+	results, invocations, err := texservice.SearchBatch(ctx, ex.svc, exprs, texservice.FormShort)
 	if err != nil {
-		return invocations, 0, err
+		return err
 	}
-	probes = invocations
-	if _, ok := svc.(texservice.BatchSearcher); ok && invocations < len(exprs) {
-		rounds = invocations
+	ex.stats.Probes += invocations
+	if _, ok := ex.svc.(texservice.BatchSearcher); ok && invocations < len(exprs) {
+		ex.stats.BatchRounds += invocations
 	}
-	for i, key := range exprKeys {
-		res := results[i]
+	for k, i := range searched {
+		res := results[k]
 		out := probeOutcome{success: !res.IsEmpty()}
 		if needHits && out.success {
-			svc.Meter().ChargeRTP(ctx, len(res.Hits))
+			ex.svc.Meter().ChargeRTP(ctx, len(res.Hits))
 			out.hits = res.Hits
 		}
-		outcomes[key] = out
+		outcomes[i] = out
 	}
-	return probes, rounds, nil
+	return nil
 }

@@ -62,7 +62,7 @@ func TestBatchProbeTermLimitBoundary(t *testing.T) {
 		}
 		spec := &Spec{Relation: limitRelation(t, bindings),
 			Preds: []Pred{{Column: "c0", Field: "title"}}}
-		out, st, err := ProbeReduceOpts(bg, spec, []string{"c0"}, svc, ProbeOpts{Batched: true})
+		out, st, err := ProbeReduce(bg, spec, []string{"c0"}, svc, true)
 		if err != nil {
 			t.Fatalf("bindings=%d: %v", bindings, err)
 		}
@@ -91,7 +91,7 @@ func TestBatchProbeSelectionOccupiesBatch(t *testing.T) {
 	spec := &Spec{Relation: limitRelation(t, 16),
 		Preds:   []Pred{{Column: "c0", Field: "title"}},
 		TextSel: textidx.And{textidx.Term{Field: "year", Word: "1995"}, textidx.Term{Field: "author", Word: "w00"}}}
-	out, st, err := ProbeReduceOpts(bg, spec, []string{"c0"}, svc, ProbeOpts{Batched: true})
+	out, st, err := ProbeReduce(bg, spec, []string{"c0"}, svc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestBatchProbeHeterogeneousShardLimits(t *testing.T) {
 	}
 	spec := &Spec{Relation: limitRelation(t, 12),
 		Preds: []Pred{{Column: "c0", Field: "title"}}}
-	out, st, err := ProbeReduceOpts(bg, spec, []string{"c0"}, fed, ProbeOpts{Batched: true})
+	out, st, err := ProbeReduce(bg, spec, []string{"c0"}, fed, true)
 	if err != nil {
 		var tle *texservice.TermLimitError
 		if errors.As(err, &tle) {
@@ -171,8 +171,8 @@ func TestBatchProbeOversizeBindingFallsBack(t *testing.T) {
 	tbl.MustInsert(relation.Tuple{value.String("five")})
 	spec := &Spec{Relation: tbl, Preds: []Pred{{Column: "c0", Field: "title"}}}
 
-	_, _, batchErr := ProbeReduceOpts(bg, spec, []string{"c0"}, svc, ProbeOpts{Batched: true})
-	_, _, plainErr := ProbeReduceOpts(bg, spec, []string{"c0"}, svc, ProbeOpts{})
+	_, _, batchErr := ProbeReduce(bg, spec, []string{"c0"}, svc, true)
+	_, _, plainErr := ProbeReduce(bg, spec, []string{"c0"}, svc, false)
 	if (batchErr == nil) != (plainErr == nil) {
 		t.Fatalf("batched err %v, per-tuple err %v — disciplines disagree", batchErr, plainErr)
 	}

@@ -17,7 +17,6 @@ import (
 func chaosMethods() []Method {
 	return []Method{
 		TS{},
-		TS{Workers: 4},
 		RTP{},
 		SJRTP{},
 		PTS{ProbeColumns: []string{"name"}},

@@ -5,12 +5,25 @@ import (
 	"textjoin/internal/textidx"
 )
 
-// textidxExpr aliases the search expression type for brevity.
-type textidxExpr = textidx.Expr
+// SubstExpr builds the instantiated search for one tuple: the text
+// selection (if any) in conjunction with one predicate per join condition,
+// each instantiated with the tuple's column value. It returns (nil, false)
+// when some value has no searchable words: such a tuple cannot match any
+// document under Boolean semantics.
+func (s *Spec) SubstExpr(tuple relation.Tuple, preds []Pred) (textidx.Expr, bool) {
+	conj, ok := s.substPreds(tuple, preds)
+	if !ok || s.TextSel == nil {
+		return conj, ok
+	}
+	if a, isAnd := conj.(textidx.And); isAnd {
+		return append(textidx.And{s.TextSel}, a...), true
+	}
+	return textidx.And{s.TextSel, conj}, true
+}
 
 // substPreds builds a tuple's conjunct over the given predicates without
-// the text selection. Used by the semi-join batches, which carry the
-// selection once per batch.
+// the text selection. The semi-join and OR-packed probe batches use it
+// directly, carrying the selection once per batch.
 func (s *Spec) substPreds(tuple relation.Tuple, preds []Pred) (textidx.Expr, bool) {
 	var conj textidx.And
 	for _, p := range preds {

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"textjoin/internal/relation"
 	"textjoin/internal/texservice"
-	"textjoin/internal/textidx"
 )
 
 // This file implements join methods built on the §8 service extensions and
@@ -42,14 +40,8 @@ func (TSBatch) Applicable(spec *Spec, svc texservice.Service) error {
 	if _, ok := svc.(texservice.BatchSearcher); !ok {
 		return fmt.Errorf("join: %w", texservice.ErrNoBatch)
 	}
-	selTerms := spec.selTerms()
-	for _, row := range spec.Relation.Rows {
-		if t := spec.TupleTermCount(row); t >= 0 && selTerms+t > svc.MaxTerms() {
-			return fmt.Errorf("join: a substituted query needs %d terms; limit is %d",
-				selTerms+t, svc.MaxTerms())
-		}
-	}
-	return nil
+	_, err := spec.conjuncts(spec.JoinColumns(), svc, "a substituted query")
+	return err
 }
 
 // Execute implements Method.
@@ -57,31 +49,12 @@ func (m TSBatch) Execute(ctx context.Context, spec *Spec, svc texservice.Service
 	if err := m.Applicable(spec, svc); err != nil {
 		return nil, err
 	}
-	return run(ctx, m.Name(), spec, svc, func(ex *execution) error {
-		keys, groups, err := spec.Relation.GroupBy(spec.JoinColumns()...)
+	return run(ctx, "join."+m.Name(), spec, svc, func(ex *execution) error {
+		joins, err := spec.bindings(spec.JoinColumns())
 		if err != nil {
 			return err
 		}
-		var exprs []textidx.Expr
-		var exprKeys []string
-		for _, key := range keys {
-			if expr, ok := spec.SubstExpr(spec.Relation.Rows[groups[key][0]], spec.Preds); ok {
-				exprs = append(exprs, expr)
-				exprKeys = append(exprKeys, key)
-			}
-		}
-		results, _, err := texservice.SearchBatch(ex.ctx, svc, exprs, ex.searchForm())
-		if err != nil {
-			return err
-		}
-		for i, key := range exprKeys {
-			for _, rowIdx := range groups[key] {
-				for _, hit := range results[i].Hits {
-					ex.emit(spec.Relation.Rows[rowIdx], hit.ExtID, hit.Fields)
-				}
-			}
-		}
-		return nil
+		return ex.substituteAll(joins, true)
 	})
 }
 
@@ -108,48 +81,39 @@ func (m PRTPAdaptive) Applicable(spec *Spec, svc texservice.Service) error {
 	return PRTP{ProbeColumns: m.ProbeColumns}.Applicable(spec, svc)
 }
 
-// Execute implements Method.
+// Execute implements Method. Probe bindings are taken in first-appearance
+// order, not the probe phase's sorted order: where the budget runs out,
+// and so which bindings switch, depends on it.
 func (m PRTPAdaptive) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
 	if err := m.Applicable(spec, svc); err != nil {
 		return nil, err
 	}
-	return run(ctx, m.Name(), spec, svc, func(ex *execution) error {
-		keys, groups, err := spec.Relation.GroupBy(m.ProbeColumns...)
+	return run(ctx, "join."+m.Name(), spec, svc, func(ex *execution) error {
+		n, err := spec.nest(m.ProbeColumns)
 		if err != nil {
 			return err
 		}
-		probePreds := spec.predsOn(m.ProbeColumns)
-		restPreds := spec.predsNotOn(m.ProbeColumns)
+		joinsUnder := n.byProbe()
+		preds := spec.predsOn(m.ProbeColumns)
+		rest := spec.predsNotOn(m.ProbeColumns)
 		shipped := 0
 		switched := false
-		for _, key := range keys {
-			members := groups[key]
+		for p, b := range n.probes {
 			if switched {
-				if err := ex.substituteBindings(members); err != nil {
+				if err := ex.substituteAll(joinsUnder[p], false); err != nil {
 					return err
 				}
 				continue
 			}
-			rep := spec.Relation.Rows[members[0]]
-			pexpr, ok := spec.SubstExpr(rep, probePreds)
-			if !ok {
-				continue
-			}
-			pres, err := svc.Search(ex.ctx, pexpr, texservice.FormShort)
+			o, err := ex.probe(ex.ctx, preds, spec.rep(b), true)
 			if err != nil {
 				return err
 			}
-			ex.stats.Probes++
-			if pres.IsEmpty() {
+			if !o.success {
 				continue
 			}
-			shipped += len(pres.Hits)
-			svc.Meter().ChargeRTP(ex.ctx, len(pres.Hits))
-			tuples := make([]relation.Tuple, len(members))
-			for i, rowIdx := range members {
-				tuples[i] = spec.Relation.Rows[rowIdx]
-			}
-			if err := matchHitsRelationally(ex, tuples, pres.Hits, restPreds); err != nil {
+			shipped += len(o.hits)
+			if err := ex.emitMatches(newHitMatcher(spec, o.hits, rest), b.rows); err != nil {
 				return err
 			}
 			if m.DocBudget > 0 && shipped > m.DocBudget {
@@ -158,44 +122,6 @@ func (m PRTPAdaptive) Execute(ctx context.Context, spec *Spec, svc texservice.Se
 		}
 		return nil
 	})
-}
-
-// substituteBindings runs full substituted searches for the distinct join
-// bindings among the given row indexes (the degradation path of the
-// adaptive method).
-func (ex *execution) substituteBindings(rowIdxs []int) error {
-	spec := ex.spec
-	cols := spec.JoinColumns()
-	form := ex.searchForm()
-	byBinding := map[string][]int{}
-	var order []string
-	for _, rowIdx := range rowIdxs {
-		key := spec.bindingKey(spec.Relation.Rows[rowIdx], cols)
-		if _, ok := byBinding[key]; !ok {
-			order = append(order, key)
-		}
-		byBinding[key] = append(byBinding[key], rowIdx)
-	}
-	for _, key := range order {
-		members := byBinding[key]
-		rep := spec.Relation.Rows[members[0]]
-		expr, ok := spec.SubstExpr(rep, spec.Preds)
-		if !ok {
-			continue
-		}
-		res, err := ex.svc.Search(ex.ctx, expr, form)
-		if err != nil {
-			return err
-		}
-		for _, rowIdx := range members {
-			for _, hit := range res.Hits {
-				if err := ex.emitHit(spec.Relation.Rows[rowIdx], hit, form == texservice.FormLong); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 var _ Method = PRTPAdaptive{}

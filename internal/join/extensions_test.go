@@ -247,13 +247,15 @@ func TestExtensionsAgainstRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Batched TS over the wire.
-	res, err := TSBatch{}.Execute(bg, spec, remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SameRows(res.Table, want) {
-		t.Fatal("remote TS(batched) differs from naive")
+	// Plain and batched TS over the wire.
+	for _, m := range []Method{TS{}, TSBatch{}} {
+		res, err := m.Execute(bg, spec, remote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !SameRows(res.Table, want) {
+			t.Fatalf("remote %s differs from naive", m.Name())
+		}
 	}
 	// Exported statistics over the wire.
 	df, err := remote.TermDocFrequency(bg, "title", "pws")

@@ -12,7 +12,6 @@ import (
 func failingMethods() []Method {
 	return []Method{
 		TS{},
-		TS{Workers: 4},
 		RTP{},
 		SJRTP{},
 		SJRTP{OrColumns: []string{"member"}},
@@ -76,7 +75,7 @@ func TestProbeReduceSurfacesErrors(t *testing.T) {
 	ix := corpus(t)
 	spec := q3Spec(t, false)
 	flaky := texservice.NewFaulty(service(t, ix), texservice.FaultConfig{ErrorEvery: 1})
-	if _, _, err := ProbeReduce(bg, spec, []string{"name"}, flaky); !errors.Is(err, texservice.ErrInjected) {
+	if _, _, err := ProbeReduce(bg, spec, []string{"name"}, flaky, false); !errors.Is(err, texservice.ErrInjected) {
 		t.Fatalf("probe reduce error = %v", err)
 	}
 }

@@ -140,7 +140,7 @@ func TestHitMatcherEquivalentToPairwise(t *testing.T) {
 // phrases, joined on name in title and member in author against h
 // short-form hits, each hit built around one tuple's binding (as an OR
 // search of the bindings returns) plus a random name and author.
-func matchFixture(tb testing.TB, n, h int) (*Spec, []relation.Tuple, []texservice.Hit) {
+func matchFixture(tb testing.TB, n, h int) (*Spec, []texservice.Hit) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(int64(n*7919 + h)))
 	name := func(i int) string {
@@ -172,21 +172,25 @@ func matchFixture(tb testing.TB, n, h int) (*Spec, []relation.Tuple, []texservic
 	if err := spec.Validate(); err != nil {
 		tb.Fatal(err)
 	}
-	return spec, tbl.Rows, hits
+	return spec, hits
 }
 
 // BenchmarkMatchHits measures relational attribution of h short-form hits
-// to n tuples (matchHitsRelationally, emission included). The committed
+// to n tuples (matcher build, probe and emission). The committed
 // before/after pair is BENCH_rtp.json.
 func BenchmarkMatchHits(b *testing.B) {
 	for _, size := range [][2]int{{64, 64}, {512, 128}, {2048, 256}} {
-		spec, tuples, hits := matchFixture(b, size[0], size[1])
+		spec, hits := matchFixture(b, size[0], size[1])
+		rows := make([]int, size[0])
+		for i := range rows {
+			rows[i] = i
+		}
 		b.Run(fmt.Sprintf("tuples=%d/hits=%d", size[0], size[1]), func(b *testing.B) {
 			ex := &execution{ctx: bg, spec: spec, out: relation.NewTable("r⋈text", spec.OutputSchema())}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ex.out.Rows = ex.out.Rows[:0]
-				if err := matchHitsRelationally(ex, tuples, hits, spec.Preds); err != nil {
+				if err := ex.emitMatches(newHitMatcher(spec, hits, spec.Preds), rows); err != nil {
 					b.Fatal(err)
 				}
 			}

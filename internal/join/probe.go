@@ -3,9 +3,7 @@ package join
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"textjoin/internal/obs"
 	"textjoin/internal/relation"
 	"textjoin/internal/texservice"
 )
@@ -99,212 +97,102 @@ func (m PTS) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*
 	if err := m.Applicable(spec, svc); err != nil {
 		return nil, err
 	}
-	switch {
-	case m.Grouped:
-		return m.executeGrouped(ctx, spec, svc)
-	case m.Lazy:
-		return m.executeCached(ctx, spec, svc)
-	default:
-		return m.executeEager(ctx, spec, svc)
-	}
+	return run(ctx, "join."+m.Name(), spec, svc, func(ex *execution) error {
+		n, err := spec.nest(m.ProbeColumns)
+		if err != nil {
+			return err
+		}
+		preds := spec.predsOn(m.ProbeColumns)
+		switch {
+		case m.Grouped:
+			return m.executeGrouped(ex, n, preds)
+		case m.Lazy:
+			return m.executeCached(ex, n, preds)
+		default:
+			return m.executeEager(ex, n)
+		}
+	})
 }
 
 // executeEager probes all distinct probe bindings up front, then
-// substitutes for the tuples whose probe succeeded — the execution the
-// C_{P+TS} formula describes.
-func (m PTS) executeEager(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
-	return run(ctx, m.Name(), spec, svc, func(ex *execution) error {
-		probePreds := spec.predsOn(m.ProbeColumns)
-		// Phase 1: probe the distinct probe-column bindings in sorted key
-		// order (deterministic wire traffic) — batched into OR groups when
-		// Batched is set, one search per binding otherwise.
-		pKeys, pGroups, err := spec.Relation.GroupBy(m.ProbeColumns...)
-		if err != nil {
+// substitutes for the join bindings whose probe succeeded — the execution
+// the C_{P+TS} formula describes.
+func (m PTS) executeEager(ex *execution, n nesting) error {
+	outcomes, err := ex.probeAll(m.ProbeColumns, n.probes, m.Batched, false)
+	if err != nil {
+		return err
+	}
+	for j, b := range n.joins {
+		if !outcomes[n.under[j]].success {
+			continue
+		}
+		if _, err := ex.substitute(b); err != nil {
 			return err
 		}
-		probeSuccess := make(map[string]bool, len(pKeys))
-		if m.Batched {
-			outcomes, probes, rounds, err := batchProbe(ex.ctx, spec, m.ProbeColumns, svc, false)
-			if err != nil {
-				return err
-			}
-			ex.stats.Probes += probes
-			ex.stats.BatchRounds += rounds
-			for pkey, o := range outcomes {
-				probeSuccess[pkey] = o.success
-			}
-		} else {
-			for _, pkey := range sortedKeys(pKeys) {
-				rep := spec.Relation.Rows[pGroups[pkey][0]]
-				pexpr, ok := spec.SubstExpr(rep, probePreds)
-				if !ok {
-					continue
-				}
-				pres, err := svc.Search(ex.ctx, pexpr, texservice.FormShort)
-				if err != nil {
-					return err
-				}
-				ex.stats.Probes++
-				probeSuccess[pkey] = !pres.IsEmpty()
-			}
-		}
-		// Phase 2: substitution for surviving bindings.
-		cols := spec.JoinColumns()
-		keys, groups, err := spec.Relation.GroupBy(cols...)
-		if err != nil {
-			return err
-		}
-		form := ex.searchForm()
-		for _, key := range keys {
-			members := groups[key]
-			rep := spec.Relation.Rows[members[0]]
-			if !probeSuccess[spec.bindingKey(rep, m.ProbeColumns)] {
-				continue
-			}
-			expr, ok := spec.SubstExpr(rep, spec.Preds)
-			if !ok {
-				continue
-			}
-			res, err := svc.Search(ex.ctx, expr, form)
-			if err != nil {
-				return err
-			}
-			for _, rowIdx := range members {
-				for _, hit := range res.Hits {
-					ex.emit(spec.Relation.Rows[rowIdx], hit.ExtID, hit.Fields)
-				}
-			}
-		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // executeCached is the probe-cache algorithm of §3.3.
-func (m PTS) executeCached(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
-	return run(ctx, m.Name(), spec, svc, func(ex *execution) error {
-		cols := spec.JoinColumns()
-		keys, groups, err := spec.Relation.GroupBy(cols...)
+func (m PTS) executeCached(ex *execution, n nesting, preds []Pred) error {
+	// probeCache maps a probe binding to its probe's success.
+	probeCache := map[int]bool{}
+	for j, b := range n.joins {
+		p := n.under[j]
+		if success, known := probeCache[p]; known && !success {
+			continue // cache has a fail entry: skip without invocation
+		}
+		res, err := ex.substitute(b)
 		if err != nil {
 			return err
 		}
-		probePreds := spec.predsOn(m.ProbeColumns)
-		form := ex.searchForm()
-		// probeCache maps a probe-column binding key to probe success.
-		probeCache := map[string]bool{}
-		for _, key := range keys {
-			members := groups[key]
-			rep := spec.Relation.Rows[members[0]]
-			pkey := spec.bindingKey(rep, m.ProbeColumns)
-			if success, known := probeCache[pkey]; known && !success {
-				continue // cache has a fail entry: skip without invocation
-			}
-			expr, ok := spec.SubstExpr(rep, spec.Preds)
-			if !ok {
-				continue
-			}
-			res, err := svc.Search(ex.ctx, expr, form)
-			if err != nil {
-				return err
-			}
-			if !res.IsEmpty() {
-				// A nonempty query implies the probe would succeed.
-				probeCache[pkey] = true
-				for _, rowIdx := range members {
-					for _, hit := range res.Hits {
-						ex.emit(spec.Relation.Rows[rowIdx], hit.ExtID, hit.Fields)
-					}
-				}
-				continue
-			}
-			if _, known := probeCache[pkey]; known {
-				continue // probe already known (success); no probe resent
-			}
-			// Send the probe and cache its outcome.
-			pexpr, pok := spec.SubstExpr(rep, probePreds)
-			if !pok {
-				probeCache[pkey] = false
-				continue
-			}
-			pres, err := svc.Search(ex.ctx, pexpr, texservice.FormShort)
-			if err != nil {
-				return err
-			}
-			ex.stats.Probes++
-			probeCache[pkey] = !pres.IsEmpty()
+		if res == nil {
+			continue // unsearchable binding: cannot match
 		}
-		return nil
-	})
+		if !res.IsEmpty() {
+			// A nonempty query implies the probe would succeed.
+			probeCache[p] = true
+			continue
+		}
+		if _, known := probeCache[p]; known {
+			continue // probe already known (success); no probe resent
+		}
+		// Send the probe and cache its outcome.
+		o, err := ex.probe(ex.ctx, preds, ex.spec.rep(b), false)
+		if err != nil {
+			return err
+		}
+		probeCache[p] = o.success
+	}
+	return nil
 }
 
-// executeGrouped is the ordered/grouped variant without a cache.
-func (m PTS) executeGrouped(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
-	return run(ctx, m.Name(), spec, svc, func(ex *execution) error {
-		cols := spec.JoinColumns()
-		keys, groups, err := spec.Relation.GroupBy(cols...)
-		if err != nil {
-			return err
-		}
-		// Regroup the distinct bindings by their probe-column key,
-		// emulating a relation ordered on the probe columns.
-		probeOrder := []string{}
-		byProbe := map[string][]string{}
-		for _, key := range keys {
-			rep := spec.Relation.Rows[groups[key][0]]
-			pkey := spec.bindingKey(rep, m.ProbeColumns)
-			if _, ok := byProbe[pkey]; !ok {
-				probeOrder = append(probeOrder, pkey)
+// executeGrouped is the ordered/grouped variant without a cache: the join
+// bindings are taken probe group by probe group, emulating a relation
+// ordered on the probe columns.
+func (m PTS) executeGrouped(ex *execution, n nesting, preds []Pred) error {
+	groups := n.byProbe()
+	for _, p := range byKey(n.probes) {
+		for bi, b := range groups[p] {
+			res, err := ex.substitute(b)
+			if err != nil {
+				return err
 			}
-			byProbe[pkey] = append(byProbe[pkey], key)
-		}
-		sort.Strings(probeOrder)
-
-		probePreds := spec.predsOn(m.ProbeColumns)
-		form := ex.searchForm()
-		for _, pkey := range probeOrder {
-			bindings := byProbe[pkey]
-			skipGroup := false
-			for bi, key := range bindings {
-				if skipGroup {
-					break
-				}
-				members := groups[key]
-				rep := spec.Relation.Rows[members[0]]
-				expr, ok := spec.SubstExpr(rep, spec.Preds)
-				if !ok {
-					continue
-				}
-				res, err := svc.Search(ex.ctx, expr, form)
-				if err != nil {
-					return err
-				}
-				if !res.IsEmpty() {
-					for _, rowIdx := range members {
-						for _, hit := range res.Hits {
-							ex.emit(spec.Relation.Rows[rowIdx], hit.ExtID, hit.Fields)
-						}
-					}
-					continue
-				}
-				// The query failed. Probe only if more bindings of this
-				// probe group remain to be skipped.
-				if bi == len(bindings)-1 {
-					continue
-				}
-				pexpr, pok := spec.SubstExpr(rep, probePreds)
-				if !pok {
-					skipGroup = true
-					continue
-				}
-				pres, err := svc.Search(ex.ctx, pexpr, texservice.FormShort)
-				if err != nil {
-					return err
-				}
-				ex.stats.Probes++
-				skipGroup = pres.IsEmpty()
+			// A failed query sends a probe only if more bindings of this
+			// probe group remain to be skipped.
+			if res == nil || !res.IsEmpty() || bi == len(groups[p])-1 {
+				continue
+			}
+			o, err := ex.probe(ex.ctx, preds, ex.spec.rep(b), false)
+			if err != nil {
+				return err
+			}
+			if !o.success {
+				break
 			}
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 var _ Method = PTS{}
@@ -352,57 +240,23 @@ func (m PRTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (
 	if err := m.Applicable(spec, svc); err != nil {
 		return nil, err
 	}
-	return run(ctx, m.Name(), spec, svc, func(ex *execution) error {
-		keys, groups, err := spec.Relation.GroupBy(m.ProbeColumns...)
+	return run(ctx, "join."+m.Name(), spec, svc, func(ex *execution) error {
+		probes, err := spec.bindings(m.ProbeColumns)
 		if err != nil {
 			return err
 		}
-		probePreds := spec.predsOn(m.ProbeColumns)
-		restPreds := spec.predsNotOn(m.ProbeColumns)
-		// Probe phase, in sorted binding order (deterministic wire
-		// traffic): collect per-binding hits, batched or one search each.
-		outcomes := map[string]probeOutcome{}
-		if m.Batched {
-			var probes, rounds int
-			outcomes, probes, rounds, err = batchProbe(ex.ctx, spec, m.ProbeColumns, svc, true)
-			if err != nil {
-				return err
-			}
-			ex.stats.Probes += probes
-			ex.stats.BatchRounds += rounds
-		} else {
-			for _, key := range sortedKeys(keys) {
-				rep := spec.Relation.Rows[groups[key][0]]
-				pexpr, ok := spec.SubstExpr(rep, probePreds)
-				if !ok {
-					continue
-				}
-				pres, err := svc.Search(ex.ctx, pexpr, texservice.FormShort)
-				if err != nil {
-					return err
-				}
-				ex.stats.Probes++
-				if pres.IsEmpty() {
-					outcomes[key] = probeOutcome{}
-					continue
-				}
-				svc.Meter().ChargeRTP(ex.ctx, len(pres.Hits))
-				outcomes[key] = probeOutcome{success: true, hits: pres.Hits}
-			}
+		outcomes, err := ex.probeAll(m.ProbeColumns, probes, m.Batched, true)
+		if err != nil {
+			return err
 		}
-		// Emission phase, in first-appearance binding order — the same
-		// output order either way.
-		for _, key := range keys {
-			o := outcomes[key]
-			if !o.success {
+		// Emission, in first-appearance binding order — the same output
+		// order batched or not.
+		rest := spec.predsNotOn(m.ProbeColumns)
+		for i, b := range probes {
+			if !outcomes[i].success {
 				continue
 			}
-			members := groups[key]
-			tuples := make([]relation.Tuple, len(members))
-			for i, rowIdx := range members {
-				tuples[i] = spec.Relation.Rows[rowIdx]
-			}
-			if err := matchHitsRelationally(ex, tuples, o.hits, restPreds); err != nil {
+			if err := ex.emitMatches(newHitMatcher(spec, outcomes[i].hits, rest), b.rows); err != nil {
 				return err
 			}
 		}
@@ -412,84 +266,38 @@ func (m PRTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (
 
 var _ Method = PRTP{}
 
-// ProbeOpts configures the probe-as-semi-join reducer.
-type ProbeOpts struct {
-	// Batched turns on batched probe pushdown (OR packing or batched
-	// invocation) for the reducer's probes.
-	Batched bool
-}
-
 // ProbeReduce implements the probe-as-semi-join reducer used by PrL trees
 // (§6): it returns the tuples of the spec's relation whose probe on the
 // given columns succeeds, together with the execution stats. The result
-// has the same schema as the input relation.
-func ProbeReduce(ctx context.Context, spec *Spec, probeCols []string, svc texservice.Service) (*relation.Table, Stats, error) {
-	return ProbeReduceOpts(ctx, spec, probeCols, svc, ProbeOpts{})
-}
-
-// ProbeReduceOpts is ProbeReduce with options. Probes are issued in
-// sorted binding order in every mode; output rows keep the relation's
-// first-appearance order, so the result is identical batched or not.
-func ProbeReduceOpts(ctx context.Context, spec *Spec, probeCols []string, svc texservice.Service, opts ProbeOpts) (*relation.Table, Stats, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := validateProbeColumns(spec, probeCols); err != nil {
-		return nil, Stats{}, err
-	}
-	ctx, sp := obs.StartSpan(ctx, "probe.reduce")
-	defer sp.End()
-	before := svc.Meter().Snapshot()
-	keys, groups, err := spec.Relation.GroupBy(probeCols...)
+// has the same schema as the input relation, and keeps its
+// first-appearance binding order batched or not. batched turns on batched
+// probe pushdown (OR packing or batched invocation) for the probes.
+func ProbeReduce(ctx context.Context, spec *Spec, probeCols []string, svc texservice.Service, batched bool) (*relation.Table, Stats, error) {
+	res, err := run(ctx, "probe.reduce", spec, svc, func(ex *execution) error {
+		if err := validateProbeColumns(spec, probeCols); err != nil {
+			return err
+		}
+		probes, err := spec.bindings(probeCols)
+		if err != nil {
+			return err
+		}
+		outcomes, err := ex.probeAll(probeCols, probes, batched, false)
+		if err != nil {
+			return err
+		}
+		// The reducer's output is the input relation's rows, not join rows.
+		ex.out = relation.NewTable(spec.Relation.Name, spec.Relation.Schema)
+		for i, b := range probes {
+			if outcomes[i].success {
+				for _, r := range b.rows {
+					ex.out.Rows = append(ex.out.Rows, spec.Relation.Rows[r])
+				}
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	probePreds := spec.predsOn(probeCols)
-	probes, rounds := 0, 0
-	success := make(map[string]bool, len(keys))
-	if opts.Batched {
-		outcomes, p, r, err := batchProbe(ctx, spec, probeCols, svc, false)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		probes, rounds = p, r
-		for key, o := range outcomes {
-			success[key] = o.success
-		}
-	} else {
-		for _, key := range sortedKeys(keys) {
-			rep := spec.Relation.Rows[groups[key][0]]
-			pexpr, ok := spec.SubstExpr(rep, probePreds)
-			if !ok {
-				continue
-			}
-			pres, err := svc.Search(ctx, pexpr, texservice.FormShort)
-			if err != nil {
-				return nil, Stats{}, err
-			}
-			probes++
-			success[key] = !pres.IsEmpty()
-		}
-	}
-	out := relation.NewTable(spec.Relation.Name, spec.Relation.Schema)
-	for _, key := range keys {
-		if !success[key] {
-			continue
-		}
-		for _, rowIdx := range groups[key] {
-			out.Rows = append(out.Rows, spec.Relation.Rows[rowIdx])
-		}
-	}
-	stats := Stats{
-		Usage:       svc.Meter().Snapshot().Sub(before),
-		Probes:      probes,
-		BatchRounds: rounds,
-		ResultRows:  out.Cardinality(),
-	}
-	if sp != nil {
-		sp.SetAttr(obs.Int("input_rows", spec.Relation.Cardinality()),
-			obs.Int("rows", stats.ResultRows), obs.Int("probes", probes),
-			obs.Int("batch_rounds", rounds), obs.F64("text_cost", stats.Usage.Cost))
-	}
-	return out, stats, nil
+	return res.Table, res.Stats, nil
 }

@@ -121,7 +121,7 @@ func TestMethodsEquivalentOnRandomWorkloads(t *testing.T) {
 			t.Fatal(err)
 		}
 		probeCols := []string{"c0"}
-		reduced, _, err := ProbeReduce(bg, spec, probeCols, svc)
+		reduced, _, err := ProbeReduce(bg, spec, probeCols, svc, false)
 		if err != nil {
 			t.Fatalf("trial %d: probe reduce: %v", trial, err)
 		}

@@ -3,7 +3,6 @@ package join
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 
 	"textjoin/internal/texservice"
@@ -55,22 +54,11 @@ func (m SJRTP) Applicable(spec *Spec, svc texservice.Service) error {
 	return err
 }
 
-// sjBinding is one distinct, searchable binding of the OR columns.
-type sjBinding struct {
-	// rows are the binding's row indexes, in relation order.
-	rows []int
-	// conj is the binding's OR conjunct and terms its term count.
-	conj  textidx.Expr
-	terms int
-}
-
 // bindings checks applicability and prepares the OR disjuncts: the
-// distinct bindings of the OR columns in first-appearance order, each
-// conjunct built once. Bindings with a value that has no searchable words
-// are dropped (they cannot match). The first binding whose conjunct plus
-// the selection exceeds the term limit is an error, so nothing is searched
-// for a spec that some tuple makes inapplicable.
-func (m SJRTP) bindings(spec *Spec, svc texservice.Service) ([]sjBinding, error) {
+// distinct bindings of the OR columns (restricting the OR set shrinks the
+// number of disjuncts too), each conjunct built and checked against the
+// term limit once.
+func (m SJRTP) bindings(spec *Spec, svc texservice.Service) ([]conjBinding, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -82,30 +70,7 @@ func (m SJRTP) bindings(spec *Spec, svc texservice.Service) ([]sjBinding, error)
 			return nil, err
 		}
 	}
-	// Distinct bindings over the OR columns only: restricting the OR set
-	// shrinks the number of disjuncts too.
-	orCols := m.orColumns(spec)
-	keys, groups, err := spec.Relation.GroupBy(orCols...)
-	if err != nil {
-		return nil, err
-	}
-	orPreds := spec.predsOn(orCols)
-	selTerms := spec.selTerms()
-	out := make([]sjBinding, 0, len(keys))
-	for _, key := range keys {
-		rows := groups[key]
-		conj, ok := spec.substPreds(spec.Relation.Rows[rows[0]], orPreds)
-		if !ok {
-			continue
-		}
-		t := conj.TermCount()
-		if selTerms+t > svc.MaxTerms() {
-			return nil, fmt.Errorf("join: a tuple's conjunct needs %d terms; limit is %d",
-				selTerms+t, svc.MaxTerms())
-		}
-		out = append(out, sjBinding{rows: rows, conj: conj, terms: t})
-	}
-	return out, nil
+	return spec.conjuncts(m.orColumns(spec), svc, "a tuple's conjunct")
 }
 
 // Execute implements Method.
@@ -114,7 +79,7 @@ func (s SJRTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) 
 	if err != nil {
 		return nil, err
 	}
-	return run(ctx, s.Name(), spec, svc, func(ex *execution) error {
+	return run(ctx, "join."+s.Name(), spec, svc, func(ex *execution) error {
 		// Greedily pack distinct bindings into batches under the term
 		// limit, each batch one OR search.
 		selTerms := spec.selTerms()
@@ -138,7 +103,7 @@ func (s SJRTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) 
 // runSJBatch sends one OR-of-conjuncts search for the given bindings and
 // attributes its results to the bindings' tuples relationally (on all
 // join predicates, covering those outside the OR set).
-func (ex *execution) runSJBatch(batch []sjBinding) error {
+func (ex *execution) runSJBatch(batch []conjBinding) error {
 	spec := ex.spec
 	disj := make([]textidx.Expr, len(batch))
 	for i, b := range batch {
@@ -155,13 +120,8 @@ func (ex *execution) runSJBatch(batch []sjBinding) error {
 	ex.svc.Meter().ChargeRTP(ex.ctx, len(res.Hits))
 	m := newHitMatcher(spec, res.Hits, spec.Preds)
 	for _, b := range batch {
-		for _, rowIdx := range b.rows {
-			tuple := spec.Relation.Rows[rowIdx]
-			for _, h := range m.match(tuple) {
-				if err := ex.emitHit(tuple, res.Hits[h], false); err != nil {
-					return err
-				}
-			}
+		if err := ex.emitMatches(m, b.rows); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -53,8 +53,8 @@ type Spec struct {
 	DocFields []string
 
 	// colIdx caches the relation schema's column offsets, resolved once by
-	// Validate so the per-tuple paths (substitution, term counting, binding
-	// keys, relational matching) never repeat the linear schema scan.
+	// Validate so the per-binding and per-tuple paths (substitution,
+	// relational matching) never repeat the linear schema scan.
 	// Every method execution validates first, so the cache is in place
 	// before any hot loop runs.
 	colIdx map[string]int
@@ -132,45 +132,6 @@ func (s *Spec) OutputSchema() *relation.Schema {
 	return &relation.Schema{Cols: cols}
 }
 
-// SubstExpr builds the instantiated search for one tuple: the text
-// selection (if any) in conjunction with one predicate per join condition,
-// each instantiated with the tuple's column value. It returns (nil, false)
-// when some value has no searchable words: such a tuple cannot match any
-// document under Boolean semantics.
-func (s *Spec) SubstExpr(tuple relation.Tuple, preds []Pred) (textidx.Expr, bool) {
-	var conj textidx.And
-	if s.TextSel != nil {
-		conj = append(conj, s.TextSel)
-	}
-	for _, p := range preds {
-		v := tuple[s.offset(p.Column)]
-		e, err := textidx.MakeExactPred(p.Field, v.Text())
-		if err != nil {
-			return nil, false
-		}
-		conj = append(conj, e)
-	}
-	if len(conj) == 1 {
-		return conj[0], true
-	}
-	return conj, true
-}
-
-// TupleTermCount returns the number of basic search terms the tuple's
-// substituted join conjunct uses (excluding the selection), or -1 when the
-// tuple has an unsearchable value.
-func (s *Spec) TupleTermCount(tuple relation.Tuple) int {
-	n := 0
-	for _, p := range s.Preds {
-		e, err := textidx.MakeExactPred(p.Field, tuple[s.offset(p.Column)].Text())
-		if err != nil {
-			return -1
-		}
-		n += e.TermCount()
-	}
-	return n
-}
-
 // selTerms returns the number of basic search terms the text selection
 // uses (zero without one).
 func (s *Spec) selTerms() int {
@@ -178,15 +139,6 @@ func (s *Spec) selTerms() int {
 		return 0
 	}
 	return s.TextSel.TermCount()
-}
-
-// bindingKey returns the grouping key of a tuple over the given columns.
-func (s *Spec) bindingKey(tuple relation.Tuple, cols []string) string {
-	vals := make([]value.Value, len(cols))
-	for i, c := range cols {
-		vals[i] = tuple[s.offset(c)]
-	}
-	return value.KeyOf(vals...)
 }
 
 // predsOn returns the join predicates whose columns are in the given set.
@@ -221,9 +173,9 @@ func (s *Spec) predsNotOn(cols []string) []Pred {
 
 // Stats summarises one join execution.
 type Stats struct {
-	// Usage is the resource consumption charged to the service meter
-	// during this execution (searches, postings, transmissions, simulated
-	// cost).
+	// Usage is the resource consumption this execution caused (searches,
+	// postings, transmissions, simulated cost), read off the per-query
+	// meter, so concurrent queries on the same service are not included.
 	Usage texservice.Usage
 	// Probes is the number of probe searches among Usage.Searches.
 	Probes int
@@ -249,30 +201,40 @@ type Method interface {
 	Applicable(spec *Spec, svc texservice.Service) error
 	// Execute runs the join. The context bounds every text-service call
 	// the method issues; cancellation aborts the join mid-flight. The
-	// result's Stats reflect only this execution (meter deltas).
+	// result's Stats reflect only this execution.
 	Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error)
 }
 
-// run wraps a method body with validation, meter-delta accounting and a
-// per-operator span (named "join.<method>") whose attributes summarize
+// run wraps a method body with validation, usage accounting and a span
+// (named "join.<method>", or "probe.reduce") whose attributes summarize
 // the execution: result rows, probes issued, and metered text cost.
-func run(ctx context.Context, method string, spec *Spec, svc texservice.Service, body func(*execution) error) (*Result, error) {
+//
+// Usage is read off the per-query meter the context carries
+// (texservice.WithQueryMeter), installing a fresh one when there is none,
+// as exec.Run does: the service's own meter is shared by every concurrent
+// query, so a delta of it would bill this execution for their charges.
+func run(ctx context.Context, span string, spec *Spec, svc texservice.Service, body func(*execution) error) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ctx, sp := obs.StartSpan(ctx, "join."+method)
+	qm := texservice.QueryMeterFrom(ctx)
+	if qm == nil {
+		qm = texservice.NewMeter(texservice.DefaultCosts())
+		ctx = texservice.WithQueryMeter(ctx, qm)
+	}
+	before := qm.Snapshot()
+	ctx, sp := obs.StartSpan(ctx, span)
 	defer sp.End()
 	ex := &execution{
-		ctx:    ctx,
-		spec:   spec,
-		svc:    svc,
-		out:    relation.NewTable(spec.Relation.Name+"⋈text", spec.OutputSchema()),
-		before: svc.Meter().Snapshot(),
+		ctx:  ctx,
+		spec: spec,
+		svc:  svc,
+		out:  relation.NewTable(spec.Relation.Name+"⋈text", spec.OutputSchema()),
 	}
 	if err := body(ex); err != nil {
 		return nil, err
 	}
-	ex.stats.Usage = svc.Meter().Snapshot().Sub(ex.before)
+	ex.stats.Usage = qm.Snapshot().Sub(before)
 	ex.stats.ResultRows = ex.out.Cardinality()
 	if sp != nil {
 		sp.SetAttr(obs.Int("input_rows", spec.Relation.Cardinality()),
@@ -285,12 +247,11 @@ func run(ctx context.Context, method string, spec *Spec, svc texservice.Service,
 
 // execution carries shared per-run state for the method implementations.
 type execution struct {
-	ctx    context.Context
-	spec   *Spec
-	svc    texservice.Service
-	out    *relation.Table
-	before texservice.Usage
-	stats  Stats
+	ctx   context.Context
+	spec  *Spec
+	svc   texservice.Service
+	out   *relation.Table
+	stats Stats
 	// docCache caches long-form retrievals by docid.
 	docCache map[textidx.DocID]textidx.Document
 }
@@ -317,10 +278,10 @@ func (ex *execution) emit(tuple relation.Tuple, extID string, fields map[string]
 	ex.out.Rows = append(ex.out.Rows, row)
 }
 
-// emitHit emits a row from a search hit, fetching the long form through
-// the cache when the hit lacks the needed fields.
-func (ex *execution) emitHit(tuple relation.Tuple, hit texservice.Hit, hitIsLong bool) error {
-	if !ex.spec.LongForm || hitIsLong {
+// emitHit emits a row from a short-form hit, fetching the long form
+// through the cache when the query needs documents.
+func (ex *execution) emitHit(tuple relation.Tuple, hit texservice.Hit) error {
+	if !ex.spec.LongForm {
 		ex.emit(tuple, hit.ExtID, hit.Fields)
 		return nil
 	}

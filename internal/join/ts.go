@@ -2,26 +2,16 @@ package join
 
 import (
 	"context"
-	"sync"
 
-	"textjoin/internal/relation"
 	"textjoin/internal/texservice"
+	"textjoin/internal/textidx"
 )
 
 // TS is tuple substitution (§3.1): a nested-loop join with the relation as
 // the outer operand, sending one instantiated search per distinct binding
 // of the join columns (the variant the paper's experiments use). Results
 // are shared by all tuples with the same binding.
-//
-// Workers > 1 sends the substituted searches from a pool of goroutines —
-// the searches are independent, so a loosely coupled text system (in
-// particular a remote one, where each search is a network round trip) can
-// overlap them. Results are emitted in the same deterministic order as
-// the sequential execution.
-type TS struct {
-	// Workers is the number of concurrent searches (≤1 = sequential).
-	Workers int
-}
+type TS struct{}
 
 // Name implements Method.
 func (TS) Name() string { return "TS" }
@@ -34,95 +24,75 @@ func (TS) Applicable(spec *Spec, svc texservice.Service) error {
 
 // Execute implements Method.
 func (m TS) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
-	return run(ctx, m.Name(), spec, svc, func(ex *execution) error {
-		cols := spec.JoinColumns()
-		keys, groups, err := spec.Relation.GroupBy(cols...)
+	return run(ctx, "join."+m.Name(), spec, svc, func(ex *execution) error {
+		joins, err := spec.bindings(spec.JoinColumns())
 		if err != nil {
 			return err
 		}
-		form := ex.searchForm()
-		results, err := searchBindings(ex, keys, groups, m.Workers, form)
-		if err != nil {
-			return err
-		}
-		for i, key := range keys {
-			if results[i] == nil {
-				continue // unsearchable binding: no document can match
-			}
-			for _, rowIdx := range groups[key] {
-				for _, hit := range results[i].Hits {
-					ex.emit(spec.Relation.Rows[rowIdx], hit.ExtID, hit.Fields)
-				}
-			}
-		}
-		return nil
+		return ex.substituteAll(joins, false)
 	})
 }
 
-// searchBindings runs the substituted search for every binding key,
-// sequentially or with a worker pool, returning results aligned with
-// keys (nil for unsearchable bindings).
-func searchBindings(ex *execution, keys []string, groups map[string][]int, workers int, form texservice.Form) ([]*texservice.Result, error) {
-	spec := ex.spec
-	results := make([]*texservice.Result, len(keys))
-	exprs := make([]textidxExpr, len(keys))
-	for i, key := range keys {
-		rep := spec.Relation.Rows[groups[key][0]]
-		if expr, ok := spec.SubstExpr(rep, spec.Preds); ok {
-			exprs[i] = expr
+var _ Method = TS{}
+
+// substituteAll is the substitute-and-emit step for many join bindings, in
+// binding order: one substitute each, or, batched, every searchable
+// binding's substituted search through texservice.SearchBatch (packed
+// under the term limit, one invocation per pack) before emitting.
+func (ex *execution) substituteAll(joins []binding, batched bool) error {
+	if !batched {
+		for _, b := range joins {
+			if _, err := ex.substitute(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var exprs []textidx.Expr
+	var searched []binding
+	for _, b := range joins {
+		if expr, ok := ex.spec.SubstExpr(ex.spec.rep(b), ex.spec.Preds); ok {
+			exprs = append(exprs, expr)
+			searched = append(searched, b)
 		}
 	}
-	if workers <= 1 {
-		for i, expr := range exprs {
-			if expr == nil {
-				continue
-			}
-			res, err := ex.svc.Search(ex.ctx, expr, form)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
+	results, _, err := texservice.SearchBatch(ex.ctx, ex.svc, exprs, ex.searchForm())
+	if err != nil {
+		return err
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res, err := ex.svc.Search(ex.ctx, exprs[i], form)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					results[i] = res
-				}
-				mu.Unlock()
-			}
-		}()
+	for i, b := range searched {
+		ex.emitAll(b, results[i].Hits)
 	}
-	for i, expr := range exprs {
-		if expr != nil {
-			jobs <- i
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return nil
 }
 
-var _ Method = TS{}
+// substitute is the substitute-and-emit step for one join binding: it
+// sends the binding's substituted search (the selection and every join
+// predicate, in the query's form) and emits a row per (tuple, hit). It
+// returns the result, or nil without searching when the binding has an
+// unsearchable value.
+func (ex *execution) substitute(b binding) (*texservice.Result, error) {
+	expr, ok := ex.spec.SubstExpr(ex.spec.rep(b), ex.spec.Preds)
+	if !ok {
+		return nil, nil
+	}
+	res, err := ex.svc.Search(ex.ctx, expr, ex.searchForm())
+	if err != nil {
+		return nil, err
+	}
+	ex.emitAll(b, res.Hits)
+	return res, nil
+}
+
+// emitAll emits a row for every (tuple, hit) pair of the binding, in
+// tuple-then-hit order. The hits are in the query's form.
+func (ex *execution) emitAll(b binding, hits []texservice.Hit) {
+	for _, r := range b.rows {
+		for _, hit := range hits {
+			ex.emit(ex.spec.Relation.Rows[r], hit.ExtID, hit.Fields)
+		}
+	}
+}
 
 // RTP is relational text processing (§3.2): a single search carrying only
 // the text selection; the returned short-form documents are matched
@@ -146,30 +116,35 @@ func (RTP) Applicable(spec *Spec, svc texservice.Service) error {
 }
 
 // Execute implements Method.
-func (RTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
-	if err := (RTP{}).Applicable(spec, svc); err != nil {
+func (m RTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
+	if err := m.Applicable(spec, svc); err != nil {
 		return nil, err
 	}
-	return run(ctx, RTP{}.Name(), spec, svc, func(ex *execution) error {
+	return run(ctx, "join."+m.Name(), spec, svc, func(ex *execution) error {
 		res, err := svc.Search(ex.ctx, spec.TextSel, texservice.FormShort)
 		if err != nil {
 			return err
 		}
 		svc.Meter().ChargeRTP(ex.ctx, len(res.Hits))
-		return matchHitsRelationally(ex, spec.Relation.Rows, res.Hits, spec.Preds)
+		rows := make([]int, len(spec.Relation.Rows))
+		for i := range rows {
+			rows[i] = i
+		}
+		return ex.emitMatches(newHitMatcher(spec, res.Hits, spec.Preds), rows)
 	})
 }
 
 var _ Method = RTP{}
 
-// matchHitsRelationally emits a row for every (tuple, hit) pair satisfying
-// the predicates by string matching, in tuple-then-hit order, fetching long
-// forms through the cache when the spec requires them.
-func matchHitsRelationally(ex *execution, tuples []relation.Tuple, hits []texservice.Hit, preds []Pred) error {
-	m := newHitMatcher(ex.spec, hits, preds)
-	for _, tuple := range tuples {
+// emitMatches emits a row for every (tuple, hit) pair of the given rows
+// that the matcher attributes to each other by string matching, in
+// tuple-then-hit order, fetching long forms through the cache when the
+// spec requires them.
+func (ex *execution) emitMatches(m *hitMatcher, rows []int) error {
+	for _, r := range rows {
+		tuple := ex.spec.Relation.Rows[r]
 		for _, h := range m.match(tuple) {
-			if err := ex.emitHit(tuple, hits[h], false); err != nil {
+			if err := ex.emitHit(tuple, m.hits[h]); err != nil {
 				return err
 			}
 		}

@@ -60,7 +60,7 @@ func TestScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := (join.TS{Workers: 8}).Execute(bg, sc.Spec, svc2)
+	ts, err := (join.TS{}).Execute(bg, sc.Spec, svc2)
 	if err != nil {
 		t.Fatal(err)
 	}

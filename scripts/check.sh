@@ -57,10 +57,15 @@ go test -race ./internal/telemetry
 
 # Tracing overhead evidence: the disabled span path must stay in the
 # single-digit-ns / zero-alloc regime, and the trace experiment must
-# emit its machine-readable result file.
+# emit its machine-readable result file. The experiment writes
+# BENCH_trace.json into its working directory, so it runs in a temporary
+# one: the committed file is a reference run, not this machine's timings.
 go test -run 'TestDisabledSpanPathBudget' ./internal/bench
-go run ./cmd/benchrun -exp trace
-test -s BENCH_trace.json
+tracedir=$(mktemp -d)
+trap 'rm -rf "$tracedir"' EXIT
+go build -o "$tracedir/benchrun" ./cmd/benchrun
+(cd "$tracedir" && ./benchrun -exp trace)
+test -s "$tracedir/BENCH_trace.json"
 
 # Vectorized execution gates. The equivalence harness runs every join
 # method on the same pruned plans through the executor against the naive
