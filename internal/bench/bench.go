@@ -2,29 +2,29 @@
 // (§7) on the synthetic workloads: Table 2 (execution cost of each join
 // method on Q1–Q4), Figure 1(A) (Q3 method costs vs s1), Figure 1(B) (Q4
 // method costs vs N1/N), Figure 2 (the TS vs P+TS winner map), the §7
-// cost-model ranking validation, the multi-join PrL experiment of §6, and
-// the optimizer-overhead measurement.
+// cost-model ranking validation, the multi-join PrL experiment of §6, the
+// optimizer-overhead measurement, the design-choice ablations and §8's
+// batched-probe round trips. RepeatedEngine builds the engine the
+// warm-query benchmarks run.
 //
 // Each experiment returns structured rows; the Format functions render
 // them in the shape the paper reports. Costs are the deterministic
 // simulated seconds of the calibrated cost model, so results are
-// machine-independent; wall-clock times are additionally reported by the
-// testing.B benchmarks in the repository root.
+// machine-independent; only the optimizer-overhead measurement reads the
+// clock. Wall-clock times are reported by the testing.B benchmarks in the
+// repository root.
 package bench
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"textjoin/internal/cost"
 	"textjoin/internal/join"
 	"textjoin/internal/stats"
-	"textjoin/internal/texservice"
 	"textjoin/internal/workload"
 )
 
@@ -35,7 +35,6 @@ type MethodResult struct {
 	Probes    []string // probe columns, for the probe-based methods
 	Predicted float64  // cost-model prediction (seconds)
 	Measured  float64  // simulated seconds actually charged during execution
-	Wall      time.Duration
 	Searches  int
 	Rows      int
 }
@@ -89,18 +88,15 @@ func RunScenario(sc *workload.Scenario) ([]MethodResult, error) {
 		if err := method.Applicable(sc.Spec, svc); err != nil {
 			continue // e.g. short-form fields missing for RTP methods
 		}
-		start := time.Now()
 		res, err := method.Execute(context.Background(), sc.Spec, svc)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", sc.Name, method.Name(), err)
 		}
-		wall := time.Since(start)
 		mr := MethodResult{
 			Query:     sc.Name,
 			Method:    m.String(),
 			Predicted: params.Cost(m),
 			Measured:  res.Stats.Usage.Cost,
-			Wall:      wall,
 			Searches:  res.Stats.Usage.Searches,
 			Rows:      res.Stats.ResultRows,
 		}
@@ -216,15 +212,4 @@ func FormatRanking(w io.Writer, rows []RankingRow) {
 			strings.Join(r.Measured, " < "),
 			mark)
 	}
-}
-
-// nearlyEqual compares simulated costs with a small tolerance.
-func nearlyEqual(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
-}
-
-// freshService builds a metered local service over the corpus.
-func freshService(c *workload.Corpus) (*texservice.Local, error) {
-	return texservice.NewLocal(c.Index,
-		texservice.WithShortFields("title", "author", "year"))
 }

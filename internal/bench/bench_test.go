@@ -277,20 +277,6 @@ func TestOptimizerOverhead(t *testing.T) {
 	t.Logf("\n%s", b.String())
 }
 
-func TestNearlyEqual(t *testing.T) {
-	if !nearlyEqual(1.0, 1.0) || nearlyEqual(1.0, 1.1) {
-		t.Fatal("nearlyEqual broken")
-	}
-}
-
-func TestFreshService(t *testing.T) {
-	c := smallCorpus(t)
-	svc, err := freshService(c)
-	if err != nil || svc == nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFigure2Q4 repeats the winner map on the Q4 parameters, per §7.2
 // ("We repeated the same experiment with Q4 and obtained similar
 // results"). The robust part of that claim — each method takes roughly

@@ -19,7 +19,6 @@ type Q5Row struct {
 	Mode       string
 	EstCost    float64
 	Measured   float64 // simulated seconds of actually executing the plan
-	Wall       time.Duration
 	ProbeNodes int
 	JoinTasks  int
 	Rows       int
@@ -68,7 +67,6 @@ func MultiJoinQ5(cfg workload.Q5Config) ([]Q5Row, error) {
 			return nil, err
 		}
 		ex := &exec.Executor{Cat: w.Catalog, Svc: runSvc}
-		start := time.Now()
 		table, st, err := ex.Run(context.Background(), res.Plan)
 		if err != nil {
 			return nil, fmt.Errorf("bench: executing %v plan: %w", mode, err)
@@ -77,7 +75,6 @@ func MultiJoinQ5(cfg workload.Q5Config) ([]Q5Row, error) {
 			Mode:       mode.String(),
 			EstCost:    res.EstCost,
 			Measured:   st.Usage.Cost,
-			Wall:       time.Since(start),
 			ProbeNodes: plan.CountProbes(res.Plan),
 			JoinTasks:  res.JoinTasks,
 			Rows:       table.Cardinality(),

@@ -11,7 +11,6 @@ import (
 
 	"textjoin/internal/core"
 	"textjoin/internal/gateway"
-	"textjoin/internal/loadgen"
 	"textjoin/internal/texservice"
 	"textjoin/internal/workload"
 )
@@ -245,34 +244,6 @@ func TestGatewaySaturationSheds(t *testing.T) {
 	}
 	if s.Admitted != s.Completed+s.Failed {
 		t.Fatalf("admitted %d != completed %d + failed %d", s.Admitted, s.Completed, s.Failed)
-	}
-}
-
-// TestGatewayLoadGenerator: the workload load generator's client-side
-// tally agrees with the gateway's own counters.
-func TestGatewayLoadGenerator(t *testing.T) {
-	gw, faulty := newGateway(t, gateway.Config{Workers: 2, QueueDepth: 2, QueueTimeout: 20 * time.Millisecond}, 128)
-	faulty.SetLatency(2 * time.Millisecond)
-	tally, err := loadgen.RunLoad(bg, gw, loadgen.LoadConfig{
-		Clients:   8,
-		PerClient: 4,
-		Queries:   testQueries,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tally.Issued != 32 {
-		t.Fatalf("issued = %d, want 32", tally.Issued)
-	}
-	if tally.OK+tally.Shed+tally.Rejected+tally.Failed != tally.Issued {
-		t.Fatalf("tally does not add up: %+v", tally)
-	}
-	s := gw.Stats()
-	if s.Completed != tally.OK || s.Shed != tally.Shed || s.Received != tally.Issued {
-		t.Fatalf("gateway stats %+v disagree with tally %+v", s, tally)
-	}
-	if tally.String() == "" {
-		t.Fatal("empty tally rendering")
 	}
 }
 

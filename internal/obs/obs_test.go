@@ -154,6 +154,25 @@ func TestConcurrentRecorder(t *testing.T) {
 	}
 }
 
+// TestDisabledSpanPathBudget is the allocation-regression gate on the
+// disabled span path: with no recorder on the context, an instrumented
+// operation (StartSpan + End) must stay allocation-free — tracing off may
+// not tax the hot path. The ns/op side is BenchmarkStartSpanDisabled,
+// which is timing and so not asserted in a unit test.
+func TestDisabledSpanPathBudget(t *testing.T) {
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		_, sp := StartSpan(ctx, "op")
+		if sp != nil {
+			sp.SetAttr(Int("i", 1))
+		}
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled span path allocates %.1f per op, want 0", allocs)
+	}
+}
+
 // BenchmarkStartSpanDisabled measures the disabled path: no recorder in
 // the context, so StartSpan must cost one context lookup and allocate
 // nothing. This is the number behind the "zero overhead when disabled"

@@ -97,7 +97,6 @@ type options struct {
 	replayDepth    int
 	writeQuorum    int
 	seed           int64
-	random         bool
 }
 
 func defaultOptions() options {
@@ -205,12 +204,6 @@ func WithSeed(seed int64) Option {
 			o.seed = seed
 		}
 	}
-}
-
-// WithRandomSelection replaces power-of-two-choices with uniform random
-// selection — the load-oblivious ablation baseline.
-func WithRandomSelection() Option {
-	return func(o *options) { o.random = true }
 }
 
 // replicaState is the routing tier's view of one backend copy.
@@ -369,9 +362,6 @@ func (s *Set) pick(tried []bool, minVer uint64) (*replicaState, bool) {
 	s.mu.Unlock()
 	if j >= i {
 		j++
-	}
-	if s.opts.random {
-		return healthy[i], false
 	}
 	a, b := healthy[i], healthy[j]
 	ia, ib := a.inflight.Load(), b.inflight.Load()

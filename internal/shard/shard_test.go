@@ -2,7 +2,9 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -246,6 +248,64 @@ func TestScatterUsage(t *testing.T) {
 	}
 	if perShard < u.Searches {
 		t.Fatalf("per-shard searches %d < root %d", perShard, u.Searches)
+	}
+}
+
+// rendezvous is a shard decorator whose Search first calls enter, which
+// may hold the call or fail it.
+type rendezvous struct {
+	texservice.Service
+	enter func() error
+}
+
+func (r rendezvous) Search(ctx context.Context, e textidx.Expr, form texservice.Form) (*texservice.Result, error) {
+	if err := r.enter(); err != nil {
+		return nil, err
+	}
+	return r.Service.Search(ctx, e, form)
+}
+
+// TestScatterLegsRunConcurrently: every shard's Search is held until all
+// four legs have entered it, so the federated search completes only if
+// the legs run at the same time. Legs run one after another would never
+// get past the first; each then fails after the 5 s deadline. No
+// wall-clock threshold is involved.
+func TestScatterLegsRunConcurrently(t *testing.T) {
+	const n = 4
+	ix := fixture(t)
+	deadline, cancel := context.WithTimeout(bg, 5*time.Second)
+	defer cancel()
+	var entered atomic.Int32
+	all := make(chan struct{})
+	hold := func(k int, svc texservice.Service) texservice.Service {
+		return rendezvous{Service: svc, enter: func() error {
+			if entered.Add(1) == n {
+				close(all)
+			}
+			select {
+			case <-all:
+				return nil
+			case <-deadline.Done():
+				return fmt.Errorf("shard %d: %d of %d legs entered Search within 5s", k, entered.Load(), n)
+			}
+		}}
+	}
+	sharded, err := NewLocalCluster(ix, n,
+		[]texservice.LocalOption{texservice.WithShortFields("title", "author", "year")}, hold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := textidx.Term{Field: "title", Word: "text"}
+	got, err := sharded.Search(bg, q, texservice.FormShort)
+	if err != nil {
+		t.Fatalf("scatter legs did not run concurrently: %v", err)
+	}
+	want, err := localService(t, ix).Search(bg, q, texservice.FormShort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Hits) != len(want.Hits) {
+		t.Fatalf("federation returned %d hits, unsharded %d", len(got.Hits), len(want.Hits))
 	}
 }
 
