@@ -15,6 +15,7 @@ import (
 	"textjoin/internal/relation"
 	"textjoin/internal/sqlparse"
 	"textjoin/internal/texservice"
+	"textjoin/internal/vec"
 )
 
 // Executor evaluates plan trees. Svc serves every text source; when a
@@ -56,6 +57,13 @@ type RunStats struct {
 	Batches int
 }
 
+// runState is one run's mutable state: the statistics Run returns and the
+// arena its foreign joins' relational inputs are materialized into.
+type runState struct {
+	RunStats
+	mem vec.Arena
+}
+
 // Run evaluates the plan and returns the result table along with the
 // text-service usage it caused. Usage is accounted through a per-query
 // meter carried in the context (texservice.WithQueryMeter): every charge
@@ -64,6 +72,10 @@ type RunStats struct {
 // concurrently — a before/after snapshot of the shared meters would bill
 // this run for everyone's interleaved work. If the caller has not
 // installed a query meter, Run installs a fresh one for the duration.
+//
+// The relational input of every TextJoin and Probe lives in the run's
+// arena, recycled when Run returns; the result, like every join's output,
+// is on the heap and never aliases it.
 func (e *Executor) Run(ctx context.Context, n plan.Node) (*relation.Table, RunStats, error) {
 	qm := texservice.QueryMeterFrom(ctx)
 	if qm == nil {
@@ -71,13 +83,14 @@ func (e *Executor) Run(ctx context.Context, n plan.Node) (*relation.Table, RunSt
 		ctx = texservice.WithQueryMeter(ctx, qm)
 	}
 	before := qm.Snapshot()
-	st := &RunStats{}
-	out, err := e.eval(ctx, n, st)
+	st := &runState{}
+	defer st.mem.Release()
+	out, err := e.eval(ctx, n, st, nil)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
 	st.Usage = qm.Snapshot().Sub(before)
-	return out, *st, nil
+	return out, st.RunStats, nil
 }
 
 // eval evaluates one node, wrapping evalNode with the per-node
@@ -85,11 +98,12 @@ func (e *Executor) Run(ctx context.Context, n plan.Node) (*relation.Table, RunSt
 // carries an Analysis, a before/after query-meter snapshot that yields
 // the node's cumulative actual usage for EXPLAIN ANALYZE. With neither a
 // recorder nor an analysis attached, it falls through to evalNode after
-// two context lookups — the zero-overhead path.
-func (e *Executor) eval(ctx context.Context, n plan.Node, st *RunStats) (*relation.Table, error) {
+// two context lookups — the zero-overhead path. A relational subtree's
+// result is materialized into mem (nil: the heap).
+func (e *Executor) eval(ctx context.Context, n plan.Node, st *runState, mem *vec.Arena) (*relation.Table, error) {
 	an := AnalysisFrom(ctx)
 	if an == nil && obs.SpanFrom(ctx) == nil {
-		return e.evalNode(ctx, n, st)
+		return e.evalNode(ctx, n, st, mem)
 	}
 	sctx, sp := obs.StartSpan(ctx, "exec."+opName(n))
 	qm := texservice.QueryMeterFrom(sctx)
@@ -99,7 +113,7 @@ func (e *Executor) eval(ctx context.Context, n plan.Node, st *RunStats) (*relati
 	}
 	probesBefore, roundsBefore := st.Probes, st.BatchRounds
 	start := time.Now()
-	out, err := e.evalNode(sctx, n, st)
+	out, err := e.evalNode(sctx, n, st, mem)
 	elapsed := time.Since(start)
 	var usage texservice.Usage
 	if qm != nil {
@@ -146,10 +160,10 @@ func opName(n plan.Node) string {
 	}
 }
 
-func (e *Executor) evalNode(ctx context.Context, n plan.Node, st *RunStats) (*relation.Table, error) {
+func (e *Executor) evalNode(ctx context.Context, n plan.Node, st *runState, mem *vec.Arena) (*relation.Table, error) {
 	switch n := n.(type) {
 	case *plan.Scan, *plan.Join, *plan.Project:
-		return e.evalVec(ctx, n, st)
+		return e.evalVec(ctx, n, st, mem)
 	case *plan.Probe:
 		return e.evalProbe(ctx, n, st)
 	case *plan.TextJoin:
@@ -159,8 +173,8 @@ func (e *Executor) evalNode(ctx context.Context, n plan.Node, st *RunStats) (*re
 	}
 }
 
-func (e *Executor) evalProbe(ctx context.Context, n *plan.Probe, st *RunStats) (*relation.Table, error) {
-	in, err := e.eval(ctx, n.Input, st)
+func (e *Executor) evalProbe(ctx context.Context, n *plan.Probe, st *runState) (*relation.Table, error) {
+	in, err := e.eval(ctx, n.Input, st, &st.mem)
 	if err != nil {
 		return nil, err
 	}
@@ -183,8 +197,8 @@ func (e *Executor) evalProbe(ctx context.Context, n *plan.Probe, st *RunStats) (
 	return out, nil
 }
 
-func (e *Executor) evalTextJoin(ctx context.Context, n *plan.TextJoin, st *RunStats) (*relation.Table, error) {
-	in, err := e.eval(ctx, n.Input, st)
+func (e *Executor) evalTextJoin(ctx context.Context, n *plan.TextJoin, st *runState) (*relation.Table, error) {
+	in, err := e.eval(ctx, n.Input, st, &st.mem)
 	if err != nil {
 		return nil, err
 	}

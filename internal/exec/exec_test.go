@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"textjoin/internal/cost"
@@ -281,4 +282,56 @@ func TestRunWithoutServiceFails(t *testing.T) {
 	if err != nil || out.Cardinality() == 0 {
 		t.Fatalf("relational plan without services: %v", err)
 	}
+}
+
+// TestForeignJoinInputAllocsIndependentOfRows is the allocation gate for
+// the boundary between the relational pipeline and the text join: an
+// SJ+RTP text join over a scan of 1 k and of 64 k rows, both grouping
+// into the same 64 bindings and matching no document, must allocate the
+// same per run. The input rows live in the run's recycled arena and the
+// bindings are found by typed key, so nothing is allocated per row.
+func TestForeignJoinInputAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	ix := textidx.NewIndex()
+	ix.MustAdd(textidx.Document{ExtID: "d0", Fields: map[string]string{"title": "systems", "author": "nobody"}})
+	ix.Freeze()
+	svc, err := texservice.NewLocal(ix, texservice.WithShortFields("title", "author"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := map[int]float64{}
+	for _, rows := range []int{1 << 10, 1 << 16} {
+		fact := relation.NewTable("fact", relation.MustSchema(
+			relation.Column{Name: "name", Kind: value.KindString},
+			relation.Column{Name: "n", Kind: value.KindInt},
+		))
+		for i := 0; i < rows; i++ {
+			fact.MustInsert(relation.Tuple{value.String(fmt.Sprintf("author%02d", i%64)), value.Int(int64(i))})
+		}
+		ex := &Executor{Cat: &sqlparse.Catalog{Tables: map[string]*relation.Table{"fact": fact}}, Svc: svc}
+		p := &plan.TextJoin{
+			Input:  &plan.Scan{Table: "fact", Cols: []string{"fact.name"}},
+			Source: "mercury",
+			Method: cost.MethodSJRTP,
+			Preds:  []sqlparse.ForeignPred{{Table: "fact", Column: "fact.name", Field: "author"}},
+		}
+		run := func() {
+			out, _, err := ex.Run(bg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Cardinality() != 0 {
+				t.Fatalf("%d rows: the join matched %d rows, want none", rows, out.Cardinality())
+			}
+		}
+		run() // warm the pools
+		allocs[rows] = testing.AllocsPerRun(5, run)
+	}
+	small, large := allocs[1<<10], allocs[1<<16]
+	if large > small*1.05 {
+		t.Fatalf("allocations per run grow with the input: %.0f at 1k rows, %.0f at 64k rows", small, large)
+	}
+	t.Logf("allocations per run: %.0f at 1k rows, %.0f at 64k rows", small, large)
 }

@@ -17,7 +17,7 @@ import (
 // time — they talk to the text service tuple-wise by nature — and act as
 // pipeline boundaries: their result feeds the enclosing batch pipeline
 // through a TableScan, and their own relational inputs re-enter the batch
-// path recursively.
+// path recursively and are materialized into the run's arena.
 //
 // EXPLAIN ANALYZE semantics: each relational operator is wrapped so that,
 // at end of stream, it records cumulative actuals for its subtree (rows,
@@ -26,13 +26,13 @@ import (
 // estimate and actual stay directly comparable per node.
 
 // evalVec evaluates a relational subtree with batch operators and
-// materializes the result back to a row table at the subtree root.
-func (e *Executor) evalVec(ctx context.Context, n plan.Node, st *RunStats) (*relation.Table, error) {
+// materializes the result back to a row table, in mem, at the subtree root.
+func (e *Executor) evalVec(ctx context.Context, n plan.Node, st *runState, mem *vec.Arena) (*relation.Table, error) {
 	op, err := e.buildVecOp(ctx, n, st)
 	if err != nil {
 		return nil, err
 	}
-	return vec.Materialize(vecTableName(n), op)
+	return vec.Materialize(vecTableName(n), op, mem)
 }
 
 // vecTableName names the materialized result of a vectorized subtree.
@@ -47,7 +47,7 @@ func vecTableName(n plan.Node) string {
 // outside the relational core (Probe, TextJoin) are evaluated through
 // Executor.eval — with their full instrumentation — and re-enter the
 // pipeline as a scan of their materialized result.
-func (e *Executor) buildVecOp(ctx context.Context, n plan.Node, st *RunStats) (vec.Operator, error) {
+func (e *Executor) buildVecOp(ctx context.Context, n plan.Node, st *runState) (vec.Operator, error) {
 	an := AnalysisFrom(ctx)
 	// Cumulative-actuals baseline: taken before children are built, so
 	// eagerly evaluated boundary descendants (probes, text joins) are
@@ -106,7 +106,7 @@ func (e *Executor) buildVecOp(ctx context.Context, n plan.Node, st *RunStats) (v
 	default:
 		// Pipeline boundary: evaluate the node a table at a time (recording
 		// its own actuals), then stream its materialized result.
-		tbl, err := e.eval(ctx, n, st)
+		tbl, err := e.eval(ctx, n, st, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ func (e *Executor) buildVecOp(ctx context.Context, n plan.Node, st *RunStats) (v
 // attached — the light wrapper for the zero-overhead path.
 type batchCounter struct {
 	vec.Operator
-	st *RunStats
+	st *runState
 }
 
 func (c *batchCounter) Next() (*vec.Batch, error) {
@@ -146,7 +146,7 @@ type boundaryCounter struct {
 	vec.Operator
 	n       plan.Node
 	an      *Analysis
-	st      *RunStats
+	st      *runState
 	batches int
 	done    bool
 }
@@ -178,7 +178,7 @@ type vecInstrument struct {
 	vec.Operator
 	n  plan.Node
 	an *Analysis
-	st *RunStats
+	st *runState
 	qm *texservice.Meter
 
 	start        time.Time

@@ -49,7 +49,7 @@ type probeOutcome struct {
 // any document and gets the zero outcome without a search.
 func (ex *execution) probeAll(probeCols []string, probes []binding, batched, needHits bool) ([]probeOutcome, error) {
 	preds := ex.spec.predsOn(probeCols)
-	order := byKey(probes)
+	order := ex.spec.byKey(probeCols, probes)
 	outcomes := make([]probeOutcome, len(probes))
 	if batched {
 		return outcomes, ex.batchProbe(preds, probes, order, needHits, outcomes)

@@ -8,6 +8,7 @@ import (
 	"textjoin/internal/relation"
 	"textjoin/internal/texservice"
 	"textjoin/internal/textidx"
+	"textjoin/internal/value"
 )
 
 // Every method works on the distinct bindings of some relation columns —
@@ -17,9 +18,6 @@ import (
 
 // binding is one distinct binding of some relation columns.
 type binding struct {
-	// key is the binding's grouping key (value.KeyOf of its values); probes
-	// are sent in key order.
-	key string
 	// rows are the binding's row indexes, in relation order.
 	rows []int
 }
@@ -28,14 +26,14 @@ type binding struct {
 // bindings. It groups the relation on the columns and returns mk's value
 // for every binding, in first-appearance order, skipping those mk
 // declines; an error from mk stops the grouping.
-func groupBindings[T any](s *Spec, cols []string, mk func(key string, rows []int) (T, bool, error)) ([]T, error) {
-	keys, groups, err := s.Relation.GroupBy(cols...)
+func groupBindings[T any](s *Spec, cols []string, mk func(rows []int) (T, bool, error)) ([]T, error) {
+	groups, err := s.Relation.GroupBy(cols...)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, 0, len(keys))
-	for _, k := range keys {
-		v, ok, err := mk(k, groups[k])
+	out := make([]T, 0, len(groups))
+	for _, rows := range groups {
+		v, ok, err := mk(rows)
 		if err != nil {
 			return nil, err
 		}
@@ -49,23 +47,33 @@ func groupBindings[T any](s *Spec, cols []string, mk func(key string, rows []int
 // bindings returns the distinct bindings of the columns in first-appearance
 // order.
 func (s *Spec) bindings(cols []string) ([]binding, error) {
-	return groupBindings(s, cols, func(key string, rows []int) (binding, bool, error) {
-		return binding{key: key, rows: rows}, true, nil
+	return groupBindings(s, cols, func(rows []int) (binding, bool, error) {
+		return binding{rows: rows}, true, nil
 	})
 }
 
 // rep returns a binding's representative (first) tuple.
 func (s *Spec) rep(b binding) relation.Tuple { return s.Relation.Rows[b.rows[0]] }
 
-// byKey returns the indexes of the bindings in ascending key order, the
-// order probes are sent in so wire traffic, traces and cache keys are
-// deterministic.
-func byKey(bs []binding) []int {
+// byKey returns the indexes of the bindings of the columns in ascending
+// value.KeyOf order of their values, the order probes are sent in so wire
+// traffic, traces and cache keys are deterministic. The key is built once
+// per binding; bindings whose KeyOf strings coincide keep their
+// first-appearance order.
+func (s *Spec) byKey(cols []string, bs []binding) []int {
+	keys := make([]string, len(bs))
+	vals := make([]value.Value, len(cols))
+	for i, b := range bs {
+		for j, c := range cols {
+			vals[j] = s.rep(b)[s.offset(c)]
+		}
+		keys[i] = value.KeyOf(vals...)
+	}
 	order := make([]int, len(bs))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int { return strings.Compare(bs[a].key, bs[b].key) })
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
 	return order
 }
 
@@ -130,7 +138,7 @@ type conjBinding struct {
 func (s *Spec) conjuncts(cols []string, svc texservice.Service, what string) ([]conjBinding, error) {
 	preds := s.predsOn(cols)
 	selTerms, limit := s.selTerms(), svc.MaxTerms()
-	return groupBindings(s, cols, func(_ string, rows []int) (conjBinding, bool, error) {
+	return groupBindings(s, cols, func(rows []int) (conjBinding, bool, error) {
 		conj, ok := s.substPreds(s.Relation.Rows[rows[0]], preds)
 		if !ok {
 			return conjBinding{}, false, nil

@@ -617,3 +617,45 @@ func TestMethodNames(t *testing.T) {
 		t.Fatal("PRTP name wrong")
 	}
 }
+
+// TestBindingsDoNotCollide: ('x\x1fsy', 'z') and ('x', 'y\x1fsz') share a
+// value.KeyOf but are two bindings with different matches, and every
+// method returns exactly the naive join's rows for them.
+func TestBindingsDoNotCollide(t *testing.T) {
+	ix := textidx.NewIndex()
+	ix.MustAdd(textidx.Document{ExtID: "d1", Fields: map[string]string{"title": "z", "author": "x sy"}})
+	ix.MustAdd(textidx.Document{ExtID: "d2", Fields: map[string]string{"title": "y sz", "author": "x"}})
+	ix.Freeze()
+	tbl := relation.NewTable("project", relation.MustSchema(
+		relation.Column{Name: "name", Kind: value.KindString},
+		relation.Column{Name: "member", Kind: value.KindString},
+	))
+	tbl.MustInsert(relation.Tuple{value.String("z"), value.String("x\x1fsy")})
+	tbl.MustInsert(relation.Tuple{value.String("y\x1fsz"), value.String("x")})
+	if value.KeyOf(tbl.Rows[0][1], tbl.Rows[0][0]) != value.KeyOf(tbl.Rows[1][1], tbl.Rows[1][0]) {
+		t.Fatal("fixture is vacuous: the bindings no longer share a KeyOf")
+	}
+	spec := &Spec{
+		Relation: tbl,
+		// member first, so the join columns' KeyOf strings coincide.
+		Preds:     []Pred{{Column: "member", Field: "author"}, {Column: "name", Field: "title"}},
+		LongForm:  true,
+		DocFields: []string{"title"},
+	}
+	want, err := NaiveJoin(spec, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Cardinality() != 2 {
+		t.Fatalf("naive join has %d rows, want one per tuple", want.Cardinality())
+	}
+	for _, m := range allMethods() {
+		res, err := m.Execute(bg, spec, service(t, ix))
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		if !SameRows(res.Table, want) {
+			t.Errorf("%s: rows %v, naive %v", m.Name(), res.Table.Rows, want.Rows)
+		}
+	}
+}

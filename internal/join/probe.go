@@ -6,6 +6,7 @@ import (
 
 	"textjoin/internal/relation"
 	"textjoin/internal/texservice"
+	"textjoin/internal/value"
 )
 
 // validateProbeColumns checks that the probe columns form a nonempty
@@ -172,7 +173,7 @@ func (m PTS) executeCached(ex *execution, n nesting, preds []Pred) error {
 // ordered on the probe columns.
 func (m PTS) executeGrouped(ex *execution, n nesting, preds []Pred) error {
 	groups := n.byProbe()
-	for _, p := range byKey(n.probes) {
+	for _, p := range ex.spec.byKey(m.ProbeColumns, n.probes) {
 		for bi, b := range groups[p] {
 			res, err := ex.substitute(b)
 			if err != nil {
@@ -285,12 +286,25 @@ func ProbeReduce(ctx context.Context, spec *Spec, probeCols []string, svc texser
 		if err != nil {
 			return err
 		}
-		// The reducer's output is the input relation's rows, not join rows.
+		// The reducer's output is the input relation's rows, not join rows:
+		// copies, like every join's output, so that nothing it returns
+		// aliases an input that may live in recycled memory. All surviving
+		// rows share one allocation.
+		var n int
+		for i, b := range probes {
+			if outcomes[i].success {
+				n += len(b.rows)
+			}
+		}
+		w := spec.Relation.Schema.Arity()
+		vals := make([]value.Value, 0, n*w)
 		ex.out = relation.NewTable(spec.Relation.Name, spec.Relation.Schema)
+		ex.out.Rows = make([]relation.Tuple, 0, n)
 		for i, b := range probes {
 			if outcomes[i].success {
 				for _, r := range b.rows {
-					ex.out.Rows = append(ex.out.Rows, spec.Relation.Rows[r])
+					vals = append(vals, spec.Relation.Rows[r]...)
+					ex.out.Rows = append(ex.out.Rows, relation.Tuple(vals[len(vals)-w:len(vals):len(vals)]))
 				}
 			}
 		}

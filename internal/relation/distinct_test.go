@@ -48,7 +48,7 @@ func memoTable(n int) *Table {
 	return t
 }
 
-func mustDistinct(t *testing.T, tbl *Table, names ...string) int {
+func mustDistinct(t testing.TB, tbl *Table, names ...string) int {
 	t.Helper()
 	d, err := tbl.DistinctCount(names...)
 	if err != nil {

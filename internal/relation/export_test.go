@@ -8,4 +8,5 @@ var (
 	FacultyTable = facultyTable
 	RandTable    = randTable
 	SameMultiset = sameMultiset
+	KeyTable     = keyTable
 )

@@ -55,55 +55,24 @@ func sameMultiset(a, b *Table) bool {
 	return true
 }
 
-// TestDistinctOnInvariants: DistinctOn yields one row per distinct key,
-// each drawn from the input (quick).
-func TestDistinctOnInvariants(t *testing.T) {
-	prop := func(seed int64) bool {
-		tbl := randTable(seed, "t", 20)
-		d, err := tbl.DistinctOn("t1")
-		if err != nil {
-			return false
-		}
-		n, err := tbl.DistinctCount("t1")
-		if err != nil {
-			return false
-		}
-		if d.Cardinality() != n {
-			return false
-		}
-		seen := map[string]bool{}
-		for _, row := range d.Rows {
-			k := row[0].Key()
-			if seen[k] {
-				return false
-			}
-			seen[k] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestGroupByPartitions: groups cover all rows exactly once and agree on
 // the grouping key (quick).
 func TestGroupByPartitions(t *testing.T) {
 	prop := func(seed int64) bool {
 		tbl := randTable(seed, "t", 20)
-		keys, groups, err := tbl.GroupBy("t1", "t2")
+		groups, err := tbl.GroupBy("t1", "t2")
 		if err != nil {
 			return false
 		}
 		covered := map[int]bool{}
-		for _, key := range keys {
-			for _, idx := range groups[key] {
+		for _, g := range groups {
+			for _, idx := range g {
 				if covered[idx] {
 					return false
 				}
 				covered[idx] = true
-				row := tbl.Rows[idx]
-				if value.KeyOf(row[0], row[1]) != key {
+				row, rep := tbl.Rows[idx], tbl.Rows[g[0]]
+				if !value.KeyEqual(row[0], rep[0]) || !value.KeyEqual(row[1], rep[1]) {
 					return false
 				}
 			}

@@ -224,22 +224,35 @@ func (t *Table) DistinctCount(names ...string) (int, error) {
 
 // countDistinct is the row scan behind DistinctCount.
 func (t *Table) countDistinct(idxs []int) int {
-	seen := map[string]bool{}
-	vals := make([]value.Value, len(idxs))
-	for _, r := range t.Rows {
-		for j, idx := range idxs {
-			vals[j] = r[idx]
-		}
-		seen[value.KeyOf(vals...)] = true
-	}
-	return len(seen)
+	return t.keyIndex(idxs).Len()
 }
 
-// DistinctOn returns one representative tuple per distinct combination of
-// the named columns, preserving first-seen order. This implements the TS
-// optimisation of sending one query per distinct binding of the join
-// columns (§3.1).
-func (t *Table) DistinctOn(names ...string) (*Table, error) {
+// GroupBy partitions row indices by the joint value of the named columns,
+// keyed as value.KeyEqual compares. Groups come in first-seen order, each
+// listing its rows in ascending order.
+func (t *Table) GroupBy(names ...string) ([][]int, error) {
+	idxs, err := t.columnIndexes(names)
+	if err != nil {
+		return nil, err
+	}
+	return t.keyIndex(idxs).Groups(), nil
+}
+
+// keyIndex adds every row's key on the columns at idxs, in row order.
+func (t *Table) keyIndex(idxs []int) *KeyIndex {
+	x := NewKeyIndex(len(idxs), len(t.Rows))
+	key := make([]value.Value, len(idxs))
+	for _, r := range t.Rows {
+		for j, idx := range idxs {
+			key[j] = r[idx]
+		}
+		x.Add(key)
+	}
+	return x
+}
+
+// columnIndexes resolves column names to schema positions.
+func (t *Table) columnIndexes(names []string) ([]int, error) {
 	idxs := make([]int, len(names))
 	for i, n := range names {
 		idx := t.Schema.ColumnIndex(n)
@@ -248,47 +261,7 @@ func (t *Table) DistinctOn(names ...string) (*Table, error) {
 		}
 		idxs[i] = idx
 	}
-	out := NewTable(t.Name, t.Schema)
-	seen := map[string]bool{}
-	vals := make([]value.Value, len(idxs))
-	for _, r := range t.Rows {
-		for j, idx := range idxs {
-			vals[j] = r[idx]
-		}
-		k := value.KeyOf(vals...)
-		if !seen[k] {
-			seen[k] = true
-			out.Rows = append(out.Rows, r)
-		}
-	}
-	return out, nil
-}
-
-// GroupBy partitions row indices by the joint value of the named columns.
-// Groups preserve first-seen order of keys; the returned keys slice gives
-// that order.
-func (t *Table) GroupBy(names ...string) (keys []string, groups map[string][]int, err error) {
-	idxs := make([]int, len(names))
-	for i, n := range names {
-		idx := t.Schema.ColumnIndex(n)
-		if idx < 0 {
-			return nil, nil, fmt.Errorf("relation: %s has no column %q", t.Name, n)
-		}
-		idxs[i] = idx
-	}
-	groups = map[string][]int{}
-	vals := make([]value.Value, len(idxs))
-	for i, r := range t.Rows {
-		for j, idx := range idxs {
-			vals[j] = r[idx]
-		}
-		k := value.KeyOf(vals...)
-		if _, ok := groups[k]; !ok {
-			keys = append(keys, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-	return keys, groups, nil
+	return idxs, nil
 }
 
 // Select returns a new table holding the rows satisfying pred. The
@@ -319,14 +292,12 @@ func (t *Table) Select(pred Predicate) (*Table, error) {
 // table-at-a-time form exec.NaiveQuery's oracle uses; queries project on
 // internal/vec's batch operators.
 func (t *Table) Project(names ...string) (*Table, error) {
-	idxs := make([]int, len(names))
-	cols := make([]Column, len(names))
-	for i, n := range names {
-		idx := t.Schema.ColumnIndex(n)
-		if idx < 0 {
-			return nil, fmt.Errorf("relation: %s has no column %q", t.Name, n)
-		}
-		idxs[i] = idx
+	idxs, err := t.columnIndexes(names)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]Column, len(idxs))
+	for i, idx := range idxs {
 		cols[i] = t.Schema.Cols[idx]
 	}
 	out := NewTable(t.Name, &Schema{Cols: cols})
@@ -342,13 +313,9 @@ func (t *Table) Project(names ...string) (*Table, error) {
 
 // SortBy orders rows by the named columns ascending. It returns a new table.
 func (t *Table) SortBy(names ...string) (*Table, error) {
-	idxs := make([]int, len(names))
-	for i, n := range names {
-		idx := t.Schema.ColumnIndex(n)
-		if idx < 0 {
-			return nil, fmt.Errorf("relation: %s has no column %q", t.Name, n)
-		}
-		idxs[i] = idx
+	idxs, err := t.columnIndexes(names)
+	if err != nil {
+		return nil, err
 	}
 	out := NewTable(t.Name, t.Schema)
 	out.Rows = make([]Tuple, len(t.Rows))

@@ -109,41 +109,17 @@ func TestColumnAndDistinct(t *testing.T) {
 	}
 }
 
-func TestDistinctOn(t *testing.T) {
-	tbl := studentTable(t)
-	d, err := tbl.DistinctOn("name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Cardinality() != 4 {
-		t.Fatalf("DistinctOn(name) kept %d rows, want 4", d.Cardinality())
-	}
-	// First-seen representative retained.
-	if d.Rows[0][1].AsString() != "AI" {
-		t.Fatal("DistinctOn did not keep first-seen representative")
-	}
-	if _, err := tbl.DistinctOn("zzz"); err == nil {
-		t.Fatal("missing column accepted")
-	}
-}
-
 func TestGroupBy(t *testing.T) {
 	tbl := studentTable(t)
-	keys, groups, err := tbl.GroupBy("advisor")
+	groups, err := tbl.GroupBy("advisor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 2 {
-		t.Fatalf("GroupBy produced %d groups, want 2", len(keys))
+	// Garcia's rows first (first seen), then Ullman's, each ascending.
+	if want := [][]int{{0, 1, 3}, {2, 4}}; !sameGroups(groups, want) {
+		t.Fatalf("GroupBy(advisor) = %v, want %v", groups, want)
 	}
-	total := 0
-	for _, idxs := range groups {
-		total += len(idxs)
-	}
-	if total != 5 {
-		t.Fatalf("groups cover %d rows, want 5", total)
-	}
-	if _, _, err := tbl.GroupBy("zzz"); err == nil {
+	if _, err := tbl.GroupBy("zzz"); err == nil {
 		t.Fatal("missing column accepted")
 	}
 }

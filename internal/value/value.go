@@ -9,6 +9,8 @@ package value
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
 	"strconv"
 )
 
@@ -244,8 +246,87 @@ func (v Value) Key() string {
 	}
 }
 
-// KeyOf returns the concatenated key of several values, usable as a
-// composite grouping key.
+// intKey reports whether v keys as an integer — an Int, or a Float with an
+// integral value in int64's range, -0.0 included — and returns it. It is
+// Key's integral-float normalisation, stated without int64's out-of-range
+// conversion so that it is the same on every platform.
+func (v Value) intKey() (int64, bool) {
+	switch v.kind {
+	case KindInt:
+		return v.i, true
+	case KindFloat:
+		if v.f >= -(1<<63) && v.f < 1<<63 && v.f == math.Trunc(v.f) {
+			return int64(v.f), true
+		}
+	}
+	return 0, false
+}
+
+// KeyEqual reports whether a and b have the same Key, without building
+// either: Int(3) ≡ Float(3.0), -0.0 ≡ 0, every NaN ≡ every other NaN, NULL
+// ≡ only NULL, and values of different kinds otherwise distinct.
+func KeyEqual(a, b Value) bool {
+	ai, aInt := a.intKey()
+	bi, bInt := b.intKey()
+	if aInt || bInt {
+		return aInt && bInt && ai == bi
+	}
+	if a.kind != b.kind {
+		return false
+	}
+	switch a.kind {
+	case KindBool:
+		return a.b == b.b
+	case KindFloat:
+		return a.f == b.f || (a.f != a.f && b.f != b.f)
+	case KindString:
+		return a.s == b.s
+	default:
+		return true // NULL
+	}
+}
+
+// hashSeed seeds KeyHash's string hashing for the life of the process.
+var hashSeed = maphash.MakeSeed()
+
+// KeyHash returns a hash of v's key: KeyEqual values hash equally.
+func (v Value) KeyHash() uint64 {
+	if i, ok := v.intKey(); ok {
+		return mix64(uint64(i))
+	}
+	switch v.kind {
+	case KindBool:
+		if v.b {
+			return mix64(1<<62 | 1)
+		}
+		return mix64(1 << 62)
+	case KindFloat:
+		if v.f != v.f {
+			return mix64(1 << 61)
+		}
+		return mix64(math.Float64bits(v.f))
+	case KindString:
+		return maphash.String(hashSeed, v.s)
+	default:
+		return mix64(1 << 60) // NULL
+	}
+}
+
+// mix64 is the SplitMix64 finalizer: it spreads every input bit over the
+// whole word, so small integers land in different hash buckets.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// KeyOf returns the concatenated key of several values; sorting by it
+// gives an order that is the same in every process, which KeyHash's seeded
+// hashes do not. Its 0x1f separator can occur inside a string, so distinct
+// tuples may share a KeyOf: group and match tuples with KeyEqual and
+// KeyHash instead.
 func KeyOf(vs ...Value) string {
 	n := 0
 	for _, v := range vs {

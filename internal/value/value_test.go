@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -162,6 +163,38 @@ func TestKeyOf(t *testing.T) {
 	}
 	if KeyOf(Int(1), Int(2)) != KeyOf(Int(1), Int(2)) {
 		t.Error("KeyOf not deterministic")
+	}
+}
+
+// TestKeyEqualIsSameKey: KeyEqual is Key equality, and KeyEqual values
+// hash alike — on random values (NaN included) and on the edge cases.
+func TestKeyEqualIsSameKey(t *testing.T) {
+	check := func(a, b Value) bool {
+		eq := KeyEqual(a, b)
+		if eq != (a.Key() == b.Key()) || eq != KeyEqual(b, a) {
+			return false
+		}
+		return !eq || a.KeyHash() == b.KeyHash()
+	}
+	prop := func(s1 uint8, i1 int64, f1 float64, str1 string, b1 bool,
+		s2 uint8, i2 int64, f2 float64, str2 string, b2 bool) bool {
+		return check(quickValue(s1, i1, f1, str1, b1), quickValue(s2, i2, f2, str2, b2))
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+	edges := []Value{
+		Null(), Bool(false), Bool(true), Int(0), Float(0), Float(math.Copysign(0, -1)),
+		Int(3), Float(3), Float(3.5), Float(math.NaN()), Float(-math.NaN()),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Int(math.MinInt64), Float(-(1 << 63)),
+		Int(math.MaxInt64), Float(1 << 63), Float(1e300), String(""), String("i3"), String("x\x1fsy"),
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			if !check(a, b) {
+				t.Errorf("KeyEqual(%v, %v) = %v, Key %q vs %q", a, b, KeyEqual(a, b), a.Key(), b.Key())
+			}
+		}
 	}
 }
 

@@ -227,11 +227,11 @@ func (p *Project) Next() (*Batch, error) {
 func (p *Project) Close() { p.in.Close() }
 
 // HashJoin is the batch equi-join. It drains the right child into a
-// row-major build side keyed by the join columns, then streams left
-// batches through the hash table, emitting concatenated rows in left-major
-// order — exactly the order relation.NestedLoopJoin produces over the
-// equivalent predicate, which keeps results comparable with the oracle in
-// the equivalence tests.
+// row-major build side keyed by the join columns (a relation.KeyIndex, its
+// rows in pooled memory released on Close), then streams left batches
+// through it, emitting concatenated rows in left-major order — exactly the
+// order relation.NestedLoopJoin produces over the equivalent predicate,
+// which keeps results comparable with the oracle in the equivalence tests.
 type HashJoin struct {
 	left, right Operator
 	schema      *relation.Schema
@@ -240,15 +240,17 @@ type HashJoin struct {
 	leftArity   int
 
 	built     bool
-	buildRows []relation.Tuple
-	table     map[string][]int32
+	mem       Arena
+	buildRows *[]relation.Tuple
+	keys      *relation.KeyIndex
+	groups    [][]int // per build key id, its build rows in order
 
 	// Streaming resume state: output can fill mid-probe, so the position
 	// inside the current left batch and its match list survives across
 	// Next calls.
 	cur      *Batch
 	curLive  int
-	matches  []int32
+	matches  []int
 	matchPos int
 	done     bool
 
@@ -304,28 +306,25 @@ func NewHashJoin(left, right Operator, conds []relation.EquiJoinCond, residual r
 func (h *HashJoin) Schema() *relation.Schema { return h.schema }
 
 func (h *HashJoin) build() error {
-	h.table = make(map[string][]int32)
+	h.buildRows = h.mem.list()
+	h.keys = relation.NewKeyIndex(len(h.rIdx), BatchSize)
 	for {
 		b, err := h.right.Next()
 		if err != nil {
 			return err
 		}
 		if b == nil {
+			h.groups = h.keys.Groups()
 			h.built = true
 			return nil
 		}
-		for i := 0; i < b.Len(); i++ {
-			phys := b.RowIndex(i)
-			row := make(relation.Tuple, b.Width())
-			for j, col := range b.cols {
-				row[j] = col[phys]
-			}
+		first := len(*h.buildRows)
+		h.mem.gather(h.buildRows, b)
+		for _, row := range (*h.buildRows)[first:] {
 			for j, idx := range h.rIdx {
 				h.key[j] = row[idx]
 			}
-			k := value.KeyOf(h.key...)
-			h.table[k] = append(h.table[k], int32(len(h.buildRows)))
-			h.buildRows = append(h.buildRows, row)
+			h.keys.Add(h.key)
 		}
 	}
 }
@@ -365,19 +364,19 @@ func (h *HashJoin) Next() (*Batch, error) {
 				for j, idx := range h.lIdx {
 					h.key[j] = h.cur.cols[idx][phys]
 				}
-				m := h.table[value.KeyOf(h.key...)]
-				if len(m) == 0 {
+				id := h.keys.Find(h.key)
+				if id < 0 {
 					h.curLive++
 					continue
 				}
 				for j := 0; j < h.leftArity; j++ {
 					h.scratch[j] = h.cur.cols[j][phys]
 				}
-				h.matches = m
+				h.matches = h.groups[id]
 				h.matchPos = 0
 			}
 			for h.matchPos < len(h.matches) {
-				rr := h.buildRows[h.matches[h.matchPos]]
+				rr := (*h.buildRows)[h.matches[h.matchPos]]
 				h.matchPos++
 				copy(h.scratch[h.leftArity:], rr)
 				if h.residual != nil {
@@ -407,10 +406,12 @@ func (h *HashJoin) Close() {
 	h.right.Close()
 	putBatch(h.out)
 	h.out = nil
+	h.mem.Release()
 }
 
 // NestedLoop is the batch theta-join for arbitrary predicates. The right
-// child is materialized once; each left row is copied into a scratch
+// child is materialized once, into pooled memory released on Close; each
+// left row is copied into a scratch
 // prefix once and the inner loop overwrites only the suffix, mirroring
 // the scratch-row fix in relation.NestedLoopJoin.
 type NestedLoop struct {
@@ -420,7 +421,8 @@ type NestedLoop struct {
 	leftArity   int
 
 	built     bool
-	rightRows []relation.Tuple
+	mem       Arena
+	rightRows *[]relation.Tuple
 
 	cur     *Batch
 	curLive int
@@ -458,6 +460,7 @@ func NewNestedLoop(left, right Operator, pred relation.Predicate) (*NestedLoop, 
 func (n *NestedLoop) Schema() *relation.Schema { return n.schema }
 
 func (n *NestedLoop) build() error {
+	n.rightRows = n.mem.list()
 	for {
 		b, err := n.right.Next()
 		if err != nil {
@@ -467,11 +470,7 @@ func (n *NestedLoop) build() error {
 			n.built = true
 			return nil
 		}
-		for i := 0; i < b.Len(); i++ {
-			row := make(relation.Tuple, b.Width())
-			b.Gather(i, row)
-			n.rightRows = append(n.rightRows, row)
-		}
+		n.mem.gather(n.rightRows, b)
 	}
 }
 
@@ -513,8 +512,8 @@ func (n *NestedLoop) Next() (*Batch, error) {
 				}
 				n.started = true
 			}
-			for n.ri < len(n.rightRows) {
-				copy(n.scratch[n.leftArity:], n.rightRows[n.ri])
+			for n.ri < len(*n.rightRows) {
+				copy(n.scratch[n.leftArity:], (*n.rightRows)[n.ri])
 				n.ri++
 				ok, err := n.pred.Eval(n.scratch)
 				if err != nil {
@@ -542,4 +541,5 @@ func (n *NestedLoop) Close() {
 	n.right.Close()
 	putBatch(n.out)
 	n.out = nil
+	n.mem.Release()
 }

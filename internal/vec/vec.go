@@ -141,24 +141,127 @@ type Operator interface {
 
 // Materialize drains op into a row-major table and closes it. This is the
 // boundary back to the row world (text-source probe operators, result
-// delivery).
-func Materialize(name string, op Operator) (*relation.Table, error) {
+// delivery). The rows and the Rows slice come from mem, or from the heap
+// when mem is nil.
+func Materialize(name string, op Operator, mem *Arena) (*relation.Table, error) {
 	defer op.Close()
-	tbl := relation.NewTable(name, op.Schema())
+	rows := mem.list()
 	for {
 		b, err := op.Next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
+			tbl := relation.NewTable(name, op.Schema())
+			tbl.Rows = *rows
 			return tbl, nil
 		}
-		for i := 0; i < b.Len(); i++ {
-			row := make(relation.Tuple, b.Width())
-			b.Gather(i, row)
-			tbl.Rows = append(tbl.Rows, row)
-		}
+		mem.gather(rows, b)
 	}
+}
+
+// Arena is row memory recycled across queries: rows are windows into
+// fixed-size slabs and row lists are reused slices, all from sync.Pools.
+// Everything an Arena hands out is valid until Release, which clears it —
+// a row read through an alias kept past Release holds only NULLs — and
+// returns it to the pools. The zero Arena is ready to use; a nil *Arena
+// allocates from the heap and Release does nothing.
+type Arena struct {
+	slabs *slab // the newest slab, the one rows are cut from
+	lists *rowList
+}
+
+// slabLen is the number of values in a pooled slab: four full batches of
+// the narrow rows foreign joins take. One size keeps every pooled slab
+// reusable for every row.
+const slabLen = 4 * BatchSize
+
+// slab and rowList are pooled buffers, chained through the arena holding
+// them so that holding one more costs no allocation.
+type slab struct {
+	vals []value.Value
+	used int
+	next *slab
+}
+
+type rowList struct {
+	rows []relation.Tuple
+	next *rowList
+}
+
+var (
+	slabPool = sync.Pool{New: func() any { return new(slab) }}
+	listPool = sync.Pool{New: func() any { return new(rowList) }}
+)
+
+// list returns an empty row list for gather to grow.
+func (a *Arena) list() *[]relation.Tuple {
+	if a == nil {
+		return new([]relation.Tuple)
+	}
+	l := listPool.Get().(*rowList)
+	l.next, a.lists = a.lists, l
+	return &l.rows
+}
+
+// gather appends b's live rows to *rows. Each row is a window whose
+// capacity ends at its own last column, so appending to a row never
+// overwrites the next; on the heap, a batch's rows share one allocation.
+func (a *Arena) gather(rows *[]relation.Tuple, b *Batch) {
+	w, n := b.Width(), b.Len()
+	var heap []value.Value
+	if a == nil {
+		heap = make([]value.Value, n*w)
+	}
+	for i := 0; i < n; i++ {
+		var row relation.Tuple
+		if a == nil {
+			row = heap[i*w : (i+1)*w : (i+1)*w]
+		} else {
+			row = a.row(w)
+		}
+		b.Gather(i, row)
+		*rows = append(*rows, row)
+	}
+}
+
+// row cuts a row of w values from the newest slab, taking a fresh slab
+// from the pool when it is full.
+func (a *Arena) row(w int) relation.Tuple {
+	s := a.slabs
+	if s == nil || len(s.vals)-s.used < w {
+		s = slabPool.Get().(*slab)
+		if len(s.vals) < w {
+			s.vals = make([]value.Value, max(w, slabLen))
+		}
+		s.next, a.slabs = a.slabs, s
+	}
+	row := s.vals[s.used : s.used+w : s.used+w]
+	s.used += w
+	return row
+}
+
+// Release clears every slab and row list the arena handed out and returns
+// them to the pools. The arena is empty and reusable afterwards.
+func (a *Arena) Release() {
+	if a == nil {
+		return
+	}
+	for s := a.slabs; s != nil; {
+		next := s.next
+		clear(s.vals[:s.used])
+		s.used, s.next = 0, nil
+		slabPool.Put(s)
+		s = next
+	}
+	for l := a.lists; l != nil; {
+		next := l.next
+		clear(l.rows)
+		l.rows, l.next = l.rows[:0], nil
+		listPool.Put(l)
+		l = next
+	}
+	a.slabs, a.lists = nil, nil
 }
 
 // Drain consumes op without materializing, returning the live-row and

@@ -67,7 +67,7 @@ func TestScanSelectProjectMatchesRowEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Materialize("t", proj)
+		got, err := Materialize("t", proj, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestTableScanFusedFilterProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Materialize("t", scan)
+	got, err := Materialize("t", scan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestHashJoinMatchesRowEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Materialize("j", join)
+		got, err := Materialize("j", join, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestNestedLoopMatchesRowEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Materialize("j", join)
+		got, err := Materialize("j", join, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestJoinOnSelectedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Materialize("j", join)
+	got, err := Materialize("j", join, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestHashJoinResidual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Materialize("j", join)
+		got, err := Materialize("j", join, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestNestedLoopNilResidualIsCrossProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Materialize("j", join)
+	got, err := Materialize("j", join, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,6 +341,74 @@ func TestNestedLoopNilResidualIsCrossProduct(t *testing.T) {
 		t.Fatalf("%d rows, want %d", got.Cardinality(), left.Cardinality()*right.Cardinality())
 	}
 	sameRows(t, got, want)
+}
+
+// TestHashJoinKeysDoNotCollide: a two-column equi-join does not pair
+// ('x\x1fsy', 'z') with ('x', 'y\x1fsz'), whose value.KeyOf strings
+// coincide, and still pairs equal keys.
+func TestHashJoinKeysDoNotCollide(t *testing.T) {
+	pairs := func(name string, rows ...[2]string) *relation.Table {
+		tbl := relation.NewTable(name, relation.MustSchema(
+			relation.Column{Name: "a", Kind: value.KindString},
+			relation.Column{Name: "b", Kind: value.KindString},
+		))
+		for _, r := range rows {
+			tbl.MustInsert(relation.Tuple{value.String(r[0]), value.String(r[1])})
+		}
+		return tbl.Qualified()
+	}
+	left := pairs("t", [2]string{"x\x1fsy", "z"}, [2]string{"p", "q"})
+	right := pairs("u", [2]string{"x", "y\x1fsz"}, [2]string{"p", "q"})
+	if value.KeyOf(left.Rows[0]...) != value.KeyOf(right.Rows[0]...) {
+		t.Fatal("fixture is vacuous: the rows no longer share a KeyOf")
+	}
+	ops := scans(t, left, right)
+	join, err := NewHashJoin(ops[0], ops[1], []relation.EquiJoinCond{
+		{Left: "t.a", Right: "u.a"}, {Left: "t.b", Right: "u.b"},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Materialize("j", join, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cardinality() != 1 || got.Rows[0][0].AsString() != "p" {
+		t.Fatalf("join = %v, want only the (p, q) pair", got.Rows)
+	}
+}
+
+// TestMaterializeIntoArena: rows materialized into an arena equal the
+// heap's, stay apart when a row is appended to, and read NULL after
+// Release.
+func TestMaterializeIntoArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	tbl := testTable("t", 2*BatchSize+3, rng)
+	pred := relation.ColConst{Col: "grp", Op: relation.OpLt, Const: value.Int(16)}
+	materialize := func(mem *Arena) *relation.Table {
+		scan, err := NewTableScan(tbl, nil, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Materialize("t", scan, mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := materialize(nil)
+	var mem Arena
+	got := materialize(&mem)
+	sameRows(t, got, want)
+	_ = append(got.Rows[0], value.Int(-1))
+	sameRows(t, got, want)
+	row := got.Rows[0]
+	mem.Release()
+	for j, v := range row {
+		if !v.IsNull() {
+			t.Fatalf("column %d of a released row reads %v, want NULL", j, v)
+		}
+	}
 }
 
 // TestSteadyStateAllocs is the allocation regression gate: once the

@@ -73,6 +73,13 @@ go test -race -short -run 'TestVectorizedEquivalence' ./internal/exec
 # → project) must not allocate per Next once the pipeline is warm.
 go test -run 'TestSteadyStateAllocs' ./internal/vec
 
+# Boundary allocation gate: an SJ+RTP text join over a 1k-row and a
+# 64k-row scan with the same 64 bindings must allocate the same per run —
+# the join's input lives in the run's recycled arena and bindings are
+# grouped by typed key, so any per-row heap object between the relational
+# pipeline and the text join fails this.
+go test -run 'TestForeignJoinInputAllocsIndependentOfRows' ./internal/exec
+
 # Cardinality-independence gate: once a query shape is warm, Prepare must
 # cost the same allocations and bytes over a 1k-row and a 64k-row table —
 # optimize is O(1) in table size (distinct counts are memoized on the
@@ -113,9 +120,13 @@ go test -race -run 'TestHedgeCancellationNoLeaks' ./internal/replica
 
 # Benchmarks must at least compile and run one iteration — they are the
 # before/after evidence for the execution core, the relational matcher
-# (BenchmarkMatchHits, BENCH_rtp.json) and the span path
-# (BenchmarkStartSpan*, BENCH_trace.json) and rot silently otherwise.
+# (BenchmarkMatchHits, BENCH_rtp.json), the span path
+# (BenchmarkStartSpan*, BENCH_trace.json) and the path from the relational
+# pipeline into the text join (BenchmarkGroupBy, BenchmarkVecHashJoin and
+# the root package's BenchmarkWarmQuery, BENCH_boundary.json), and they
+# rot silently otherwise.
 go test -run 'NOTESTS' -bench . -benchtime 1x ./internal/vec ./internal/relation ./internal/join ./internal/obs
+go test -run 'NOTESTS' -bench 'BenchmarkWarmQuery' -benchtime 1x .
 
 # Benchmark self-test (about 5 s): every workload end to end at tiny
 # sizes, decorated ≡ undecorated stacks (rows, Usage, cache counters),
