@@ -110,16 +110,14 @@ func (c *EngineConfig) RegisterFlags(fs *flag.FlagSet) {
 // — are interchangeable replicas of that partition, fronted by the
 // load-aware routing tier (power-of-two-choices selection, hedged
 // requests, failover); the Fleet field is populated for stats wiring.
-// Per-endpoint pools, timeouts and retries apply to each backend.
+// Per-endpoint pools and timeouts apply to each backend, and so does
+// -retries: each endpoint's client is wrapped in its own
+// texservice.Retrying (see retryPolicy). The dial handshake itself is one
+// attempt.
 func (c *EngineConfig) DialText() (texservice.Service, func(), error) {
 	dialOpts := []texservice.DialOption{texservice.WithPoolSize(c.Pool)}
 	if c.Timeout > 0 {
 		dialOpts = append(dialOpts, texservice.WithTimeout(c.Timeout))
-	}
-	if c.Retries > 1 {
-		policy := texservice.DefaultRetryPolicy()
-		policy.MaxAttempts = c.Retries
-		dialOpts = append(dialOpts, texservice.WithRetry(policy))
 	}
 	var remotes []*texservice.Remote
 	cleanup := func() {
@@ -127,7 +125,8 @@ func (c *EngineConfig) DialText() (texservice.Service, func(), error) {
 			r.Close()
 		}
 	}
-	dial := func(ep string) (*texservice.Remote, error) {
+	// dial connects the i-th endpoint of the -remote list.
+	dial := func(i int, ep string) (texservice.Service, error) {
 		ep = strings.TrimSpace(ep)
 		if ep == "" {
 			return nil, fmt.Errorf("empty endpoint in -remote %q", c.Remote)
@@ -137,6 +136,9 @@ func (c *EngineConfig) DialText() (texservice.Service, func(), error) {
 			return nil, fmt.Errorf("dialing %s: %w", ep, err)
 		}
 		remotes = append(remotes, r)
+		if p, ok := c.retryPolicy(i); ok {
+			return texservice.NewRetrying(r, p), nil
+		}
 		return r, nil
 	}
 
@@ -144,18 +146,17 @@ func (c *EngineConfig) DialText() (texservice.Service, func(), error) {
 	replicated := strings.Contains(c.Remote, "|")
 	if !replicated {
 		// Unreplicated: plain client or sharded federation, as before.
-		for _, ep := range partitions {
-			if _, err := dial(ep); err != nil {
+		shards := make([]texservice.Service, len(partitions))
+		for i, ep := range partitions {
+			svc, err := dial(i, ep)
+			if err != nil {
 				cleanup()
 				return nil, nil, err
 			}
+			shards[i] = svc
 		}
-		if len(remotes) == 1 {
-			return remotes[0], cleanup, nil
-		}
-		shards := make([]texservice.Service, len(remotes))
-		for i, r := range remotes {
-			shards[i] = r
+		if len(shards) == 1 {
+			return shards[0], cleanup, nil
 		}
 		svc, err := shard.New(shards, c.shardOptions()...)
 		if err != nil {
@@ -171,13 +172,15 @@ func (c *EngineConfig) DialText() (texservice.Service, func(), error) {
 	// the point of replication — but a partition with no reachable
 	// replica at all is fatal, and so is a malformed endpoint list.
 	groups := make([][]texservice.Service, len(partitions))
+	i := 0 // endpoint index in list order, reachable or not
 	for p, group := range partitions {
 		for _, ep := range strings.Split(group, "|") {
 			if strings.TrimSpace(ep) == "" {
 				cleanup()
 				return nil, nil, fmt.Errorf("empty endpoint in -remote %q", c.Remote)
 			}
-			r, err := dial(ep)
+			r, err := dial(i, ep)
+			i++
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "warning: skipping unreachable replica: %v\n", err)
 				continue
@@ -204,6 +207,19 @@ func (c *EngineConfig) DialText() (texservice.Service, func(), error) {
 		return nil, nil, err
 	}
 	return svc, cleanup, nil
+}
+
+// retryPolicy is the retry policy of the i-th endpoint of -remote, in
+// list order, and whether -retries asks for retries at all. Every
+// endpoint gets the same budget but its own jitter stream
+// (texservice.DeriveSeed): endpoints that fail together, such as the
+// shards of one scatter, must not back off in lockstep and re-converge on
+// the struggling backends as one synchronized retry wave.
+func (c *EngineConfig) retryPolicy(i int) (texservice.RetryPolicy, bool) {
+	p := texservice.DefaultRetryPolicy()
+	p.MaxAttempts = c.Retries
+	p.Seed = texservice.DeriveSeed(p.Seed, i)
+	return p, c.Retries > 1
 }
 
 // shardOptions maps the config onto the federation layer's options.

@@ -224,13 +224,15 @@ func faultyShardedExec(t *testing.T, ix *textidx.Index, n int, seed int64) *shar
 	svc, err := shard.NewLocalCluster(ix, n,
 		[]texservice.LocalOption{texservice.WithShortFields("title", "author", "year")},
 		func(k int, s texservice.Service) texservice.Service {
-			return texservice.NewFaulty(s, texservice.FaultConfig{
-				ErrorRate: 0.3, Seed: seed + int64(k),
-			})
-		},
-		shard.WithRetry(texservice.RetryPolicy{
-			MaxAttempts: 25, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond,
-		}))
+			return texservice.NewRetrying(
+				texservice.NewFaulty(s, texservice.FaultConfig{
+					ErrorRate: 0.3, Seed: seed + int64(k),
+				}),
+				texservice.RetryPolicy{
+					MaxAttempts: 25, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond,
+					Seed: texservice.DeriveSeed(0, k),
+				})
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,11 +37,6 @@ func WithMaxTerms(m int) LiveOption {
 	return func(l *Live) { l.maxTerms = m }
 }
 
-// WithMeter uses the given meter instead of a fresh one with defaults.
-func WithMeter(m *texservice.Meter) LiveOption {
-	return func(l *Live) { l.meter = m }
-}
-
 // NewLive wraps a Store as a Service.
 func NewLive(store *Store, opts ...LiveOption) *Live {
 	l := &Live{

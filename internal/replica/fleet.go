@@ -20,16 +20,17 @@ type Fleet struct {
 // NewFleet builds one Set per partition. backends[p] lists the replica
 // services of partition p; every partition must have at least one
 // replica (they need not agree on R — a partition mid-resize is fine).
-// The same options apply to every Set, except the selection seed, which
-// is perturbed per partition so fleets built from one configured seed
-// do not make identical routing choices in lockstep.
+// The same options apply to every Set, except the selection seed:
+// partition p routes with texservice.DeriveSeed(seed, p), so the
+// partitions of a fleet built from one configured seed do not make
+// identical routing choices in lockstep.
 func NewFleet(backends [][]texservice.Service, opts ...Option) (*Fleet, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("replica: fleet needs at least one partition")
 	}
 	sets := make([]*Set, len(backends))
 	for p, replicas := range backends {
-		setOpts := append(append([]Option(nil), opts...), withSeedPerturbation(p))
+		setOpts := append(append([]Option(nil), opts...), withPartitionSeed(p))
 		set, err := New(replicas, setOpts...)
 		if err != nil {
 			return nil, fmt.Errorf("partition %d: %w", p, err)
@@ -39,16 +40,10 @@ func NewFleet(backends [][]texservice.Service, opts ...Option) (*Fleet, error) {
 	return &Fleet{sets: sets}, nil
 }
 
-// withSeedPerturbation decorrelates per-partition rngs the same way
-// shard.DeriveRetrySeed decorrelates retry jitter: applied after the
-// user's options so it sees the configured seed.
-func withSeedPerturbation(p int) Option {
-	return func(o *options) {
-		if o.seed == 0 {
-			o.seed = 1
-		}
-		o.seed += int64(p+1) * 0x9E3779B9
-	}
+// withPartitionSeed derives partition p's selection seed from the
+// configured one: applied after the user's options so it sees that seed.
+func withPartitionSeed(p int) Option {
+	return func(o *options) { o.seed = texservice.DeriveSeed(o.seed, p) }
 }
 
 // Sets returns the per-partition routing Sets, index = partition. Each

@@ -104,14 +104,15 @@ func TestJoinMethodsOverShardedChaos(t *testing.T) {
 				sharded, err := NewLocalCluster(ix, n,
 					[]texservice.LocalOption{texservice.WithShortFields("title", "author", "year")},
 					func(k int, svc texservice.Service) texservice.Service {
-						if k != flakyShard {
-							return svc
+						if k == flakyShard {
+							svc = texservice.NewFaulty(svc, texservice.FaultConfig{
+								ErrorRate: 0.2, Seed: seed,
+							})
 						}
-						return texservice.NewFaulty(svc, texservice.FaultConfig{
-							ErrorRate: 0.2, Seed: seed,
-						})
-					},
-					WithRetry(policy))
+						p := policy
+						p.Seed = texservice.DeriveSeed(0, k)
+						return texservice.NewRetrying(svc, p)
+					})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -21,11 +21,12 @@
 // by the most expensive shard of each fan-out — the elapsed time under
 // perfect parallelism (see Meter.ChargeScatter).
 //
-// Shard failure is handled per shard with PR 1's transient/retry
-// machinery (wrap backends via WithRetry), and the federation itself
-// degrades in one of two modes: strict (default) fails the whole search
-// when any shard fails, best-effort drops the failed shards' documents
-// and marks the result Partial.
+// Transient shard failures are retried per shard by wrapping each backend
+// in texservice.Retrying (seeded with texservice.DeriveSeed, so the shards
+// back off independently) before composing them, and the federation
+// itself degrades in one of two modes: strict (default) fails the whole
+// search when any shard fails, best-effort drops the failed shards'
+// documents and marks the result Partial.
 package shard
 
 import (
@@ -58,17 +59,7 @@ type Sharded struct {
 type Option func(*config)
 
 type config struct {
-	meter      *texservice.Meter
 	bestEffort bool
-	retry      *texservice.RetryPolicy
-}
-
-// WithMeter uses the given root meter instead of a fresh one with default
-// costs. The root meter is what the database side reads; each shard's own
-// meter is still charged by its backend (exactly like the remote server's
-// local meter in the client/server split).
-func WithMeter(m *texservice.Meter) Option {
-	return func(c *config) { c.meter = m }
 }
 
 // WithBestEffort switches partial-failure handling from strict (any shard
@@ -78,18 +69,14 @@ func WithBestEffort() Option {
 	return func(c *config) { c.bestEffort = true }
 }
 
-// WithRetry wraps every shard backend in a texservice.Retrying decorator
-// with the given policy, so transient per-shard failures are retried
-// against that shard alone before the federation sees them.
-func WithRetry(p texservice.RetryPolicy) Option {
-	return func(c *config) { c.retry = &p }
-}
-
 // New composes shard backends into a federation. The slice order is the
 // partition order: shards[k] must hold the documents with global docid ≡ k
 // (mod len(shards)), as textidx.Partition produces. All shards must agree
 // on their short-form fields; the federation's term limit is the smallest
-// shard limit.
+// shard limit. The federation charges its fan-outs to a fresh root meter
+// with default costs, which is what the database side reads; each
+// shard's own meter is still charged by its backend (exactly like the
+// remote server's local meter in the client/server split).
 func New(shards []texservice.Service, opts ...Option) (*Sharded, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: federation needs at least one shard")
@@ -99,47 +86,18 @@ func New(shards []texservice.Service, opts ...Option) (*Sharded, error) {
 		opt(&cfg)
 	}
 	backends := append([]texservice.Service(nil), shards...)
-	if cfg.retry != nil {
-		for i, s := range backends {
-			// Every shard gets the same jittered policy but a distinct
-			// jitter stream. With one shared seed (the old behavior) every
-			// Retrying wrapper draws identical jitter values, so a failure
-			// that hits several shards of one scatter backs off in lockstep
-			// and re-converges on the struggling backends as a synchronized
-			// retry wave — exactly what jitter exists to prevent.
-			p := *cfg.retry
-			p.Seed = DeriveRetrySeed(p.Seed, i)
-			backends[i] = texservice.NewRetrying(s, p)
-		}
-	}
 	short, maxTerms, err := texservice.CheckMembers("shard", backends)
 	if err != nil {
 		return nil, err
 	}
-	meter := cfg.meter
-	if meter == nil {
-		meter = texservice.NewMeter(texservice.DefaultCosts())
-	}
 	return &Sharded{
 		shards:      backends,
-		meter:       meter,
+		meter:       texservice.NewMeter(texservice.DefaultCosts()),
 		bestEffort:  cfg.bestEffort,
 		maxTerms:    maxTerms,
 		shortFields: short,
 		shardErrs:   make([]int, len(backends)),
 	}, nil
-}
-
-// DeriveRetrySeed maps one base retry-policy seed to a distinct,
-// deterministic per-backend seed so concurrent retriers across a scatter
-// (or a replica set) never share a jitter stream. The multiplier is an
-// odd 32-bit constant (SplitMix-style), so distinct k always produce
-// distinct seeds and a zero base (meaning "default") still fans out.
-func DeriveRetrySeed(base int64, k int) int64 {
-	if base == 0 {
-		base = 1
-	}
-	return base + int64(k+1)*0x9E3779B9
 }
 
 // NumShards returns the partition width N.
@@ -399,7 +357,7 @@ func (s *Sharded) Degraded() int {
 }
 
 // ShardFailures returns the per-shard failed-call counts (after each
-// shard's own retries, if WithRetry was given).
+// shard's own retries, if its backend retries).
 func (s *Sharded) ShardFailures() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

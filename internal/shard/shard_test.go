@@ -463,17 +463,19 @@ func TestStrictErrorNamesRootCause(t *testing.T) {
 	}
 }
 
-// TestShardedRetry: transient per-shard faults are retried per shard via
-// WithRetry, so the federation search still succeeds and matches.
+// TestShardedRetry: transient per-shard faults are retried per shard by a
+// Retrying wrapper around each backend, so the federation search still
+// succeeds and matches.
 func TestShardedRetry(t *testing.T) {
 	ix := fixture(t)
 	q := textidx.Term{Field: "title", Word: "text"}
 	sharded, err := NewLocalCluster(ix, 3,
 		[]texservice.LocalOption{texservice.WithShortFields("title", "author", "year")},
 		func(k int, svc texservice.Service) texservice.Service {
-			return texservice.NewFaulty(svc, texservice.FaultConfig{ErrorRate: 0.4, Seed: int64(k + 1)})
-		},
-		WithRetry(texservice.RetryPolicy{MaxAttempts: 30, BaseDelay: 1, MaxDelay: 10}))
+			return texservice.NewRetrying(
+				texservice.NewFaulty(svc, texservice.FaultConfig{ErrorRate: 0.4, Seed: int64(k + 1)}),
+				texservice.RetryPolicy{MaxAttempts: 30, BaseDelay: 1, MaxDelay: 10, Seed: texservice.DeriveSeed(0, k)})
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,8 @@ func hasRemoteSpan(s obs.SpanSnapshot) bool {
 // TestTracePropagationUnderFaults is the check.sh trace-propagation
 // smoke: a federation of TCP-served shards, each client link failing 30%
 // of its calls transiently, still produces a trace with backend-grafted
-// remote spans under every scatter leg — the per-leg retry loop keeps
-// re-asking until a reply (with its server subtree) lands. Runs under
+// remote spans under every scatter leg — each leg's Retrying wrapper
+// keeps re-asking until a reply (with its server subtree) lands. Runs under
 // -race in the gate.
 func TestTracePropagationUnderFaults(t *testing.T) {
 	ix := fixture(t)
@@ -64,15 +64,18 @@ func TestTracePropagationUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer remote.Close()
-		// 30% of calls fail before reaching the wire; the shard layer's
-		// per-leg retries must absorb them.
-		shards[k] = texservice.NewFaulty(remote, texservice.FaultConfig{
-			ErrorRate: 0.3, Seed: int64(k + 1),
-		})
+		// 30% of calls fail before reaching the wire; each leg's own
+		// Retrying wrapper must absorb them.
+		shards[k] = texservice.NewRetrying(
+			texservice.NewFaulty(remote, texservice.FaultConfig{
+				ErrorRate: 0.3, Seed: int64(k + 1),
+			}),
+			texservice.RetryPolicy{
+				MaxAttempts: 50, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond,
+				Seed: texservice.DeriveSeed(0, k),
+			})
 	}
-	sharded, err := New(shards, WithRetry(texservice.RetryPolicy{
-		MaxAttempts: 50, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond,
-	}))
+	sharded, err := New(shards)
 	if err != nil {
 		t.Fatal(err)
 	}

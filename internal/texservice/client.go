@@ -3,7 +3,6 @@ package texservice
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -23,10 +22,11 @@ import (
 // calibration assumed (a WAN round trip to Mercury): a connection pool
 // lets concurrent probes overlap instead of queueing on one socket,
 // per-call deadlines bound how long a hung server can wedge a query,
-// context cancellation interrupts in-flight reads, and transient network
-// failures (connection reset, timeout, server restart) are retried with
-// exponential backoff and jitter. All operations are idempotent reads
-// over a frozen collection, so resending is always safe.
+// and context cancellation interrupts in-flight reads. Each call makes
+// one attempt (a pooled connection that died while idle is redialed
+// once, which is pool hygiene rather than a retry); wrap the client in
+// Retrying to resend transient failures (connection reset, timeout,
+// server restart) with exponential backoff and jitter.
 type Remote struct {
 	addr        string
 	cfg         dialConfig
@@ -43,7 +43,6 @@ type Remote struct {
 	mu     sync.Mutex
 	idle   []net.Conn
 	closed bool
-	rng    *rand.Rand
 }
 
 // DefaultPoolSize is the connection-pool capacity used when WithPoolSize
@@ -55,7 +54,6 @@ type dialConfig struct {
 	pool        int
 	timeout     time.Duration
 	dialTimeout time.Duration
-	retry       RetryPolicy
 }
 
 // DialOption configures a Remote client.
@@ -74,19 +72,13 @@ func WithPoolSize(n int) DialOption {
 
 // WithTimeout sets the per-attempt I/O deadline for each call (default
 // none). A hung server then surfaces as a timeout error instead of
-// blocking forever; with retries enabled, timed-out attempts are resent.
+// blocking forever; a Retrying wrapper resends timed-out calls.
 func WithTimeout(d time.Duration) DialOption {
 	return func(c *dialConfig) { c.timeout = d }
 }
 
-// WithRetry enables retries of transient failures under the given policy
-// (zero fields are filled from DefaultRetryPolicy). Without this option
-// every failure surfaces immediately.
-func WithRetry(p RetryPolicy) DialOption {
-	return func(c *dialConfig) { c.retry = p.withDefaults() }
-}
-
-// Dial connects to a text server and fetches its collection info.
+// Dial connects to a text server and fetches its collection info in one
+// attempt.
 func Dial(addr string, meter *Meter, opts ...DialOption) (*Remote, error) {
 	if meter == nil {
 		meter = NewMeter(DefaultCosts())
@@ -94,7 +86,6 @@ func Dial(addr string, meter *Meter, opts ...DialOption) (*Remote, error) {
 	cfg := dialConfig{
 		pool:        DefaultPoolSize,
 		dialTimeout: 10 * time.Second,
-		retry:       RetryPolicy{MaxAttempts: 1}.withDefaults(),
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -104,7 +95,6 @@ func Dial(addr string, meter *Meter, opts ...DialOption) (*Remote, error) {
 		cfg:   cfg,
 		meter: meter,
 		slots: make(chan struct{}, cfg.pool),
-		rng:   rand.New(rand.NewSource(cfg.retry.Seed)),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.dialTimeout)
 	defer cancel()
@@ -191,7 +181,7 @@ func (r *Remote) discard(conn net.Conn) {
 // flushIdle drops every idle connection. Called after a connection-level
 // failure: when the server restarted, the whole pool shares the fate of
 // the connection that just died, and keeping the corpses would waste one
-// retry each.
+// call each.
 func (r *Remote) flushIdle() {
 	r.mu.Lock()
 	idle := r.idle
@@ -204,9 +194,9 @@ func (r *Remote) flushIdle() {
 
 // attempt performs one round trip on one connection. On connection-reuse
 // failures the dead connection is discarded and the request is resent
-// once on a freshly dialed connection without consuming a retry attempt
-// (the failure proves only that the pooled socket had died in the
-// meantime, not that the server is unhealthy).
+// once on a freshly dialed connection (the failure proves only that the
+// pooled socket had died in the meantime, not that the server is
+// unhealthy).
 func (r *Remote) attempt(ctx context.Context, req wireRequest) (*wireResponse, error) {
 	for redial := 0; ; redial++ {
 		if err := ctx.Err(); err != nil {
@@ -268,50 +258,22 @@ func (r *Remote) roundTrip(ctx context.Context, conn net.Conn, req wireRequest) 
 	return &resp, nil
 }
 
-// call runs one operation under the retry policy and surfaces server-side
-// application errors. The span (one per logical call, however many
-// attempts it takes) records the attempt count; the context's trace ID
-// rides the wire so the server's request log can be correlated. When the
-// server speaks the span-return protocol, the reply carries the backend's
-// own span subtree, which is grafted under this call's span tagged with
-// the server address — remote legs stop being black boxes in the trace.
+// call runs one operation and surfaces server-side application errors.
+// The span records the server address; the context's trace ID rides the
+// wire so the server's request log can be correlated. When the server
+// speaks the span-return protocol, the reply carries the backend's own
+// span subtree, which is grafted under this call's span tagged with the
+// server address — remote legs stop being black boxes in the trace.
 func (r *Remote) call(ctx context.Context, op string, req wireRequest) (*wireResponse, error) {
 	ctx, sp := obs.StartSpan(ctx, "remote."+req.Op)
-	var used int
 	if sp != nil {
 		req.Trace = obs.IDFrom(ctx)
 		req.Spans = r.spanVer >= 1
-		defer func() {
-			sp.SetAttr(obs.Str("addr", r.addr), obs.Int("attempts", used))
-			sp.End()
-		}()
+		sp.SetAttr(obs.Str("addr", r.addr))
+		defer sp.End()
 	}
-	var resp *wireResponse
-	var err error
-	attempts := r.cfg.retry.MaxAttempts
-	for attempt := 0; attempt < attempts; attempt++ {
-		used = attempt + 1
-		if attempt > 0 {
-			r.meter.ChargeRetry(ctx)
-			r.mu.Lock()
-			d := r.cfg.retry.delay(r.rng, attempt-1)
-			r.mu.Unlock()
-			if serr := sleepCtx(ctx, d); serr != nil {
-				return nil, serr
-			}
-		}
-		resp, err = r.attempt(ctx, req)
-		if err == nil {
-			break
-		}
-		if !IsTransient(err) || ctx.Err() != nil {
-			return nil, err
-		}
-	}
+	resp, err := r.attempt(ctx, req)
 	if err != nil {
-		if attempts > 1 {
-			return nil, fmt.Errorf("texservice: %s failed after %d attempts: %w", op, attempts, err)
-		}
 		return nil, err
 	}
 	if resp.Spans != nil {
@@ -408,8 +370,8 @@ func (r *Remote) BatchSearch(ctx context.Context, exprs []textidx.Expr, form For
 
 // Ingest implements Ingestor over the wire: the batch is one round trip
 // and the ack carries the server's sequence and index version. The call
-// shares the pool/retry machinery of the read path; resends after a lost
-// ack are safe because puts are upserts and deletes are idempotent.
+// shares the pool of the read path; a Retrying wrapper's resends after a
+// lost ack are safe because puts are upserts and deletes are idempotent.
 func (r *Remote) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
 	if err := ValidateIngest(ops); err != nil {
 		return nil, err

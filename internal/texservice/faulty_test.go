@@ -143,8 +143,8 @@ func TestFaultyLatency(t *testing.T) {
 }
 
 // TestChaosServer: a Faulty-backed TCP server with connection drops is
-// survivable by a retrying client — the end-to-end `textserve -chaos`
-// wiring.
+// survivable by a client behind a Retrying wrapper — the end-to-end
+// `textserve -chaos` wiring.
 func TestChaosServer(t *testing.T) {
 	local, err := NewLocal(testIndex(t))
 	if err != nil {
@@ -159,12 +159,12 @@ func TestChaosServer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	r, err := Dial(addr, nil, WithPoolSize(2),
-		WithRetry(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}))
+	remote, err := Dial(addr, nil, WithPoolSize(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	defer remote.Close()
+	r := NewRetrying(remote, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond})
 	expr := textidx.Term{Field: "title", Word: "text"}
 	for i := 0; i < 12; i++ {
 		res, err := r.Search(bg, expr, FormShort)

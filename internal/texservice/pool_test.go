@@ -102,17 +102,17 @@ func TestPoolConcurrencySpeedup(t *testing.T) {
 }
 
 // TestPoolSurvivesServerRestart: connections pooled before a server
-// restart are dead afterwards; with retries enabled the client must
+// restart are dead afterwards; behind a Retrying wrapper the client must
 // discard them and re-dial transparently.
 func TestPoolSurvivesServerRestart(t *testing.T) {
 	srv, addr := startServer(t, 0)
 
-	r, err := Dial(addr, nil, WithPoolSize(4),
-		WithRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond}))
+	r, err := Dial(addr, nil, WithPoolSize(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	svc := NewRetrying(r, RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond})
 
 	expr := textidx.Term{Field: "title", Word: "text"}
 	// Populate the idle pool with live connections.
@@ -136,7 +136,7 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	res, err := r.Search(bg, expr, FormShort)
+	res, err := svc.Search(bg, expr, FormShort)
 	if err != nil {
 		t.Fatalf("search after restart: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestContextCancelUnhangsCall(t *testing.T) {
 
 	mute := &Remote{
 		addr:  ln.Addr().String(),
-		cfg:   dialConfig{pool: 1, dialTimeout: time.Second, retry: RetryPolicy{MaxAttempts: 1}.withDefaults()},
+		cfg:   dialConfig{pool: 1, dialTimeout: time.Second},
 		meter: NewMeter(DefaultCosts()),
 		slots: make(chan struct{}, 1),
 	}
@@ -242,11 +242,11 @@ func TestDialOptionDefaults(t *testing.T) {
 	if cfg.pool != DefaultPoolSize {
 		t.Fatalf("negative pool size accepted: %d", cfg.pool)
 	}
-	WithRetry(RetryPolicy{})(&cfg)
-	if cfg.retry.MaxAttempts != 1 {
-		t.Fatalf("zero policy attempts = %d", cfg.retry.MaxAttempts)
+	retry := NewRetrying(nil, RetryPolicy{}).policy
+	if retry.MaxAttempts != 1 {
+		t.Fatalf("zero policy attempts = %d", retry.MaxAttempts)
 	}
-	if cfg.retry.BaseDelay != DefaultRetryPolicy().BaseDelay {
-		t.Fatalf("zero policy base delay = %v", cfg.retry.BaseDelay)
+	if retry.BaseDelay != DefaultRetryPolicy().BaseDelay {
+		t.Fatalf("zero policy base delay = %v", retry.BaseDelay)
 	}
 }

@@ -49,6 +49,19 @@ func DefaultRetryPolicy() RetryPolicy {
 		MaxDelay: 2 * time.Second, Multiplier: 2, Jitter: 0.5, Seed: 1}
 }
 
+// DeriveSeed maps one base retry-policy seed to a distinct, deterministic
+// seed for the k-th of several concurrent retriers (the endpoints of a
+// sharded client, the partitions of a replica fleet), so they never share
+// a jitter stream and back off in lockstep. The multiplier is an odd
+// 32-bit constant (SplitMix-style), so distinct k always produce distinct
+// seeds and a zero base (meaning "default") still fans out.
+func DeriveSeed(base int64, k int) int64 {
+	if base == 0 {
+		base = 1
+	}
+	return base + int64(k+1)*0x9E3779B9
+}
+
 // withDefaults fills unset fields with the default policy's values.
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	def := DefaultRetryPolicy()
@@ -142,7 +155,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Retrying decorates a Service with transient-failure retries under a
 // RetryPolicy. Failed attempts are charged to the meter via ChargeRetry
 // (the wasted invocation overhead is real work on the remote system).
-// Batch, statistics and ingest calls are retried like searches; the other
+// It is the one retry loop of the text-service stack. Batch, statistics,
+// ingest and version calls are retried like searches; the other
 // capabilities pass through, and one the inner service lacks is refused
 // with its sentinel at once (a refusal is not transient).
 type Retrying struct {
@@ -233,6 +247,13 @@ func (r *Retrying) TermDocFrequency(ctx context.Context, field, term string) (in
 func (r *Retrying) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
 	return retry(ctx, r, "ingest", func(ctx context.Context) (*IngestResult, error) {
 		return r.passThrough.Ingest(ctx, ops)
+	})
+}
+
+// IndexVersion implements Versioned when the inner service does.
+func (r *Retrying) IndexVersion(ctx context.Context) (uint64, error) {
+	return retry(ctx, r, "version", func(ctx context.Context) (uint64, error) {
+		return r.passThrough.IndexVersion(ctx)
 	})
 }
 

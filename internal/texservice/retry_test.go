@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -146,5 +147,101 @@ func TestRetryingForwardsCapabilities(t *testing.T) {
 		if err != nil || df != 2 {
 			t.Fatalf("docfreq %d = %d, %v", i, df, err)
 		}
+	}
+}
+
+// TestDeriveSeedDecorrelates: derived retry seeds must be pairwise
+// distinct (for any base, including zero) and stable — retriers that
+// share one jitter stream retry a down backend in lockstep, turning every
+// recovery into a synchronized wave.
+func TestDeriveSeedDecorrelates(t *testing.T) {
+	for _, base := range []int64{0, 1, 42, -7} {
+		seen := map[int64]bool{}
+		for k := 0; k < 64; k++ {
+			s := DeriveSeed(base, k)
+			if s == 0 {
+				t.Fatalf("base %d retrier %d: derived seed 0 (the unseeded sentinel)", base, k)
+			}
+			if seen[s] {
+				t.Fatalf("base %d: retrier %d collides with an earlier one (seed %d)", base, k, s)
+			}
+			seen[s] = true
+			if again := DeriveSeed(base, k); again != s {
+				t.Fatalf("base %d retrier %d: unstable derivation %d vs %d", base, k, again, s)
+			}
+		}
+	}
+	// Different bases stay different streams for the same retrier.
+	if DeriveSeed(1, 3) == DeriveSeed(2, 3) {
+		t.Error("distinct bases collapsed to one seed")
+	}
+	// The formula is fixed: replica fleets derive their partitions'
+	// routing seeds from it, so a change would move every fleet's routing.
+	if got := DeriveSeed(31, 1); got != 31+2*2654435769 {
+		t.Errorf("DeriveSeed(31, 1) = %d, want %d", got, int64(31+2*2654435769))
+	}
+}
+
+// TestDerivedSeedsDecorrelateJitter: Retrying wrappers seeded with
+// DeriveSeed(99, k) back off after pairwise-distinct first delays, so
+// retriers that fail at the same instant do not retry at the same
+// instant, and each k repeats its own delay sequence. A delay is a pure
+// function of the policy and its seed, so no clock is read.
+func TestDerivedSeedsDecorrelateJitter(t *testing.T) {
+	policy := RetryPolicy{MaxAttempts: 4, BaseDelay: 20 * time.Millisecond,
+		MaxDelay: time.Second, Jitter: 1}
+	delays := func(k int) []time.Duration {
+		p := policy
+		p.Seed = DeriveSeed(99, k)
+		r := NewRetrying(nil, p)
+		out := make([]time.Duration, p.MaxAttempts-1)
+		for i := range out {
+			out[i] = r.policy.delay(r.rng, i)
+		}
+		return out
+	}
+	first := map[time.Duration]int{}
+	for k := 0; k < 4; k++ {
+		seq := delays(k)
+		if other, ok := first[seq[0]]; ok {
+			t.Errorf("retriers %d and %d back off after the same first delay %v", other, k, seq[0])
+		}
+		first[seq[0]] = k
+		if again := delays(k); !slices.Equal(again, seq) {
+			t.Errorf("retrier %d: delay sequence %v, then %v", k, seq, again)
+		}
+	}
+}
+
+// flakyVersion fails its first IndexVersion call transiently.
+type flakyVersion struct {
+	Service
+	calls int
+}
+
+func (f *flakyVersion) IndexVersion(context.Context) (uint64, error) {
+	f.calls++
+	if f.calls == 1 {
+		return 0, &faultError{cause: ErrConnDrop, transient: true}
+	}
+	return 7, nil
+}
+
+// TestRetryingRetriesIndexVersion: the version read is retried like every
+// other operation, and the retry is charged to the inner service's meter.
+func TestRetryingRetriesIndexVersion(t *testing.T) {
+	local, err := NewLocal(testIndex(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := &flakyVersion{Service: local}
+	r := NewRetrying(inner, RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond})
+	v, err := r.IndexVersion(bg)
+	if err != nil || v != 7 {
+		t.Fatalf("IndexVersion = %d, %v; want 7 after one retry", v, err)
+	}
+	if inner.calls != 2 || r.Retries() != 1 || local.Meter().Snapshot().Retries != 1 {
+		t.Fatalf("calls %d, retries %d, metered retries %d; want 2, 1, 1",
+			inner.calls, r.Retries(), local.Meter().Snapshot().Retries)
 	}
 }

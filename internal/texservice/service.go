@@ -363,11 +363,6 @@ func WithMaxTerms(m int) LocalOption {
 	return func(l *Local) { l.maxTerms = m }
 }
 
-// WithMeter uses the given meter instead of a fresh one with default costs.
-func WithMeter(m *Meter) LocalOption {
-	return func(l *Local) { l.meter = m }
-}
-
 // DefaultMaxTerms is Mercury's limit of 70 search terms per query.
 const DefaultMaxTerms = 70
 

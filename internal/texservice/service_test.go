@@ -98,10 +98,11 @@ func TestLocalSearchTermLimit(t *testing.T) {
 func TestMeterCharges(t *testing.T) {
 	costs := Costs{CI: 3, CP: 0.00001, CS: 0.015, CL: 4, CA: 0.005}
 	meter := NewMeter(costs)
-	svc, err := NewLocal(testIndex(t), WithMeter(meter))
+	svc, err := NewLocal(testIndex(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.meter = meter
 	// "text" appears in 2 titles → 2 postings, 2 short docs.
 	if _, err := svc.Search(bg, textidx.Term{Field: "title", Word: "text"}, FormShort); err != nil {
 		t.Fatal(err)
