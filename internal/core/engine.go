@@ -170,6 +170,10 @@ type Result struct {
 	// Batches is the number of column batches the relational operators
 	// emitted.
 	Batches int
+	// Partial reports a best-effort answer: a text source lost part of
+	// its collection (a federation shard) during the run, so rows may be
+	// missing.
+	Partial bool
 	// OptimizeTime and ExecuteTime are wall-clock durations.
 	OptimizeTime, ExecuteTime time.Duration
 	// Analyze holds the EXPLAIN ANALYZE tree (per-node estimates next to
@@ -314,6 +318,7 @@ func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
 		Probes:       st.Probes,
 		BatchRounds:  st.BatchRounds,
 		Batches:      st.Batches,
+		Partial:      st.Partial,
 		OptimizeTime: p.optTime,
 		ExecuteTime:  time.Since(start),
 	}

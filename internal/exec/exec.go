@@ -55,6 +55,10 @@ type RunStats struct {
 	// Batches counts the column batches the relational operators emitted
 	// over the whole run.
 	Batches int
+	// Partial reports that a foreign join or probe consumed a search
+	// answer known to be incomplete (join.Stats.Partial), so the result
+	// may be missing rows.
+	Partial bool
 }
 
 // runState is one run's mutable state: the statistics Run returns and the
@@ -194,6 +198,7 @@ func (e *Executor) evalProbe(ctx context.Context, n *plan.Probe, st *runState) (
 	}
 	st.Probes += stats.Probes
 	st.BatchRounds += stats.BatchRounds
+	st.Partial = st.Partial || stats.Partial
 	return out, nil
 }
 
@@ -223,6 +228,7 @@ func (e *Executor) evalTextJoin(ctx context.Context, n *plan.TextJoin, st *runSt
 	}
 	st.Probes += res.Stats.Probes
 	st.BatchRounds += res.Stats.BatchRounds
+	st.Partial = st.Partial || res.Stats.Partial
 	return qualifyDocColumns(res.Table, in.Schema.Arity(), n.Source, n.DocFields), nil
 }
 

@@ -285,6 +285,10 @@ type Response struct {
 	// Usage is this query's own text-service consumption — isolated from
 	// concurrent queries via the per-query meter.
 	Usage texservice.Usage `json:"usage"`
+	// Partial marks a best-effort answer: a text source lost part of its
+	// collection (a federation shard) while the query ran, so the rows
+	// are the surviving ones and may be incomplete.
+	Partial bool `json:"partial,omitempty"`
 	// Queued is how long the query waited for a worker slot.
 	Queued time.Duration `json:"queued_ns"`
 	// Elapsed is the post-admission latency (plan + execute).
@@ -695,6 +699,9 @@ func (g *Gateway) execute(ctx context.Context, sql string, analyze bool) (*Respo
 	}
 	g.ctrs.optimizeNanos.Add(uint64(res.OptimizeTime))
 	g.ctrs.executeNanos.Add(uint64(res.ExecuteTime))
+	if res.Partial {
+		g.ctrs.partial.Add(1)
+	}
 	var telem *telemetry.Record
 	if g.cfg.Telemetry != nil {
 		telem = buildTelemetry(prep, res)
@@ -703,6 +710,7 @@ func (g *Gateway) execute(ctx context.Context, sql string, analyze bool) (*Respo
 		Plan:    prep.Explain(),
 		EstCost: res.EstCost,
 		Usage:   res.Usage,
+		Partial: res.Partial,
 	}
 	if analyze {
 		// The tree is always collected when telemetry is on, but /query

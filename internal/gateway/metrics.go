@@ -40,6 +40,7 @@ func (g *Gateway) WriteMetrics(w io.Writer) {
 	counter("queries_rejected_draining_total", "Queries rejected while draining.", s.RejectedDraining)
 	counter("queries_abandoned_queue_total", "Queries whose caller gave up while queued.", s.AbandonedQueue)
 	counter("queries_budget_aborted_total", "Queries aborted by the per-query cost cap.", s.BudgetAborted)
+	counter("queries_partial_total", "Completed queries whose answer is best-effort: a text source lost a shard.", s.Partial)
 	counter("queries_timed_out_total", "Queries aborted by the per-query deadline.", s.TimedOut)
 	counter("queries_plan_failed_total", "Queries that failed to parse, analyze or optimize.", s.PlanFailed)
 	counter("queries_slow_logged_total", "Queries dumped to the slow-query log.", s.SlowLogged)

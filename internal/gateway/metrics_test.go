@@ -170,6 +170,7 @@ func TestMetricsPromFormat(t *testing.T) {
 		"textjoin_queries_completed_total":               3,
 		"textjoin_queries_failed_total":                  1,
 		"textjoin_queries_plan_failed_total":             1,
+		"textjoin_queries_partial_total":                 0,
 		"textjoin_exec_batches_total":                    1,
 		"textjoin_workers":                               2,
 		"textjoin_in_flight_peak":                        1,

@@ -31,6 +31,7 @@ type counters struct {
 	rejectedDraining   atomic.Uint64 // rejected: gateway draining
 	abandonedQueue     atomic.Uint64 // caller's context ended while queued
 	budgetAborted      atomic.Uint64 // failed: per-query cost cap fired (subset of failed)
+	partial            atomic.Uint64 // completed with a best-effort (Partial) answer (subset of completed)
 	timedOut           atomic.Uint64 // failed: per-query deadline expired (subset of failed)
 	planFailed         atomic.Uint64 // failed: parse/analyze/optimize error (subset of failed)
 	slowLogged         atomic.Uint64 // queries dumped to the slow-query log
@@ -217,6 +218,7 @@ type Snapshot struct {
 	RejectedDraining   uint64 `json:"rejected_draining"`
 	AbandonedQueue     uint64 `json:"abandoned_queue"`
 	BudgetAborted      uint64 `json:"budget_aborted"`
+	Partial            uint64 `json:"partial"`
 	TimedOut           uint64 `json:"timed_out"`
 	PlanFailed         uint64 `json:"plan_failed"`
 	SlowLogged         uint64 `json:"slow_logged"`
@@ -255,6 +257,7 @@ func (c *counters) snapshot() Snapshot {
 		RejectedDraining:   c.rejectedDraining.Load(),
 		AbandonedQueue:     c.abandonedQueue.Load(),
 		BudgetAborted:      c.budgetAborted.Load(),
+		Partial:            c.partial.Load(),
 		TimedOut:           c.timedOut.Load(),
 		PlanFailed:         c.planFailed.Load(),
 		SlowLogged:         c.slowLogged.Load(),

@@ -71,7 +71,7 @@ func (ex *execution) probe(ctx context.Context, preds []Pred, rep relation.Tuple
 	if !ok {
 		return probeOutcome{}, nil
 	}
-	pres, err := ex.svc.Search(ctx, pexpr, texservice.FormShort)
+	pres, err := ex.search(ctx, pexpr, texservice.FormShort)
 	if err != nil {
 		return probeOutcome{}, err
 	}
@@ -135,7 +135,7 @@ func (ex *execution) orPackProbe(ctx context.Context, preds []Pred, probes []bin
 		if spec.TextSel != nil {
 			expr = andPair(spec.TextSel, expr)
 		}
-		res, err := ex.svc.Search(fctx, expr, texservice.FormShort)
+		res, err := ex.search(fctx, expr, texservice.FormShort)
 		if err != nil {
 			fsp.End()
 			return err
@@ -208,7 +208,7 @@ func (ex *execution) alignedBatchProbe(ctx context.Context, preds []Pred, probes
 			searched = append(searched, i)
 		}
 	}
-	results, invocations, err := texservice.SearchBatch(ctx, ex.svc, exprs, texservice.FormShort)
+	results, invocations, err := ex.searchBatch(ctx, exprs, texservice.FormShort)
 	if err != nil {
 		return err
 	}

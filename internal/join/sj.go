@@ -113,7 +113,7 @@ func (ex *execution) runSJBatch(batch []conjBinding) error {
 	if spec.TextSel != nil {
 		expr = andPair(spec.TextSel, expr)
 	}
-	res, err := ex.svc.Search(ex.ctx, expr, texservice.FormShort)
+	res, err := ex.search(ex.ctx, expr, texservice.FormShort)
 	if err != nil {
 		return err
 	}

@@ -184,6 +184,10 @@ type Stats struct {
 	BatchRounds int
 	// ResultRows is the number of rows produced.
 	ResultRows int
+	// Partial reports that at least one search answer this execution
+	// consumed was known to be incomplete (a best-effort federation lost
+	// a shard), so the rows may be a subset of the full answer.
+	Partial bool
 }
 
 // Result is the outcome of executing a join method.
@@ -307,6 +311,29 @@ func (ex *execution) retrieve(id textidx.DocID) (textidx.Document, error) {
 	}
 	ex.docCache[id] = doc
 	return doc, nil
+}
+
+// search sends one search and records whether its answer was partial.
+func (ex *execution) search(ctx context.Context, e textidx.Expr, form texservice.Form) (*texservice.Result, error) {
+	res, err := ex.svc.Search(ctx, e, form)
+	if err != nil {
+		return nil, err
+	}
+	ex.stats.Partial = ex.stats.Partial || res.Partial
+	return res, nil
+}
+
+// searchBatch is texservice.SearchBatch, recording whether any answer
+// was partial.
+func (ex *execution) searchBatch(ctx context.Context, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, int, error) {
+	results, invocations, err := texservice.SearchBatch(ctx, ex.svc, exprs, form)
+	if err != nil {
+		return nil, invocations, err
+	}
+	for _, res := range results {
+		ex.stats.Partial = ex.stats.Partial || res.Partial
+	}
+	return results, invocations, nil
 }
 
 // requireShortFields verifies that relational text processing can evaluate

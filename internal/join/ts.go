@@ -56,7 +56,7 @@ func (ex *execution) substituteAll(joins []binding, batched bool) error {
 			searched = append(searched, b)
 		}
 	}
-	results, _, err := texservice.SearchBatch(ex.ctx, ex.svc, exprs, ex.searchForm())
+	results, _, err := ex.searchBatch(ex.ctx, exprs, ex.searchForm())
 	if err != nil {
 		return err
 	}
@@ -76,7 +76,7 @@ func (ex *execution) substitute(b binding) (*texservice.Result, error) {
 	if !ok {
 		return nil, nil
 	}
-	res, err := ex.svc.Search(ex.ctx, expr, ex.searchForm())
+	res, err := ex.search(ex.ctx, expr, ex.searchForm())
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func (m RTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*
 		return nil, err
 	}
 	return run(ctx, "join."+m.Name(), spec, svc, func(ex *execution) error {
-		res, err := svc.Search(ex.ctx, spec.TextSel, texservice.FormShort)
+		res, err := ex.search(ex.ctx, spec.TextSel, texservice.FormShort)
 		if err != nil {
 			return err
 		}
