@@ -196,10 +196,3 @@ func FormatAnalyze(w io.Writer, root *AnalyzeNode) {
 		fmt.Fprintln(w)
 	}
 }
-
-// FormatAnalyzeString renders the tree to a string.
-func FormatAnalyzeString(root *AnalyzeNode) string {
-	var b strings.Builder
-	FormatAnalyze(&b, root)
-	return b.String()
-}

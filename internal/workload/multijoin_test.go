@@ -129,15 +129,6 @@ func TestDemoEnvironment(t *testing.T) {
 	}
 }
 
-func TestMustBuildRelationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustBuildRelation did not panic on bad config")
-		}
-	}()
-	MustBuildRelation("r", 0, 1)
-}
-
 func TestQ4ConfigValidation(t *testing.T) {
 	c := NewCorpus(CorpusConfig{Docs: 100, Seed: 1})
 	bad := []Q4Config{

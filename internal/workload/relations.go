@@ -73,12 +73,3 @@ func BuildRelation(name string, n int, seed int64, cols ...ColumnSpec) (*relatio
 	}
 	return tbl, nil
 }
-
-// MustBuildRelation is BuildRelation that panics on error.
-func MustBuildRelation(name string, n int, seed int64, cols ...ColumnSpec) *relation.Table {
-	t, err := BuildRelation(name, n, seed, cols...)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}

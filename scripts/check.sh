@@ -43,8 +43,9 @@ go test -race -run 'Metrics|Analyze|SlowQuery' ./internal/gateway
 # Distributed-tracing gates, all under the race detector:
 # 1. Trace-propagation smoke: a federation whose client links fail 30%
 #    of calls transiently must still produce a backend-grafted remote
-#    span under every scatter leg (per-leg retries re-ask until a reply
-#    carries the server subtree).
+#    span under every scatter leg (each leg's own texservice.Retrying
+#    wrapper, set up by the test, re-asks until a reply carries the
+#    server subtree).
 # 2. Remote span return over the wire: version negotiation, skew-proof
 #    grafting, spans on error replies.
 # 3. Trace ring soak: concurrent queries hammer the tail-sampled store
@@ -117,6 +118,13 @@ go test -race -run 'TestLiveIngest' ./internal/join
 #    unconsumed loser attempt fails this.
 go test -race -run 'TestJoinMethodsOverReplicated|TestFailover|TestProbeReadmission' ./internal/replica
 go test -race -run 'TestHedgeCancellationNoLeaks' ./internal/replica
+
+# The one composition the binaries ship, under the race detector:
+# appcfg.DialText over three TCP servers as "-remote a,b|c -retries 3",
+# a faulty sole replica whose back-to-back faults only the per-endpoint
+# Retrying wrapper absorbs (answers equal the in-process ones), then that
+# partition lost for good and the gateway's answer flagged Partial.
+go test -race -run 'TestDialTextComposes' ./internal/appcfg
 
 # Benchmarks must at least compile and run one iteration — they are the
 # before/after evidence for the execution core, the relational matcher
