@@ -244,34 +244,38 @@ func (p *Params) CostPRTP(J []int) float64 {
 		p.resultTransmission()
 }
 
+// Choose returns the method's probe set J — OptimalProbe's choice for the
+// four probing methods, nil otherwise — and its cost, +Inf for an unknown
+// method. It does not check applicability; Cost does.
+func (p *Params) Choose(m Method) (J []int, c float64) {
+	switch m {
+	case MethodTS:
+		return nil, p.CostTS()
+	case MethodRTP:
+		return nil, p.CostRTP()
+	case MethodSJRTP:
+		return nil, p.CostSJRTP()
+	case MethodPTS:
+		return p.OptimalProbe(p.CostPTS)
+	case MethodPRTP:
+		return p.OptimalProbe(p.CostPRTP)
+	case MethodPTSBatch:
+		return p.OptimalProbe(p.CostPTSBatch)
+	case MethodPRTPBatch:
+		return p.OptimalProbe(p.CostPRTPBatch)
+	default:
+		return nil, math.Inf(1)
+	}
+}
+
 // Cost returns the method's cost, optimizing probe columns for the
 // probe-based methods. It returns +Inf for inapplicable methods.
 func (p *Params) Cost(m Method) float64 {
 	if !p.Applicable(m) {
 		return math.Inf(1)
 	}
-	switch m {
-	case MethodTS:
-		return p.CostTS()
-	case MethodRTP:
-		return p.CostRTP()
-	case MethodSJRTP:
-		return p.CostSJRTP()
-	case MethodPTS:
-		_, c := p.OptimalProbe(p.CostPTS)
-		return c
-	case MethodPRTP:
-		_, c := p.OptimalProbe(p.CostPRTP)
-		return c
-	case MethodPTSBatch:
-		_, c := p.OptimalProbe(p.CostPTSBatch)
-		return c
-	case MethodPRTPBatch:
-		_, c := p.OptimalProbe(p.CostPRTPBatch)
-		return c
-	default:
-		return math.Inf(1)
-	}
+	_, c := p.Choose(m)
+	return c
 }
 
 // Best returns the cheapest applicable method and its predicted cost.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"time"
 
-	"textjoin/internal/cost"
 	"textjoin/internal/join"
 	"textjoin/internal/obs"
 	"textjoin/internal/plan"
@@ -214,7 +213,7 @@ func (e *Executor) evalTextJoin(ctx context.Context, n *plan.TextJoin, st *runSt
 		LongForm:  n.LongForm,
 		DocFields: n.DocFields,
 	}
-	method, err := methodFor(n)
+	method, err := join.For(n.Method, n.ProbeColumns)
 	if err != nil {
 		return nil, err
 	}
@@ -230,28 +229,6 @@ func (e *Executor) evalTextJoin(ctx context.Context, n *plan.TextJoin, st *runSt
 	st.BatchRounds += res.Stats.BatchRounds
 	st.Partial = st.Partial || res.Stats.Partial
 	return qualifyDocColumns(res.Table, in.Schema.Arity(), n.Source, n.DocFields), nil
-}
-
-// methodFor instantiates the executable join method a TextJoin node names.
-func methodFor(n *plan.TextJoin) (join.Method, error) {
-	switch n.Method {
-	case cost.MethodTS:
-		return join.TS{}, nil
-	case cost.MethodRTP:
-		return join.RTP{}, nil
-	case cost.MethodSJRTP:
-		return join.SJRTP{}, nil
-	case cost.MethodPTS:
-		return join.PTS{ProbeColumns: n.ProbeColumns}, nil
-	case cost.MethodPRTP:
-		return join.PRTP{ProbeColumns: n.ProbeColumns}, nil
-	case cost.MethodPTSBatch:
-		return join.PTS{ProbeColumns: n.ProbeColumns, Batched: true}, nil
-	case cost.MethodPRTPBatch:
-		return join.PRTP{ProbeColumns: n.ProbeColumns, Batched: true}, nil
-	default:
-		return nil, fmt.Errorf("exec: unknown join method %v", n.Method)
-	}
 }
 
 // toJoinPreds converts classified foreign predicates to the join package's

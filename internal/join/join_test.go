@@ -2,9 +2,11 @@ package join
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"textjoin/internal/cost"
 	"textjoin/internal/relation"
 	"textjoin/internal/texservice"
 	"textjoin/internal/textidx"
@@ -657,5 +659,35 @@ func TestBindingsDoNotCollide(t *testing.T) {
 		if !SameRows(res.Table, want) {
 			t.Errorf("%s: rows %v, naive %v", m.Name(), res.Table.Rows, want.Rows)
 		}
+	}
+}
+
+// TestForMatchesCostModel: For names every cost-model method with the
+// executable method of the same name, hands the probing methods their
+// probe columns, and rejects an unknown method.
+func TestForMatchesCostModel(t *testing.T) {
+	cols := []string{"name", "member"}
+	for _, m := range cost.AllMethods {
+		method, err := For(m, cols)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if method.Name() != m.String() {
+			t.Errorf("For(%v).Name() = %q", m, method.Name())
+		}
+		var got []string
+		switch pm := method.(type) {
+		case PTS:
+			got = pm.ProbeColumns
+		case PRTP:
+			got = pm.ProbeColumns
+		}
+		probing := m == cost.MethodPTS || m == cost.MethodPRTP || m == cost.MethodPTSBatch || m == cost.MethodPRTPBatch
+		if probing && !slices.Equal(got, cols) {
+			t.Errorf("For(%v) probes %v, want %v", m, got, cols)
+		}
+	}
+	if _, err := For(cost.Method(99), cols); err == nil {
+		t.Fatal("For accepted an unknown method")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"textjoin/internal/cost"
 	"textjoin/internal/obs"
 	"textjoin/internal/relation"
 	"textjoin/internal/texservice"
@@ -207,6 +208,29 @@ type Method interface {
 	// the method issues; cancellation aborts the join mid-flight. The
 	// result's Stats reflect only this execution.
 	Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error)
+}
+
+// For returns the executable method a cost-model method names. probeCols
+// is the probe set of the probing methods and is ignored by the others.
+func For(m cost.Method, probeCols []string) (Method, error) {
+	switch m {
+	case cost.MethodTS:
+		return TS{}, nil
+	case cost.MethodRTP:
+		return RTP{}, nil
+	case cost.MethodSJRTP:
+		return SJRTP{}, nil
+	case cost.MethodPTS:
+		return PTS{ProbeColumns: probeCols}, nil
+	case cost.MethodPRTP:
+		return PRTP{ProbeColumns: probeCols}, nil
+	case cost.MethodPTSBatch:
+		return PTS{ProbeColumns: probeCols, Batched: true}, nil
+	case cost.MethodPRTPBatch:
+		return PRTP{ProbeColumns: probeCols, Batched: true}, nil
+	default:
+		return nil, fmt.Errorf("join: unknown method %v", m)
+	}
 }
 
 // run wraps a method body with validation, usage accounting and a span

@@ -64,8 +64,8 @@ type transcriptConfig struct {
 	batched bool
 }
 
-// transcriptConfigs lists the configurations exec.methodFor, exec's Probe
-// node and internal/bench construct, plus each probing variant on both
+// transcriptConfigs lists the configurations For, exec's Probe node and
+// internal/bench construct, plus each probing variant on both
 // probe columns of Q3.
 func transcriptConfigs() []transcriptConfig {
 	name, member := []string{"name"}, []string{"member"}

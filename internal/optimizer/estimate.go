@@ -450,28 +450,8 @@ func (o *Optimizer) textJoinCands(c cand, source string) ([]cand, error) {
 		if (m == cost.MethodRTP || m == cost.MethodSJRTP || m == cost.MethodPRTP || m == cost.MethodPRTPBatch) && !shortOK {
 			continue
 		}
-		var methodCost float64
-		var probeCols []string
-		switch m {
-		case cost.MethodPTS:
-			J, cst := params.OptimalProbe(params.CostPTS)
-			methodCost = cst
-			probeCols = o.probeColumnNames(all, J)
-		case cost.MethodPRTP:
-			J, cst := params.OptimalProbe(params.CostPRTP)
-			methodCost = cst
-			probeCols = o.probeColumnNames(all, J)
-		case cost.MethodPTSBatch:
-			J, cst := params.OptimalProbe(params.CostPTSBatch)
-			methodCost = cst
-			probeCols = o.probeColumnNames(all, J)
-		case cost.MethodPRTPBatch:
-			J, cst := params.OptimalProbe(params.CostPRTPBatch)
-			methodCost = cst
-			probeCols = o.probeColumnNames(all, J)
-		default:
-			methodCost = params.Cost(m)
-		}
+		J, methodCost := params.Choose(m)
+		probeCols := o.probeColumnNames(all, J)
 		if math.IsInf(methodCost, 1) {
 			continue
 		}

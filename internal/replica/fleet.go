@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -128,19 +127,4 @@ func (f *Fleet) Stats() Stats {
 		st = st.Add(s.Stats())
 	}
 	return st
-}
-
-// CatchUpAll replays missed writes into lagging replicas across every
-// partition, returning the number repaired.
-func (f *Fleet) CatchUpAll(ctx context.Context) (int, error) {
-	repaired := 0
-	var firstErr error
-	for _, s := range f.sets {
-		n, err := s.CatchUp(ctx)
-		repaired += n
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return repaired, firstErr
 }

@@ -262,9 +262,6 @@ func New(replicas []texservice.Service, opts ...Option) (*Set, error) {
 	}, nil
 }
 
-// NumReplicas returns R.
-func (s *Set) NumReplicas() int { return len(s.replicas) }
-
 // pick selects the next replica to try. tried marks replicas already
 // attempted by this operation (nil = none). minVer, when nonzero, is the
 // read-your-writes fence: replicas whose last acked version is older are

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"math"
-
 	"textjoin/internal/cost"
 	"textjoin/internal/join"
 )
@@ -86,12 +84,7 @@ func (e *Estimator) ChooseMethod(spec *join.Spec, g int) (join.Method, *cost.Par
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	best, bestCost := cost.Method(0), math.Inf(1)
-	for _, m := range cost.AllMethods {
-		if c := p.Cost(m); c < bestCost {
-			best, bestCost = m, c
-		}
-	}
+	best, bestCost := p.Best()
 	method, err := InstantiateMethod(spec, p, best)
 	if err != nil {
 		return nil, nil, 0, err
@@ -102,32 +95,6 @@ func (e *Estimator) ChooseMethod(spec *join.Spec, g int) (join.Method, *cost.Par
 // InstantiateMethod builds the executable join.Method for a cost-model
 // method choice, selecting optimal probe columns where needed.
 func InstantiateMethod(spec *join.Spec, p *cost.Params, m cost.Method) (join.Method, error) {
-	switch m {
-	case cost.MethodTS:
-		return join.TS{}, nil
-	case cost.MethodRTP:
-		return join.RTP{}, nil
-	case cost.MethodSJRTP:
-		return join.SJRTP{}, nil
-	case cost.MethodPTS:
-		J, _ := p.OptimalProbe(p.CostPTS)
-		return join.PTS{ProbeColumns: ProbeColumnsFor(spec, J)}, nil
-	case cost.MethodPRTP:
-		J, _ := p.OptimalProbe(p.CostPRTP)
-		return join.PRTP{ProbeColumns: ProbeColumnsFor(spec, J)}, nil
-	case cost.MethodPTSBatch:
-		J, _ := p.OptimalProbe(p.CostPTSBatch)
-		return join.PTS{ProbeColumns: ProbeColumnsFor(spec, J), Batched: true}, nil
-	case cost.MethodPRTPBatch:
-		J, _ := p.OptimalProbe(p.CostPRTPBatch)
-		return join.PRTP{ProbeColumns: ProbeColumnsFor(spec, J), Batched: true}, nil
-	default:
-		return nil, errUnknownMethod
-	}
+	J, _ := p.Choose(m)
+	return join.For(m, ProbeColumnsFor(spec, J))
 }
-
-var errUnknownMethod = errorString("stats: unknown method")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"textjoin/internal/cost"
@@ -293,6 +294,19 @@ func TestInstantiateMethod(t *testing.T) {
 		}
 		if method == nil {
 			t.Fatalf("%v: nil method", m)
+		}
+		J, _ := p.Choose(m)
+		var got []string
+		switch pm := method.(type) {
+		case join.PTS:
+			got = pm.ProbeColumns
+		case join.PRTP:
+			got = pm.ProbeColumns
+		default:
+			continue
+		}
+		if want := ProbeColumnsFor(spec, J); len(J) == 0 || !slices.Equal(got, want) {
+			t.Errorf("%v probes %v, want %v (J = %v)", m, got, want, J)
 		}
 	}
 	if _, err := InstantiateMethod(spec, p, cost.Method(99)); err == nil {

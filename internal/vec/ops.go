@@ -65,9 +65,9 @@ func NewTableScan(t *relation.Table, cols []string, pred relation.Predicate) (*T
 // Schema implements Operator.
 func (s *TableScan) Schema() *relation.Schema { return s.schema }
 
-// Next implements Operator. Output batches are dense (no selection
-// vector): the filter is applied while copying, so downstream operators
-// never revisit rejected rows.
+// Next implements Operator. The filter is applied while copying, so
+// batches are dense and never empty: a stretch of rejected rows, however
+// long, is skipped inside one call.
 func (s *TableScan) Next() (*Batch, error) {
 	if s.pos >= len(s.rows) {
 		return nil, nil
@@ -109,75 +109,8 @@ func (s *TableScan) Close() {
 // Reset rewinds the scan to the first row for re-execution.
 func (s *TableScan) Reset() { s.pos = 0 }
 
-// Select narrows a child's batches through a selection vector: no values
-// move, rejected rows are simply absent from the output's live-row set.
-type Select struct {
-	in      Operator
-	pred    *relation.CompiledPred
-	scratch relation.Tuple
-	out     Batch // shares the child's column vectors; owns only selBuf
-}
-
-// NewSelect builds a filter over in; pred is compiled against in's schema.
-func NewSelect(in Operator, pred relation.Predicate) (*Select, error) {
-	cp, err := relation.Compile(pred, in.Schema())
-	if err != nil {
-		return nil, err
-	}
-	return &Select{
-		in:      in,
-		pred:    cp,
-		scratch: make(relation.Tuple, in.Schema().Arity()),
-		out:     Batch{selBuf: make([]int32, 0, BatchSize)},
-	}, nil
-}
-
-// Schema implements Operator.
-func (s *Select) Schema() *relation.Schema { return s.in.Schema() }
-
-// Next implements Operator. Batches in which no row passes are skipped,
-// so callers never observe an empty batch before end of stream.
-func (s *Select) Next() (*Batch, error) {
-	for {
-		b, err := s.in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, nil
-		}
-		sel := s.out.selBuf[:0]
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			phys := b.RowIndex(i)
-			for j, col := range b.cols {
-				s.scratch[j] = col[phys]
-			}
-			ok, err := s.pred.Eval(s.scratch)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				sel = append(sel, int32(phys))
-			}
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		s.out.cols = b.cols
-		s.out.rows = b.rows
-		s.out.sel = sel
-		s.out.selBuf = sel
-		return &s.out, nil
-	}
-}
-
-// Close implements Operator.
-func (s *Select) Close() { s.in.Close() }
-
 // Project reorders or drops columns without copying any values: the
-// output batch aliases the child's column vectors and shares its
-// selection vector.
+// output batch aliases the child's column vectors.
 type Project struct {
 	in     Operator
 	schema *relation.Schema
@@ -218,7 +151,6 @@ func (p *Project) Next() (*Batch, error) {
 	for j, idx := range p.idxs {
 		p.out.cols[j] = b.cols[idx]
 	}
-	p.out.sel = b.sel
 	p.out.rows = b.rows
 	return &p.out, nil
 }
@@ -249,7 +181,7 @@ type HashJoin struct {
 	// inside the current left batch and its match list survives across
 	// Next calls.
 	cur      *Batch
-	curLive  int
+	curRow   int
 	matches  []int
 	matchPos int
 	done     bool
@@ -355,23 +287,20 @@ func (h *HashJoin) Next() (*Batch, error) {
 				return out, nil
 			}
 			h.cur = b
-			h.curLive = 0
+			h.curRow = 0
 			h.matches = nil
 		}
-		for h.curLive < h.cur.Len() {
+		for h.curRow < h.cur.Len() {
 			if h.matches == nil {
-				phys := h.cur.RowIndex(h.curLive)
 				for j, idx := range h.lIdx {
-					h.key[j] = h.cur.cols[idx][phys]
+					h.key[j] = h.cur.cols[idx][h.curRow]
 				}
 				id := h.keys.Find(h.key)
 				if id < 0 {
-					h.curLive++
+					h.curRow++
 					continue
 				}
-				for j := 0; j < h.leftArity; j++ {
-					h.scratch[j] = h.cur.cols[j][phys]
-				}
+				h.cur.Gather(h.curRow, h.scratch[:h.leftArity])
 				h.matches = h.groups[id]
 				h.matchPos = 0
 			}
@@ -394,7 +323,7 @@ func (h *HashJoin) Next() (*Batch, error) {
 				}
 			}
 			h.matches = nil
-			h.curLive++
+			h.curRow++
 		}
 		h.cur = nil
 	}
@@ -425,7 +354,7 @@ type NestedLoop struct {
 	rightRows *[]relation.Tuple
 
 	cur     *Batch
-	curLive int
+	curRow  int
 	ri      int
 	started bool // scratch prefix loaded for the current left row
 	done    bool
@@ -500,16 +429,13 @@ func (n *NestedLoop) Next() (*Batch, error) {
 				return out, nil
 			}
 			n.cur = b
-			n.curLive = 0
+			n.curRow = 0
 			n.ri = 0
 			n.started = false
 		}
-		for n.curLive < n.cur.Len() {
+		for n.curRow < n.cur.Len() {
 			if !n.started {
-				phys := n.cur.RowIndex(n.curLive)
-				for j := 0; j < n.leftArity; j++ {
-					n.scratch[j] = n.cur.cols[j][phys]
-				}
+				n.cur.Gather(n.curRow, n.scratch[:n.leftArity])
 				n.started = true
 			}
 			for n.ri < len(*n.rightRows) {
@@ -529,7 +455,7 @@ func (n *NestedLoop) Next() (*Batch, error) {
 			}
 			n.ri = 0
 			n.started = false
-			n.curLive++
+			n.curRow++
 		}
 		n.cur = nil
 	}

@@ -1,14 +1,14 @@
-// Package vec implements the column-oriented batch execution core: batches
-// of ~1024 rows stored column-major with optional selection vectors, and
-// batch-at-a-time scan/select/project/join operators over them.
+// Package vec implements the column-oriented batch execution core: dense
+// batches of ~1024 rows stored column-major, and batch-at-a-time
+// scan/project/join operators over them.
 //
 // The row-at-a-time operators in internal/relation materialize a full
 // output table per operator and re-resolve column names per tuple; in the
 // cache-hit / local-service regime that interpreter overhead — not the
 // text source — dominates query latency. The vectorized operators amortize
-// per-tuple costs over a batch, filter through selection vectors without
-// copying values, and recycle batch buffers through a sync.Pool so the
-// steady-state select/project path performs zero allocations.
+// per-tuple costs over a batch, evaluate filters inside the scan so every
+// batch is dense, and recycle batch buffers through a sync.Pool so the
+// steady-state scan/project path performs zero allocations.
 //
 // Ownership contract: a *Batch returned by Operator.Next is valid only
 // until the next call to Next or Close on that operator. Operators own
@@ -28,51 +28,23 @@ import (
 // over enough rows that the interpreter disappears from profiles.
 const BatchSize = 1024
 
-// Batch is a column-major slice of rows. Cols holds one physical vector
-// per output column; all vectors have the same physical length. A non-nil
-// selection vector restricts the live rows to the listed physical indices
-// (in order) without moving any values — selections stay cheap and
-// downstream operators read through RowIndex.
+// Batch is a dense, column-major slice of rows: cols holds one vector per
+// output column, each rows long.
 type Batch struct {
-	cols   [][]value.Value
-	sel    []int32
-	rows   int     // physical row count
-	selBuf []int32 // backing storage for sel when owned by this batch
+	cols [][]value.Value
+	rows int
 }
 
 // Width returns the number of columns.
 func (b *Batch) Width() int { return len(b.cols) }
 
-// Len returns the number of live rows (after selection).
-func (b *Batch) Len() int {
-	if b.sel != nil {
-		return len(b.sel)
-	}
-	return b.rows
-}
+// Len returns the number of rows.
+func (b *Batch) Len() int { return b.rows }
 
-// RowIndex maps a live row index to its physical index.
-func (b *Batch) RowIndex(i int) int {
-	if b.sel != nil {
-		return int(b.sel[i])
-	}
-	return i
-}
-
-// Col returns the physical vector of column j. Callers must map live row
-// indices through RowIndex (or iterate the selection vector directly) —
-// this is the "gather bindings straight from a column vector" entry point
-// used by the probe-building paths.
-func (b *Batch) Col(j int) []value.Value { return b.cols[j] }
-
-// Sel returns the selection vector, or nil when the batch is dense.
-func (b *Batch) Sel() []int32 { return b.sel }
-
-// Gather copies live row i into dst, which must have length Width.
+// Gather copies row i into dst, which must have length Width.
 func (b *Batch) Gather(i int, dst relation.Tuple) {
-	phys := b.RowIndex(i)
 	for j, col := range b.cols {
-		dst[j] = col[phys]
+		dst[j] = col[i]
 	}
 }
 
@@ -81,7 +53,6 @@ func (b *Batch) reset() {
 	for j := range b.cols {
 		b.cols[j] = b.cols[j][:0]
 	}
-	b.sel = nil
 	b.rows = 0
 }
 
@@ -100,7 +71,7 @@ func (b *Batch) appendRow(t relation.Tuple) {
 var pool = sync.Pool{New: func() any { return new(Batch) }}
 
 // getBatch returns a batch with capacity for width columns of BatchSize
-// rows each, and a selection buffer of BatchSize entries.
+// rows each.
 func getBatch(width int) *Batch {
 	b := pool.Get().(*Batch)
 	if cap(b.cols) < width {
@@ -115,10 +86,6 @@ func getBatch(width int) *Batch {
 			b.cols[j] = b.cols[j][:0]
 		}
 	}
-	if cap(b.selBuf) < BatchSize {
-		b.selBuf = make([]int32, 0, BatchSize)
-	}
-	b.sel = nil
 	b.rows = 0
 	return b
 }
@@ -204,7 +171,7 @@ func (a *Arena) list() *[]relation.Tuple {
 	return &l.rows
 }
 
-// gather appends b's live rows to *rows. Each row is a window whose
+// gather appends b's rows to *rows. Each row is a window whose
 // capacity ends at its own last column, so appending to a row never
 // overwrites the next; on the heap, a batch's rows share one allocation.
 func (a *Arena) gather(rows *[]relation.Tuple, b *Batch) {
@@ -264,8 +231,8 @@ func (a *Arena) Release() {
 	a.slabs, a.lists = nil, nil
 }
 
-// Drain consumes op without materializing, returning the live-row and
-// batch counts. Used by benchmarks and the allocation regression test.
+// Drain consumes op without materializing, returning the row and batch
+// counts. Used by benchmarks and the allocation regression test.
 func Drain(op Operator) (rows, batches int, err error) {
 	for {
 		b, err := op.Next()

@@ -15,6 +15,15 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# Built binaries stay out of the tree: .gitignore lists the ones
+# `go build ./cmd/...` leaves at the root, and this catches one that is
+# tracked anyway (committed before the ignore rule, or force-added).
+tracked=$(git ls-files fedql queryd textserve benchrun)
+if [ -n "$tracked" ]; then
+    echo "built binaries are tracked: $tracked" >&2
+    exit 1
+fi
+
 go build ./...
 go vet ./...
 
@@ -70,8 +79,8 @@ go test -run 'TestDisabledSpanPathBudget' ./internal/obs
 # go test -race ./... pass below.
 go test -race -short -run 'TestVectorizedEquivalence' ./internal/exec
 
-# Allocation regression gate: the steady-state batch path (scan → select
-# → project) must not allocate per Next once the pipeline is warm.
+# Allocation regression gate: the steady-state batch path (a filtering
+# scan → project) must not allocate per Next once the pipeline is warm.
 go test -run 'TestSteadyStateAllocs' ./internal/vec
 
 # Boundary allocation gate: an SJ+RTP text join over a 1k-row and a
