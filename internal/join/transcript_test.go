@@ -99,8 +99,10 @@ func transcriptConfigs() []transcriptConfig {
 }
 
 // transcriptSpecs are Q3's spec variants: short and long form, with a
-// text selection, and with extra rows carrying an unsearchable value, a
-// null and a multi-word value that overflows a small term limit.
+// text selection, with a two-term And selection (a substituted search
+// nests it, an OR-packed one flattens it into the batch's conjunction),
+// and with extra rows carrying an unsearchable value, a null and a
+// multi-word value that overflows a small term limit.
 func transcriptSpecs(t *testing.T) []struct {
 	label string
 	spec  func() *Spec
@@ -114,6 +116,14 @@ func transcriptSpecs(t *testing.T) []struct {
 		{"sel", func() *Spec {
 			s := q3Spec(t, true)
 			s.TextSel = textidx.Term{Field: "year", Word: "1994"}
+			return s
+		}},
+		{"sel2", func() *Spec {
+			s := q3Spec(t, false)
+			s.TextSel = textidx.And{
+				textidx.Term{Field: "year", Word: "1994"},
+				textidx.Term{Field: "author", Word: "kao"},
+			}
 			return s
 		}},
 		{"odd", func() *Spec {
