@@ -277,10 +277,14 @@ func execute(w io.Writer, eng *core.Engine, query string, cfg config) error {
 	if res.Usage.Hedges > 0 {
 		hedged = fmt.Sprintf(", %d hedged", res.Usage.Hedges)
 	}
-	fmt.Fprintf(w, "\n%d rows in %s (optimize %s); text-service usage: %d searches (%d probes%s), %d postings, %d short + %d long docs, simulated cost %.2fs (critical path %.2fs)\n\n",
+	fmt.Fprintf(w, "\n%d rows in %s (optimize %s); text-service usage: %d searches (%d probes%s), %d postings, %d short + %d long docs, simulated cost %.2fs (critical path %.2fs)\n",
 		res.Table.Cardinality(), res.ExecuteTime.Round(10e3), res.OptimizeTime.Round(10e3),
 		res.Usage.Searches, res.Probes, hedged, res.Usage.Postings,
 		res.Usage.ShortDocs, res.Usage.LongDocs, res.Usage.Cost, res.Usage.CritCost)
+	if res.Partial {
+		fmt.Fprintln(w, "partial answer: a text source lost part of its collection during the run, so rows may be missing")
+	}
+	fmt.Fprintln(w)
 	printTable(w, res.Table, cfg.maxRows)
 	return nil
 }

@@ -159,6 +159,57 @@ func TestRemoteWithFaultTolerance(t *testing.T) {
 	}
 }
 
+// TestBestEffortPrintsPartial: with -besteffort over a two-partition
+// -remote list whose second server fails every search for good, the query
+// still answers from the first partition, and fedql says the answer is
+// partial. The same query over two healthy servers prints no notice.
+func TestBestEffortPrintsPartial(t *testing.T) {
+	demo := workload.NewDemo(400, 1)
+	parts, err := demo.Corpus.Index.Partition(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(svc texservice.Service) string {
+		srv := texservice.NewServer(svc)
+		srv.Logf = func(string, ...interface{}) {}
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return addr
+	}
+	local := func(i int) *texservice.Local {
+		svc, err := texservice.NewLocal(parts[i], texservice.WithShortFields("title", "author", "year"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	healthy := serve(local(1))
+	broken := serve(texservice.NewFaulty(local(1), texservice.FaultConfig{ErrorEvery: 1, Permanent: true}))
+	first := serve(local(0))
+
+	q := `select student.name, mercury.docid from student, mercury
+	      where 'belief update' in mercury.title and student.name in mercury.author`
+	for _, c := range []struct {
+		second  string
+		partial bool
+	}{{healthy, false}, {broken, true}} {
+		cfg := baseConfig()
+		cfg.Remote = first + "," + c.second
+		cfg.BestEffort = true
+		cfg.Timeout = 5 * time.Second
+		var out strings.Builder
+		if err := runOnce(&out, q, cfg); err != nil {
+			t.Fatalf("best-effort query (second partition partial=%v): %v", c.partial, err)
+		}
+		if got := strings.Contains(out.String(), "partial answer"); got != c.partial {
+			t.Errorf("second partition partial=%v: partial notice printed = %v in:\n%s", c.partial, got, out.String())
+		}
+	}
+}
+
 // TestAnalyzeOutput is the EXPLAIN ANALYZE acceptance check: -analyze
 // must print, for every operator of the plan, the optimizer's estimate
 // and execution's actual side by side; the query hits the text backend,

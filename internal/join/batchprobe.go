@@ -14,22 +14,24 @@ import (
 // binding, with the bindings probed in sorted key order in every mode so
 // wire traffic, traces and cache keys are deterministic across runs.
 //
-// Unbatched, each binding is one probe search (§3.3's row-at-a-time
-// discipline). Batched probe pushdown sends the deduplicated bindings in
-// few invocations instead, choosing by capability and always falling back
-// to something correct:
+// The phase sends its searches through the two steps every foreign-join
+// method shares, and adds none of its own:
 //
-//   - OR packing when the probe fields are in the service's short form:
-//     the bindings' conjuncts are packed into large OR-expressions capped by
-//     the term limit M, so ⌈N_J·t/(M−t_sel)⌉ round trips replace N_J, and
-//     each batch's hits are attributed back to bindings by relational
-//     string matching (the hitMatcher the semi-join method uses, with the
-//     NaiveJoin oracle's TermOccursIn semantics).
-//   - Batched invocation (texservice.SearchBatch over the BatchSearcher
-//     capability) otherwise: per-binding probes travel in few invocations
-//     with aligned answers, no attribution needed.
-//   - Per-binding searches when neither applies (SearchBatch degrades to
-//     this on its own).
+//   - the per-binding search step (execution.searchEach): unbatched, each
+//     binding is one probe search (§3.3's row-at-a-time discipline);
+//     batched without short-form probe fields, the probes travel through
+//     texservice.SearchBatch (the BatchSearcher capability, or individual
+//     searches when a layer below refuses it) with aligned answers, no
+//     attribution needed;
+//   - the OR-pack step (execution.orPack), batched when the probe fields
+//     are in the service's short form: the bindings' conjuncts are packed
+//     into OR searches under the term limit M by texservice.Pack, the
+//     packer SJ+RTP and SearchBatch use too, so ⌈N_J·t/(M−t_sel)⌉ round
+//     trips replace N_J, and each group's hits are attributed back to
+//     bindings by relational string matching (the hitMatcher the
+//     semi-join method uses, with the NaiveJoin oracle's TermOccursIn
+//     semantics). A binding too large to pack is probed on its own
+//     through the per-binding step.
 //
 // Every probing method therefore produces exactly the same rows batched as
 // unbatched.
@@ -48,45 +50,14 @@ type probeOutcome struct {
 // relational matching. A binding with an unsearchable value cannot match
 // any document and gets the zero outcome without a search.
 func (ex *execution) probeAll(probeCols []string, probes []binding, batched, needHits bool) ([]probeOutcome, error) {
-	preds := ex.spec.predsOn(probeCols)
+	preds, _ := ex.spec.splitPreds(probeCols)
 	order := ex.spec.byKey(probeCols, probes)
 	outcomes := make([]probeOutcome, len(probes))
-	if batched {
-		return outcomes, ex.batchProbe(preds, probes, order, needHits, outcomes)
+	subst := func(k int) (textidx.Expr, bool) { return ex.spec.SubstExpr(ex.spec.rep(probes[order[k]]), preds) }
+	record := func(k int, o probeOutcome) { outcomes[order[k]] = o }
+	if !batched {
+		return outcomes, ex.probeEach(ex.ctx, len(order), subst, false, needHits, record)
 	}
-	for _, i := range order {
-		o, err := ex.probe(ex.ctx, preds, ex.spec.rep(probes[i]), needHits)
-		if err != nil {
-			return nil, err
-		}
-		outcomes[i] = o
-	}
-	return outcomes, nil
-}
-
-// probe sends one binding's own probe search: the selection and the probe
-// predicates instantiated with the tuple's values, in short form.
-func (ex *execution) probe(ctx context.Context, preds []Pred, rep relation.Tuple, needHits bool) (probeOutcome, error) {
-	pexpr, ok := ex.spec.SubstExpr(rep, preds)
-	if !ok {
-		return probeOutcome{}, nil
-	}
-	pres, err := ex.search(ctx, pexpr, texservice.FormShort)
-	if err != nil {
-		return probeOutcome{}, err
-	}
-	ex.stats.Probes++
-	out := probeOutcome{success: !pres.IsEmpty()}
-	if needHits && out.success {
-		ex.svc.Meter().ChargeRTP(ctx, len(pres.Hits))
-		out.hits = pres.Hits
-	}
-	return out, nil
-}
-
-// batchProbe fills the outcomes of the bindings, taken in the given
-// order, with batched probe pushdown.
-func (ex *execution) batchProbe(preds []Pred, probes []binding, order []int, needHits bool, outcomes []probeOutcome) error {
 	ctx, sp := obs.StartSpan(ex.ctx, "probe.batch")
 	defer sp.End()
 	probesBefore, roundsBefore := ex.stats.Probes, ex.stats.BatchRounds
@@ -96,134 +67,77 @@ func (ex *execution) batchProbe(preds []Pred, probes []binding, order []int, nee
 		err = ex.orPackProbe(ctx, preds, probes, order, needHits, outcomes)
 	} else {
 		strategy = "aligned"
-		err = ex.alignedBatchProbe(ctx, preds, probes, order, needHits, outcomes)
+		err = ex.probeEach(ctx, len(order), subst, true, needHits, record)
 	}
 	if sp != nil {
 		sp.SetAttr(obs.Str("strategy", strategy), obs.Int("bindings", len(order)),
 			obs.Int("probes", ex.stats.Probes-probesBefore), obs.Int("batch_rounds", ex.stats.BatchRounds-roundsBefore))
 	}
+	return outcomes, err
+}
+
+// probeEach sends the probe searches expr(k), k < n, through the
+// per-binding search step in short form, counts them as probes, and hands
+// fn each searched binding's outcome. Batched, every invocation that
+// carried several probes counts as a batch round.
+func (ex *execution) probeEach(ctx context.Context, n int, expr func(k int) (textidx.Expr, bool), batched, needHits bool, fn func(k int, o probeOutcome)) error {
+	searched := 0
+	invocations, err := ex.searchEach(ctx, n, expr, texservice.FormShort, batched, func(k int, res *texservice.Result) {
+		searched++
+		o := probeOutcome{success: !res.IsEmpty()}
+		if needHits && o.success {
+			ex.svc.Meter().ChargeRTP(ctx, len(res.Hits))
+			o.hits = res.Hits
+		}
+		fn(k, o)
+	})
+	ex.stats.Probes += invocations
+	if invocations < searched {
+		ex.stats.BatchRounds += invocations
+	}
 	return err
 }
 
-// orPackProbe packs per-binding probe conjuncts into OR groups under the
-// term limit (the selection's terms counted once per batch) and attributes
-// each batch's hits to its bindings relationally. A binding whose conjunct
-// alone exceeds the limit is probed individually, with exactly the
-// per-tuple semantics — including surfacing the same error a per-tuple
-// probe of it would.
+// probe sends one binding's own probe search: the selection and the probe
+// predicates instantiated with the tuple's values, in short form.
+func (ex *execution) probe(preds []Pred, rep relation.Tuple, needHits bool) (out probeOutcome, err error) {
+	err = ex.probeEach(ex.ctx, 1, func(int) (textidx.Expr, bool) { return ex.spec.SubstExpr(rep, preds) },
+		false, needHits, func(_ int, o probeOutcome) { out = o })
+	return out, err
+}
+
+// orPackProbe sends the probe conjuncts of the bindings, taken in the
+// given order, through the OR-pack step and attributes each group's hits
+// to its bindings. A binding whose conjunct alone exceeds the term limit
+// is probed on its own, with exactly the per-tuple semantics — including
+// surfacing the same error a per-tuple probe of it would.
 func (ex *execution) orPackProbe(ctx context.Context, preds []Pred, probes []binding, order []int, needHits bool, outcomes []probeOutcome) error {
 	spec := ex.spec
-	selTerms := spec.selTerms()
-	limit := ex.svc.MaxTerms()
-
-	type disjunct struct {
-		i    int // index in probes
-		conj textidx.Expr
+	bs := make([]conjBinding, 0, len(order))
+	idx := make([]int, 0, len(order)) // idx[k] is bs[k]'s index in probes
+	for _, i := range order {
+		if conj, ok := spec.substPreds(spec.rep(probes[i]), preds); ok {
+			bs = append(bs, conjBinding{rows: probes[i].rows, conj: conj, terms: conj.TermCount()})
+			idx = append(idx, i)
+		}
 	}
-	var batch []disjunct
-	batchTerms := selTerms
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		fctx, fsp := obs.StartSpan(ctx, "probe.batch.flush")
-		disj := make([]textidx.Expr, len(batch))
-		for i, d := range batch {
-			disj[i] = d.conj
-		}
-		expr := orAll(disj)
-		if spec.TextSel != nil {
-			expr = andPair(spec.TextSel, expr)
-		}
-		res, err := ex.search(fctx, expr, texservice.FormShort)
-		if err != nil {
-			fsp.End()
-			return err
+	return ex.orPack(ctx, bs, preds, func(lo, hi int, m *hitMatcher) error {
+		if m == nil {
+			return ex.probeEach(ctx, 1, func(int) (textidx.Expr, bool) { return spec.withSel(bs[lo].conj), true },
+				false, needHits, func(_ int, o probeOutcome) { outcomes[idx[lo]] = o })
 		}
 		ex.stats.Probes++
 		ex.stats.BatchRounds++
-		// Attributing the OR result to bindings is relational matching
-		// work, charged like the semi-join method's.
-		ex.svc.Meter().ChargeRTP(fctx, len(res.Hits))
-		m := newHitMatcher(spec, res.Hits, preds)
-		for _, d := range batch {
-			matched := m.match(spec.rep(probes[d.i]))
+		for k := lo; k < hi; k++ {
+			matched := m.match(spec.Relation.Rows[bs[k].rows[0]])
 			out := probeOutcome{success: len(matched) > 0}
 			if needHits {
 				for _, h := range matched {
-					out.hits = append(out.hits, res.Hits[h])
+					out.hits = append(out.hits, m.hits[h])
 				}
 			}
-			outcomes[d.i] = out
+			outcomes[idx[k]] = out
 		}
-		if fsp != nil {
-			fsp.SetAttr(obs.Int("disjuncts", len(batch)), obs.Int("terms", batchTerms),
-				obs.Int("hits", len(res.Hits)))
-		}
-		fsp.End()
-		batch = batch[:0]
-		batchTerms = selTerms
 		return nil
-	}
-	for _, i := range order {
-		rep := spec.rep(probes[i])
-		conj, ok := spec.substPreds(rep, preds)
-		if !ok {
-			continue // unsearchable binding: cannot match
-		}
-		t := conj.TermCount()
-		if selTerms+t > limit {
-			if err := flush(); err != nil {
-				return err
-			}
-			o, err := ex.probe(ctx, preds, rep, needHits)
-			if err != nil {
-				return err
-			}
-			outcomes[i] = o
-			continue
-		}
-		if batchTerms+t > limit {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		batch = append(batch, disjunct{i: i, conj: conj})
-		batchTerms += t
-	}
-	return flush()
-}
-
-// alignedBatchProbe issues the per-binding probe expressions through
-// texservice.SearchBatch: with the BatchSearcher capability each chunk
-// under the term limit is one invocation with aligned answers; without it
-// the entry point degrades to individual searches. No short-form fields
-// are required because no relational attribution happens.
-func (ex *execution) alignedBatchProbe(ctx context.Context, preds []Pred, probes []binding, order []int, needHits bool, outcomes []probeOutcome) error {
-	var exprs []textidx.Expr
-	var searched []int
-	for _, i := range order {
-		if pexpr, ok := ex.spec.SubstExpr(ex.spec.rep(probes[i]), preds); ok {
-			exprs = append(exprs, pexpr)
-			searched = append(searched, i)
-		}
-	}
-	results, invocations, err := ex.searchBatch(ctx, exprs, texservice.FormShort)
-	if err != nil {
-		return err
-	}
-	ex.stats.Probes += invocations
-	if _, ok := ex.svc.(texservice.BatchSearcher); ok && invocations < len(exprs) {
-		ex.stats.BatchRounds += invocations
-	}
-	for k, i := range searched {
-		res := results[k]
-		out := probeOutcome{success: !res.IsEmpty()}
-		if needHits && out.success {
-			ex.svc.Meter().ChargeRTP(ctx, len(res.Hits))
-			out.hits = res.Hits
-		}
-		outcomes[i] = out
-	}
-	return nil
+	})
 }

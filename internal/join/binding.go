@@ -136,7 +136,7 @@ type conjBinding struct {
 // limit is an error naming what the conjunct becomes in a search, so
 // nothing is searched for a spec that some tuple makes inapplicable.
 func (s *Spec) conjuncts(cols []string, svc texservice.Service, what string) ([]conjBinding, error) {
-	preds := s.predsOn(cols)
+	preds, _ := s.splitPreds(cols)
 	selTerms, limit := s.selTerms(), svc.MaxTerms()
 	return groupBindings(s, cols, func(rows []int) (conjBinding, bool, error) {
 		conj, ok := s.substPreds(s.Relation.Rows[rows[0]], preds)

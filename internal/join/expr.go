@@ -12,18 +12,28 @@ import (
 // document under Boolean semantics.
 func (s *Spec) SubstExpr(tuple relation.Tuple, preds []Pred) (textidx.Expr, bool) {
 	conj, ok := s.substPreds(tuple, preds)
-	if !ok || s.TextSel == nil {
-		return conj, ok
+	if !ok {
+		return nil, false
+	}
+	return s.withSel(conj), true
+}
+
+// withSel prefixes the text selection (if any) to a tuple's conjunct,
+// the selection kept whole as the first conjunct: the search SubstExpr
+// builds from substPreds' conjunct.
+func (s *Spec) withSel(conj textidx.Expr) textidx.Expr {
+	if s.TextSel == nil {
+		return conj
 	}
 	if a, isAnd := conj.(textidx.And); isAnd {
-		return append(textidx.And{s.TextSel}, a...), true
+		return append(textidx.And{s.TextSel}, a...)
 	}
-	return textidx.And{s.TextSel, conj}, true
+	return textidx.And{s.TextSel, conj}
 }
 
 // substPreds builds a tuple's conjunct over the given predicates without
-// the text selection. The semi-join and OR-packed probe batches use it
-// directly, carrying the selection once per batch.
+// the text selection. The OR-pack step uses it directly, carrying the
+// selection once per group; TSBatch prefixes it with withSel.
 func (s *Spec) substPreds(tuple relation.Tuple, preds []Pred) (textidx.Expr, bool) {
 	var conj textidx.And
 	for _, p := range preds {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"textjoin/internal/texservice"
+	"textjoin/internal/textidx"
 )
 
 // This file implements join methods built on the §8 service extensions and
@@ -33,28 +34,35 @@ func (TSBatch) Name() string { return "TS(batched)" }
 
 // Applicable implements Method: the service must support batched
 // invocation and every substituted query must fit in a batch.
-func (TSBatch) Applicable(spec *Spec, svc texservice.Service) error {
+func (m TSBatch) Applicable(spec *Spec, svc texservice.Service) error {
+	_, err := m.bindings(spec, svc)
+	return err
+}
+
+// bindings checks applicability and builds every join binding's conjunct
+// once, from the one grouping the term-limit check makes; a binding's
+// substituted query is its conjunct with the selection prefixed.
+func (TSBatch) bindings(spec *Spec, svc texservice.Service) ([]conjBinding, error) {
 	if err := spec.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if _, ok := svc.(texservice.BatchSearcher); !ok {
-		return fmt.Errorf("join: %w", texservice.ErrNoBatch)
+		return nil, fmt.Errorf("join: %w", texservice.ErrNoBatch)
 	}
-	_, err := spec.conjuncts(spec.JoinColumns(), svc, "a substituted query")
-	return err
+	return spec.conjuncts(spec.JoinColumns(), svc, "a substituted query")
 }
 
 // Execute implements Method.
 func (m TSBatch) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
-	if err := m.Applicable(spec, svc); err != nil {
+	joins, err := m.bindings(spec, svc)
+	if err != nil {
 		return nil, err
 	}
 	return run(ctx, "join."+m.Name(), spec, svc, func(ex *execution) error {
-		joins, err := spec.bindings(spec.JoinColumns())
-		if err != nil {
-			return err
-		}
-		return ex.substituteAll(joins, true)
+		_, err := ex.searchEach(ex.ctx, len(joins), func(k int) (textidx.Expr, bool) {
+			return spec.withSel(joins[k].conj), true
+		}, ex.searchForm(), true, func(k int, res *texservice.Result) { ex.emitAll(joins[k].rows, res.Hits) })
+		return err
 	})
 }
 
@@ -94,18 +102,17 @@ func (m PRTPAdaptive) Execute(ctx context.Context, spec *Spec, svc texservice.Se
 			return err
 		}
 		joinsUnder := n.byProbe()
-		preds := spec.predsOn(m.ProbeColumns)
-		rest := spec.predsNotOn(m.ProbeColumns)
+		preds, rest := spec.splitPreds(m.ProbeColumns)
 		shipped := 0
 		switched := false
 		for p, b := range n.probes {
 			if switched {
-				if err := ex.substituteAll(joinsUnder[p], false); err != nil {
+				if _, err := ex.substitute(joinsUnder[p]...); err != nil {
 					return err
 				}
 				continue
 			}
-			o, err := ex.probe(ex.ctx, preds, spec.rep(b), true)
+			o, err := ex.probe(preds, spec.rep(b), true)
 			if err != nil {
 				return err
 			}

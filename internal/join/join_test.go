@@ -594,13 +594,12 @@ func TestJoinColumnsAndPredSplit(t *testing.T) {
 	if len(cols) != 2 || cols[0] != "name" || cols[1] != "member" {
 		t.Fatalf("JoinColumns = %v", cols)
 	}
-	on := spec.predsOn([]string{"name"})
-	if len(on) != 2 {
-		t.Fatalf("predsOn(name) = %v", on)
+	on, off := spec.splitPreds([]string{"name"})
+	if len(on) != 2 || on[0].Field != "title" || on[1].Field != "abstract" {
+		t.Fatalf("splitPreds(name) on = %v", on)
 	}
-	off := spec.predsNotOn([]string{"name"})
 	if len(off) != 1 || off[0].Column != "member" {
-		t.Fatalf("predsNotOn(name) = %v", off)
+		t.Fatalf("splitPreds(name) off = %v", off)
 	}
 	if (Pred{Column: "a", Field: "b"}).String() != "a in b" {
 		t.Fatal("Pred rendering wrong")

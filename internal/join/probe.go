@@ -103,7 +103,7 @@ func (m PTS) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*
 		if err != nil {
 			return err
 		}
-		preds := spec.predsOn(m.ProbeColumns)
+		preds, _ := spec.splitPreds(m.ProbeColumns)
 		switch {
 		case m.Grouped:
 			return m.executeGrouped(ex, n, preds)
@@ -159,7 +159,7 @@ func (m PTS) executeCached(ex *execution, n nesting, preds []Pred) error {
 			continue // probe already known (success); no probe resent
 		}
 		// Send the probe and cache its outcome.
-		o, err := ex.probe(ex.ctx, preds, ex.spec.rep(b), false)
+		o, err := ex.probe(preds, ex.spec.rep(b), false)
 		if err != nil {
 			return err
 		}
@@ -184,7 +184,7 @@ func (m PTS) executeGrouped(ex *execution, n nesting, preds []Pred) error {
 			if res == nil || !res.IsEmpty() || bi == len(groups[p])-1 {
 				continue
 			}
-			o, err := ex.probe(ex.ctx, preds, ex.spec.rep(b), false)
+			o, err := ex.probe(preds, ex.spec.rep(b), false)
 			if err != nil {
 				return err
 			}
@@ -233,7 +233,8 @@ func (m PRTP) Applicable(spec *Spec, svc texservice.Service) error {
 	if err := validateProbeColumns(spec, m.ProbeColumns); err != nil {
 		return err
 	}
-	return requireShortFields(spec.predsNotOn(m.ProbeColumns), svc)
+	_, rest := spec.splitPreds(m.ProbeColumns)
+	return requireShortFields(rest, svc)
 }
 
 // Execute implements Method.
@@ -252,7 +253,7 @@ func (m PRTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (
 		}
 		// Emission, in first-appearance binding order — the same output
 		// order batched or not.
-		rest := spec.predsNotOn(m.ProbeColumns)
+		_, rest := spec.splitPreds(m.ProbeColumns)
 		for i, b := range probes {
 			if !outcomes[i].success {
 				continue

@@ -125,7 +125,8 @@ func TestMethodsEquivalentOnRandomWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: probe reduce: %v", trial, err)
 		}
-		probeSpec := &Spec{Relation: tbl, Preds: spec.predsOn(probeCols), TextSel: spec.TextSel}
+		probePreds, _ := spec.splitPreds(probeCols)
+		probeSpec := &Spec{Relation: tbl, Preds: probePreds, TextSel: spec.TextSel}
 		probeJoin, err := NaiveJoin(probeSpec, ix)
 		if err != nil {
 			t.Fatal(err)

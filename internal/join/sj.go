@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 
+	"textjoin/internal/obs"
 	"textjoin/internal/texservice"
 	"textjoin/internal/textidx"
 )
@@ -73,58 +74,63 @@ func (m SJRTP) bindings(spec *Spec, svc texservice.Service) ([]conjBinding, erro
 	return spec.conjuncts(m.orColumns(spec), svc, "a tuple's conjunct")
 }
 
-// Execute implements Method.
+// Execute implements Method: the distinct bindings go through the OR-pack
+// step, and each group's hits are attributed to its bindings' tuples
+// relationally (on all join predicates, covering those outside the OR
+// set). No binding is too large to pack: bindings rejects the spec first.
 func (s SJRTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
 	bindings, err := s.bindings(spec, svc)
 	if err != nil {
 		return nil, err
 	}
 	return run(ctx, "join."+s.Name(), spec, svc, func(ex *execution) error {
-		// Greedily pack distinct bindings into batches under the term
-		// limit, each batch one OR search.
-		selTerms := spec.selTerms()
-		start, terms := 0, selTerms
-		for i, b := range bindings {
-			if terms+b.terms > svc.MaxTerms() && i > start {
-				if err := ex.runSJBatch(bindings[start:i]); err != nil {
+		return ex.orPack(ex.ctx, bindings, spec.Preds, func(lo, hi int, m *hitMatcher) error {
+			for _, b := range bindings[lo:hi] {
+				if err := ex.emitMatches(m, b.rows); err != nil {
 					return err
 				}
-				start, terms = i, selTerms
 			}
-			terms += b.terms
-		}
-		if start == len(bindings) {
 			return nil
-		}
-		return ex.runSJBatch(bindings[start:])
+		})
 	})
 }
 
-// runSJBatch sends one OR-of-conjuncts search for the given bindings and
-// attributes its results to the bindings' tuples relationally (on all
-// join predicates, covering those outside the OR set).
-func (ex *execution) runSJBatch(batch []conjBinding) error {
+// orPack is the one OR-pack step, shared by SJ+RTP and OR-packed probes.
+// texservice.Pack packs the bindings' conjuncts under the term limit, the
+// selection's terms counted once per group, and each group is one
+// short-form search: the selection AND the OR of the group's conjuncts.
+// Attributing the hits to the group's tuples is relational matching work,
+// charged as such; fn gets the group's range in bs and a matcher over its
+// hits on preds. A binding whose conjunct and the selection alone exceed
+// the limit reaches fn unsearched, as a group of its own with a nil
+// matcher.
+func (ex *execution) orPack(ctx context.Context, bs []conjBinding, preds []Pred, fn func(lo, hi int, m *hitMatcher) error) error {
 	spec := ex.spec
-	disj := make([]textidx.Expr, len(batch))
-	for i, b := range batch {
-		disj[i] = b.conj
-	}
-	expr := orAll(disj)
-	if spec.TextSel != nil {
-		expr = andPair(spec.TextSel, expr)
-	}
-	res, err := ex.search(ex.ctx, expr, texservice.FormShort)
-	if err != nil {
-		return err
-	}
-	ex.svc.Meter().ChargeRTP(ex.ctx, len(res.Hits))
-	m := newHitMatcher(spec, res.Hits, spec.Preds)
-	for _, b := range batch {
-		if err := ex.emitMatches(m, b.rows); err != nil {
+	base, limit := spec.selTerms(), ex.svc.MaxTerms()
+	return texservice.Pack(len(bs), base, limit, func(i int) int { return bs[i].terms }, func(lo, hi int) error {
+		if base+bs[lo].terms > limit {
+			return fn(lo, hi, nil)
+		}
+		gctx, sp := obs.StartSpan(ctx, "join.orpack")
+		defer sp.End()
+		disj := make([]textidx.Expr, hi-lo)
+		for k, b := range bs[lo:hi] {
+			disj[k] = b.conj
+		}
+		expr := orAll(disj)
+		if spec.TextSel != nil {
+			expr = andPair(spec.TextSel, expr)
+		}
+		res, err := ex.search(gctx, expr, texservice.FormShort)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
+		ex.svc.Meter().ChargeRTP(gctx, len(res.Hits))
+		if sp != nil {
+			sp.SetAttr(obs.Int("disjuncts", hi-lo), obs.Int("terms", expr.TermCount()), obs.Int("hits", len(res.Hits)))
+		}
+		return fn(lo, hi, newHitMatcher(spec, res.Hits, preds))
+	})
 }
 
 var _ Method = SJRTP{}

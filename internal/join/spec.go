@@ -15,6 +15,7 @@ package join
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"textjoin/internal/cost"
@@ -142,34 +143,17 @@ func (s *Spec) selTerms() int {
 	return s.TextSel.TermCount()
 }
 
-// predsOn returns the join predicates whose columns are in the given set.
-func (s *Spec) predsOn(cols []string) []Pred {
-	in := map[string]bool{}
-	for _, c := range cols {
-		in[c] = true
-	}
-	var out []Pred
+// splitPreds splits the join predicates by column, each side in predicate
+// order: on holds those whose columns are in cols, off the rest.
+func (s *Spec) splitPreds(cols []string) (on, off []Pred) {
 	for _, p := range s.Preds {
-		if in[p.Column] {
-			out = append(out, p)
+		if slices.Contains(cols, p.Column) {
+			on = append(on, p)
+		} else {
+			off = append(off, p)
 		}
 	}
-	return out
-}
-
-// predsNotOn returns the join predicates whose columns are NOT in the set.
-func (s *Spec) predsNotOn(cols []string) []Pred {
-	in := map[string]bool{}
-	for _, c := range cols {
-		in[c] = true
-	}
-	var out []Pred
-	for _, p := range s.Preds {
-		if !in[p.Column] {
-			out = append(out, p)
-		}
-	}
-	return out
+	return on, off
 }
 
 // Stats summarises one join execution.
@@ -347,17 +331,47 @@ func (ex *execution) search(ctx context.Context, e textidx.Expr, form texservice
 	return res, nil
 }
 
-// searchBatch is texservice.SearchBatch, recording whether any answer
-// was partial.
-func (ex *execution) searchBatch(ctx context.Context, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, int, error) {
+// searchEach is the per-binding search step. For k < n it takes expr(k),
+// the search of binding k, skipping a binding that has none (a value with
+// no searchable words cannot match any document), and sends the searches
+// in form: one at a time, each answer handed to fn before the next search
+// is sent (so the meter sees each binding's charges in turn), or batched,
+// all through texservice.SearchBatch and then handed to fn in order. It
+// returns the number of invocations and records whether any answer was
+// partial.
+func (ex *execution) searchEach(ctx context.Context, n int, expr func(k int) (textidx.Expr, bool), form texservice.Form, batched bool, fn func(k int, res *texservice.Result)) (int, error) {
+	if !batched {
+		sent := 0
+		for k := range n {
+			e, ok := expr(k)
+			if !ok {
+				continue
+			}
+			res, err := ex.search(ctx, e, form)
+			if err != nil {
+				return sent, err
+			}
+			sent++
+			fn(k, res)
+		}
+		return sent, nil
+	}
+	var exprs []textidx.Expr
+	var keys []int
+	for k := range n {
+		if e, ok := expr(k); ok {
+			exprs, keys = append(exprs, e), append(keys, k)
+		}
+	}
 	results, invocations, err := texservice.SearchBatch(ctx, ex.svc, exprs, form)
 	if err != nil {
-		return nil, invocations, err
+		return invocations, err
 	}
-	for _, res := range results {
+	for j, res := range results {
 		ex.stats.Partial = ex.stats.Partial || res.Partial
+		fn(keys[j], res)
 	}
-	return results, invocations, nil
+	return invocations, nil
 }
 
 // requireShortFields verifies that relational text processing can evaluate

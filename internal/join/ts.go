@@ -29,65 +29,33 @@ func (m TS) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*R
 		if err != nil {
 			return err
 		}
-		return ex.substituteAll(joins, false)
+		_, err = ex.substitute(joins...)
+		return err
 	})
 }
 
 var _ Method = TS{}
 
-// substituteAll is the substitute-and-emit step for many join bindings, in
-// binding order: one substitute each, or, batched, every searchable
-// binding's substituted search through texservice.SearchBatch (packed
-// under the term limit, one invocation per pack) before emitting.
-func (ex *execution) substituteAll(joins []binding, batched bool) error {
-	if !batched {
-		for _, b := range joins {
-			if _, err := ex.substitute(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var exprs []textidx.Expr
-	var searched []binding
-	for _, b := range joins {
-		if expr, ok := ex.spec.SubstExpr(ex.spec.rep(b), ex.spec.Preds); ok {
-			exprs = append(exprs, expr)
-			searched = append(searched, b)
-		}
-	}
-	results, _, err := ex.searchBatch(ex.ctx, exprs, ex.searchForm())
-	if err != nil {
-		return err
-	}
-	for i, b := range searched {
-		ex.emitAll(b, results[i].Hits)
-	}
-	return nil
+// substitute is the substitute-and-emit step for join bindings, in
+// binding order: each binding's substituted search (the selection and
+// every join predicate, in the query's form) goes through the per-binding
+// search step one at a time, and a row is emitted per (tuple, hit). It
+// returns the last answer it got: for one binding, its answer, or nil
+// when an unsearchable value sent no search.
+func (ex *execution) substitute(joins ...binding) (last *texservice.Result, err error) {
+	_, err = ex.searchEach(ex.ctx, len(joins), func(k int) (textidx.Expr, bool) {
+		return ex.spec.SubstExpr(ex.spec.rep(joins[k]), ex.spec.Preds)
+	}, ex.searchForm(), false, func(k int, res *texservice.Result) {
+		ex.emitAll(joins[k].rows, res.Hits)
+		last = res
+	})
+	return last, err
 }
 
-// substitute is the substitute-and-emit step for one join binding: it
-// sends the binding's substituted search (the selection and every join
-// predicate, in the query's form) and emits a row per (tuple, hit). It
-// returns the result, or nil without searching when the binding has an
-// unsearchable value.
-func (ex *execution) substitute(b binding) (*texservice.Result, error) {
-	expr, ok := ex.spec.SubstExpr(ex.spec.rep(b), ex.spec.Preds)
-	if !ok {
-		return nil, nil
-	}
-	res, err := ex.search(ex.ctx, expr, ex.searchForm())
-	if err != nil {
-		return nil, err
-	}
-	ex.emitAll(b, res.Hits)
-	return res, nil
-}
-
-// emitAll emits a row for every (tuple, hit) pair of the binding, in
+// emitAll emits a row for every (tuple, hit) pair of a binding's rows, in
 // tuple-then-hit order. The hits are in the query's form.
-func (ex *execution) emitAll(b binding, hits []texservice.Hit) {
-	for _, r := range b.rows {
+func (ex *execution) emitAll(rows []int, hits []texservice.Hit) {
+	for _, r := range rows {
 		for _, hit := range hits {
 			ex.emit(ex.spec.Relation.Rows[r], hit.ExtID, hit.Fields)
 		}

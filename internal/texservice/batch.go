@@ -79,13 +79,38 @@ func CheckMembers(kind string, members []Service) (shortFields []string, maxTerm
 	return shortFields, maxTerms, nil
 }
 
+// Pack is the one greedy packer under a term limit. It splits items
+// 0..n-1, in order, into consecutive runs and calls send(lo, hi) for each
+// run: a run's terms (terms(i) for each item) plus base stay within limit,
+// and an item whose terms plus base alone exceed the limit is a run of its
+// own. base is what every search of a run carries besides its items, such
+// as a text selection. An error from send stops the packing.
+func Pack(n, base, limit int, terms func(i int) int, send func(lo, hi int) error) error {
+	lo, used := 0, base
+	for i := 0; i < n; i++ {
+		t := terms(i)
+		if i > lo && used+t > limit {
+			if err := send(lo, i); err != nil {
+				return err
+			}
+			lo, used = i, base
+		}
+		used += t
+	}
+	if lo == n {
+		return nil
+	}
+	return send(lo, n)
+}
+
 // SearchBatch evaluates the expressions in order against the service and
 // returns aligned results plus the number of invocations issued. It is
 // the safe entry point for issuing many searches at once: the batch is
-// split into chunks whose total term count respects svc.MaxTerms(), so a
-// *TermLimitError is never surfaced for a splittable batch — only an
-// expression that alone exceeds the limit fails, with exactly the error a
-// plain Search of it would produce.
+// split by Pack into chunks whose total term count respects
+// svc.MaxTerms(), so a *TermLimitError is never surfaced for a splittable
+// batch — only an expression that alone exceeds the limit fails, sent as
+// a plain Search so it fails (or succeeds) exactly as an unbatched Search
+// of it would.
 //
 // When the service supports batched invocation (BatchSearcher — the local
 // backend, and shard.Sharded federating each chunk to every shard with
@@ -104,17 +129,13 @@ func SearchBatch(ctx context.Context, svc Service, exprs []textidx.Expr, form Fo
 	limit := svc.MaxTerms()
 	out := make([]*Result, len(exprs))
 	invocations := 0
-
-	// flush issues exprs[start:end] as one invocation (or individual
-	// searches without the capability).
-	flush := func(start, end int) error {
-		if start == end {
-			return nil
-		}
-		if batched {
-			results, err := batcher.BatchSearch(ctx, exprs[start:end], form)
+	terms := func(i int) int { return exprs[i].TermCount() }
+	err := Pack(len(exprs), 0, limit, terms, func(lo, hi int) error {
+		// A run of one expression over the limit goes as a plain Search.
+		if batched && (hi-lo > 1 || terms(lo) <= limit) {
+			results, err := batcher.BatchSearch(ctx, exprs[lo:hi], form)
 			if err == nil {
-				copy(out[start:], results)
+				copy(out[lo:], results)
 				invocations++
 				return nil
 			}
@@ -123,7 +144,7 @@ func SearchBatch(ctx context.Context, svc Service, exprs []textidx.Expr, form Fo
 			}
 			batched = false
 		}
-		for i := start; i < end; i++ {
+		for i := lo; i < hi; i++ {
 			res, err := svc.Search(ctx, exprs[i], form)
 			if err != nil {
 				return err
@@ -132,37 +153,8 @@ func SearchBatch(ctx context.Context, svc Service, exprs []textidx.Expr, form Fo
 			invocations++
 		}
 		return nil
-	}
-
-	start := 0
-	terms := 0
-	for i, e := range exprs {
-		t := e.TermCount()
-		if t > limit {
-			// This expression cannot fit any batch; flush what precedes it
-			// and send it alone so it fails (or succeeds) exactly as an
-			// unbatched Search would.
-			if err := flush(start, i); err != nil {
-				return nil, invocations, err
-			}
-			res, err := svc.Search(ctx, e, form)
-			if err != nil {
-				return nil, invocations, err
-			}
-			out[i] = res
-			invocations++
-			start, terms = i+1, 0
-			continue
-		}
-		if terms+t > limit {
-			if err := flush(start, i); err != nil {
-				return nil, invocations, err
-			}
-			start, terms = i, 0
-		}
-		terms += t
-	}
-	if err := flush(start, len(exprs)); err != nil {
+	})
+	if err != nil {
 		return nil, invocations, err
 	}
 	if sp != nil {

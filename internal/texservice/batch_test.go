@@ -1,6 +1,8 @@
 package texservice
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"textjoin/internal/textidx"
@@ -25,6 +27,56 @@ func sameExtIDs(a, b *Result) bool {
 		}
 	}
 	return true
+}
+
+// TestPack pins the one greedy packer: runs are consecutive and in order,
+// each run's terms plus base stay within the limit, and an item that does
+// not fit even alone is a run of its own.
+func TestPack(t *testing.T) {
+	cases := []struct {
+		name        string
+		terms       []int
+		base, limit int
+		want        [][2]int
+	}{
+		{name: "empty", terms: nil, limit: 4, want: nil},
+		{name: "exact fit", terms: []int{2, 2}, limit: 4, want: [][2]int{{0, 2}}},
+		{name: "exact fit then spill", terms: []int{1, 3, 2}, limit: 4, want: [][2]int{{0, 2}, {2, 3}}},
+		{name: "base in every run", terms: []int{1, 1, 1, 1, 1}, base: 2, limit: 4,
+			want: [][2]int{{0, 2}, {2, 4}, {4, 5}}},
+		{name: "oversize first", terms: []int{5, 1, 1}, limit: 4, want: [][2]int{{0, 1}, {1, 3}}},
+		{name: "oversize middle", terms: []int{1, 1, 5, 1}, limit: 4, want: [][2]int{{0, 2}, {2, 3}, {3, 4}}},
+		{name: "oversize last", terms: []int{2, 1, 5}, limit: 4, want: [][2]int{{0, 2}, {2, 3}}},
+		{name: "oversize only with base", terms: []int{1, 3, 1}, base: 2, limit: 4,
+			want: [][2]int{{0, 1}, {1, 2}, {2, 3}}},
+		{name: "base at limit", terms: []int{1, 1, 1}, base: 4, limit: 4,
+			want: [][2]int{{0, 1}, {1, 2}, {2, 3}}},
+		{name: "base above limit", terms: []int{1, 1}, base: 6, limit: 4, want: [][2]int{{0, 1}, {1, 2}}},
+	}
+	for _, c := range cases {
+		var got [][2]int
+		err := Pack(len(c.terms), c.base, c.limit, func(i int) int { return c.terms[i] }, func(lo, hi int) error {
+			got = append(got, [2]int{lo, hi})
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: runs %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	// An error from send stops the packing.
+	calls := 0
+	stop := errors.New("stop")
+	err := Pack(3, 0, 1, func(int) int { return 1 }, func(lo, hi int) error {
+		calls++
+		return stop
+	})
+	if !errors.Is(err, stop) || calls != 1 {
+		t.Fatalf("Pack after a failing send: err %v after %d sends, want %v after 1", err, calls, stop)
+	}
 }
 
 // TestSearchBatchSplitsUnderTermLimit: five one-term probes against a

@@ -33,10 +33,13 @@ go test -run TestShardedSmoke -race ./internal/shard
 # Batched probe pushdown equivalence harness under the race detector:
 # probing methods × {per-tuple, batched} × 1/2/4-shard federations with
 # injected faults, checked against the naive oracle and the exact
-# query-meter mirroring invariant. The seed is fixed in the test
-# (batchPropertySeed) so failures reproduce; -short caps the trial count
-# here, the full-trial run happens in the go test -race ./... pass below.
-go test -race -short -run 'TestBatchedProbing|TestBatchProbe' ./internal/join
+# query-meter mirroring invariant. SJ+RTP shares the OR-pack step (and
+# the term-limit packer) with the batched probes, so its tests and the
+# search transcript, which locks every method's wire traffic, run here
+# too. The seed is fixed in the test (batchPropertySeed) so failures
+# reproduce; -short caps the trial count here, the full-trial run happens
+# in the go test -race ./... pass below.
+go test -race -short -run 'TestBatchedProbing|TestBatchProbe|TestSJ|TestSearchTranscript' ./internal/join
 
 # Gateway concurrency suite under the race detector: equivalence,
 # saturation shedding, budgets, drain.
