@@ -132,8 +132,8 @@ func run(addr string, docs int, seed int64, load, snapshot, writeTo, short strin
 		svc = ingest.NewLive(store,
 			ingest.WithShortFields(strings.Split(short, ",")...),
 			ingest.WithMaxTerms(maxTerms))
-		fmt.Printf("textserve: live ingest enabled (dir %s, %d records replayed)\n",
-			ingestDir, store.Replayed())
+		fmt.Printf("textserve: live ingest enabled (dir %s, %d records replayed, %d torn-tail bytes truncated)\n",
+			ingestDir, store.Replayed(), store.TornBytes())
 	} else {
 		local, err := texservice.NewLocal(ix,
 			texservice.WithShortFields(strings.Split(short, ",")...),

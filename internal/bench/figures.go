@@ -154,20 +154,6 @@ func Figure2(c *workload.Corpus, gridS, gridR int) ([]Figure2Cell, error) {
 	return figure2Grid(base, float64(c.TagFanout), gridS, gridR), nil
 }
 
-// Figure2Q4 repeats the winner map on the Q4 parameters. §7.2 reports
-// "similar results, with TS taking slightly more space than P+TS": Q4's
-// second predicate is less selective than Q3's, so succeeding probes buy
-// less and the TS region grows.
-func Figure2Q4(c *workload.Corpus, gridS, gridR int) ([]Figure2Cell, error) {
-	base, err := baseQ4Params(c, 60, 6)
-	if err != nil {
-		return nil, err
-	}
-	// Sweep the first (advisor) predicate's selectivity and distinct
-	// count, like the Q3 map sweeps project.name.
-	return figure2Grid(base, 2*float64(c.AuthorFanout), gridS, gridR), nil
-}
-
 func figure2Grid(base *cost.Params, condFanout1 float64, gridS, gridR int) []Figure2Cell {
 	n := float64(base.N)
 	var out []Figure2Cell
@@ -241,19 +227,4 @@ func FormatFigure2(w io.Writer, cells []Figure2Cell) {
 	}
 	fmt.Fprintf(w, "agreement with analytic boundary s1 < 1 - N1/N: %d/%d (%.1f%%)\n",
 		agree, total, 100*float64(agree)/float64(total))
-}
-
-// Figure2Agreement returns the fraction of grid cells whose winner
-// matches the analytic boundary.
-func Figure2Agreement(cells []Figure2Cell) float64 {
-	agree := 0
-	for _, c := range cells {
-		if (c.Winner == "P+TS") == c.AnalyticProbe {
-			agree++
-		}
-	}
-	if len(cells) == 0 {
-		return 0
-	}
-	return float64(agree) / float64(len(cells))
 }

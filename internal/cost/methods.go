@@ -289,24 +289,3 @@ func (p *Params) Best() (Method, float64) {
 	}
 	return best, bestCost
 }
-
-// Ranking returns the applicable methods ordered by increasing predicted
-// cost.
-func (p *Params) Ranking() []Method {
-	var ms []Method
-	for _, m := range AllMethods {
-		if p.Applicable(m) {
-			ms = append(ms, m)
-		}
-	}
-	costs := map[Method]float64{}
-	for _, m := range ms {
-		costs[m] = p.Cost(m)
-	}
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && costs[ms[j]] < costs[ms[j-1]]; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
-	return ms
-}

@@ -11,8 +11,8 @@ import "math"
 // F_{g,J}, hence the probe transmission), and dropping the rest only
 // shrinks N_J and the probe's list work. OptimalProbe therefore searches
 // subsets up to that bound, giving O(k^2) work for the paper's fully
-// correlated model; ExhaustiveOptimalProbe searches everything and is the
-// test oracle for the theorem.
+// correlated model. The tests' oracle for the theorem,
+// ExhaustiveOptimalProbe, searches every subset.
 
 // ProbeBound returns the maximum probe-set size worth considering,
 // min(k, 2g).
@@ -29,11 +29,6 @@ func (p *Params) ProbeBound() int {
 // at most ProbeBound, together with its cost.
 func (p *Params) OptimalProbe(costFn func([]int) float64) ([]int, float64) {
 	return p.bestSubset(costFn, p.ProbeBound())
-}
-
-// ExhaustiveOptimalProbe searches all nonempty probe sets.
-func (p *Params) ExhaustiveOptimalProbe(costFn func([]int) float64) ([]int, float64) {
-	return p.bestSubset(costFn, p.K())
 }
 
 // bestSubset enumerates nonempty subsets of {0..k-1} of size ≤ maxSize.

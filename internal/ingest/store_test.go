@@ -339,6 +339,63 @@ func TestStoreCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestStoreTornTailRecovery: a crash in the middle of the last WAL
+// record leaves a torn tail. Reopening truncates it, reports its size in
+// TornBytes, and keeps every whole record visible; the torn record was
+// never acknowledged, so it is gone.
+func TestStoreTornTailRecovery(t *testing.T) {
+	dir := t.TempDir()
+	base := baseIndex(t, 6)
+	s, err := Open(base, Options{Dir: dir, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []texservice.IngestOp{put("n1", "first whole"), put("n2", "second whole"), put("n3", "torn record")} {
+		if _, err := s.Apply(bg, []texservice.IngestOp{op}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.TornBytes() != 0 {
+		t.Fatalf("fresh store reports %d torn bytes", s.TornBytes())
+	}
+
+	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment in %s (%v)", dir, err)
+	}
+	last := segs[len(segs)-1] // hex start sequences sort lexically
+	st, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, st.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(base, Options{Dir: dir, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.TornBytes() <= 0 {
+		t.Fatalf("torn tail not reported (TornBytes = %d)", r.TornBytes())
+	}
+	if r.Replayed() != 2 {
+		t.Fatalf("replayed %d records, want the 2 whole ones", r.Replayed())
+	}
+	for _, q := range []string{"title='first'", "title='second'"} {
+		if got := searchExts(t, r, q); len(got) != 1 {
+			t.Fatalf("%s after torn-tail recovery: %v, want one whole record", q, got)
+		}
+	}
+	if got := searchExts(t, r, "title='torn'"); len(got) != 0 {
+		t.Fatalf("torn record visible after recovery: %v", got)
+	}
+}
+
 // TestStoreCompactionTruncatesWAL checks the compaction contract: the
 // snapshot+manifest land on disk, sealed segments are removed, and a
 // reopen replays only post-compaction records.

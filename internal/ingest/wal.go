@@ -209,7 +209,7 @@ func readRecord(r io.Reader) (Record, int, error) {
 	return rec, 8 + int(n), nil
 }
 
-// EncodeRecords frames records for Submit.
+// EncodeRecords frames records for Enqueue.
 func EncodeRecords(recs []Record) ([]byte, error) {
 	var buf []byte
 	for _, rec := range recs {
@@ -287,16 +287,11 @@ func (w *WAL) Enqueue(buf []byte) *Pending {
 	return &Pending{req: req}
 }
 
-// Submit is Enqueue followed by Wait: a durable append.
-func (w *WAL) Submit(buf []byte) error {
-	return w.Enqueue(buf).Wait()
-}
-
 // Rotate seals the active segment (flushing and fsyncing anything
 // buffered) and opens a new one that will start at nextSeq. It returns
 // the paths of every sealed segment, oldest first — the compaction input.
-// The caller must guarantee no Submit is concurrently in flight for a
-// sequence < nextSeq (the store rotates under its sequence mutex).
+// The caller must guarantee that every Enqueue of a sequence < nextSeq
+// has returned (the store enqueues and rotates under its sequence mutex).
 func (w *WAL) Rotate(nextSeq uint64) ([]string, error) {
 	req := &walReq{rotate: true, startSeq: nextSeq, done: make(chan struct{})}
 	w.closeMu.RLock()
@@ -433,7 +428,7 @@ func (w *WAL) SyncStats() (appends, syncs uint64) {
 	return w.appends, w.syncs
 }
 
-// Close flushes, fsyncs, and stops the syncer. Further Submits fail.
+// Close flushes, fsyncs, and stops the syncer. Further Enqueues fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if !w.started {

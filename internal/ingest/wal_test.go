@@ -30,7 +30,7 @@ func mustSubmit(t *testing.T, w *WAL, recs []Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Submit(buf); err != nil {
+	if err := w.Enqueue(buf).Wait(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -209,7 +209,7 @@ func TestWALGroupCommit(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			errs[i] = w.Submit(buf)
+			errs[i] = w.Enqueue(buf).Wait()
 		}(i)
 	}
 	wg.Wait()

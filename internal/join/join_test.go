@@ -453,7 +453,7 @@ func TestProbeReduce(t *testing.T) {
 	// Reduction must keep exactly the tuples whose probe column matches
 	// some document — a semi-join on the probe predicate.
 	for _, row := range reduced.Rows {
-		name := row[0].AsString()
+		name := row[0].Text()
 		if name != "PWS" && name != "Belief" {
 			t.Fatalf("tuple with name %q survived", name)
 		}

@@ -100,9 +100,6 @@ func Dump(w io.Writer, s *Span) {
 	dumpSnap(w, s.Snapshot(), 0)
 }
 
-// DumpSnapshot renders an already-taken snapshot.
-func DumpSnapshot(w io.Writer, snap SpanSnapshot) { dumpSnap(w, snap, 0) }
-
 // DumpLimited renders at most maxSpans spans of the snapshot (depth-first
 // order) and reports how many were suppressed. The slow-query log uses it
 // to bound the memory and log volume one pathological trace can consume.

@@ -207,7 +207,7 @@ func TestAttachRemote(t *testing.T) {
 	}
 
 	var b strings.Builder
-	DumpSnapshot(&b, snap)
+	Dump(&b, root)
 	out := b.String()
 	for _, want := range []string{"remote=127.0.0.1:7070", "remote=10.0.0.9:7777", "late=yes"} {
 		if !strings.Contains(out, want) {

@@ -8,7 +8,7 @@ import (
 // OptimizeExhaustive enumerates every left-deep join order (all
 // permutations of the relations, with the text join placed at every legal
 // position) without dynamic programming, and returns the cheapest
-// traditional (probe-free) plan. It is exponential and exists as the test
+// traditional (probe-free) plan. It is exponential and is the tests'
 // oracle for the DP enumerator: on the traditional space the DP must find
 // a plan of exactly this cost.
 func (o *Optimizer) OptimizeExhaustive() (*Result, error) {

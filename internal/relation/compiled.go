@@ -42,15 +42,6 @@ func Compile(p Predicate, s *Schema) (*CompiledPred, error) {
 	return &CompiledPred{root: n}, nil
 }
 
-// MustCompile is Compile that panics on error; for tests and literals.
-func MustCompile(p Predicate, s *Schema) *CompiledPred {
-	c, err := Compile(p, s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Eval evaluates the compiled predicate over one tuple of the schema it
 // was compiled for.
 func (c *CompiledPred) Eval(t Tuple) (bool, error) {

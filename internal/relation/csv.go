@@ -114,36 +114,3 @@ func LoadCSVFile(name, path string) (*Table, error) {
 	defer f.Close()
 	return LoadCSV(name, f)
 }
-
-// WriteCSV writes the table as CSV with a typed header, inverse of
-// LoadCSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, t.Schema.Arity())
-	for i, c := range t.Schema.Cols {
-		suffix := ""
-		switch c.Kind {
-		case value.KindInt:
-			suffix = ":int"
-		case value.KindFloat:
-			suffix = ":float"
-		case value.KindBool:
-			suffix = ":bool"
-		}
-		header[i] = c.Name + suffix
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	record := make([]string, t.Schema.Arity())
-	for _, row := range t.Rows {
-		for i, v := range row {
-			record[i] = v.Text()
-		}
-		if err := cw.Write(record); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

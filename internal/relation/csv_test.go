@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +31,7 @@ func TestLoadCSV(t *testing.T) {
 	if s.ColumnIndex("year") != 2 {
 		t.Fatalf("typed header not stripped: %v", s)
 	}
-	if tbl.Rows[0][2].AsInt() != 4 || tbl.Rows[0][3].AsFloat() != 3.9 || !tbl.Rows[0][4].AsBool() {
+	if !value.Equal(tbl.Rows[0][2], value.Int(4)) || tbl.Rows[0][3].AsFloat() != 3.9 || !value.Equal(tbl.Rows[0][4], value.Bool(true)) {
 		t.Fatalf("row 0 = %v", tbl.Rows[0])
 	}
 	// Empty cells are NULL.
@@ -54,31 +53,6 @@ func TestLoadCSVErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := LoadCSV("t", strings.NewReader(src)); err == nil {
 			t.Errorf("LoadCSV(%q) succeeded", src)
-		}
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tbl, err := LoadCSV("student", strings.NewReader(sampleCSV))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadCSV("student", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Cardinality() != tbl.Cardinality() || back.Schema.String() != tbl.Schema.String() {
-		t.Fatalf("round trip changed the table:\n%v\n%v", tbl.Schema, back.Schema)
-	}
-	for i := range tbl.Rows {
-		for j := range tbl.Rows[i] {
-			if !value.Equal(tbl.Rows[i][j], back.Rows[i][j]) {
-				t.Fatalf("cell (%d,%d) changed: %v vs %v", i, j, tbl.Rows[i][j], back.Rows[i][j])
-			}
 		}
 	}
 }

@@ -83,27 +83,3 @@ func TestGroupByPartitions(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestSortByIsPermutation: sorting preserves the multiset and orders the
-// key column (quick).
-func TestSortByIsPermutation(t *testing.T) {
-	prop := func(seed int64) bool {
-		tbl := randTable(seed, "t", 20)
-		sorted, err := tbl.SortBy("t1")
-		if err != nil {
-			return false
-		}
-		if !sameMultiset(tbl, sorted) {
-			return false
-		}
-		for i := 1; i < len(sorted.Rows); i++ {
-			if value.Compare(sorted.Rows[i-1][0], sorted.Rows[i][0]) > 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

@@ -11,7 +11,6 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -308,26 +307,6 @@ func (t *Table) Project(names ...string) (*Table, error) {
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
-}
-
-// SortBy orders rows by the named columns ascending. It returns a new table.
-func (t *Table) SortBy(names ...string) (*Table, error) {
-	idxs, err := t.columnIndexes(names)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable(t.Name, t.Schema)
-	out.Rows = make([]Tuple, len(t.Rows))
-	copy(out.Rows, t.Rows)
-	sort.SliceStable(out.Rows, func(i, j int) bool {
-		for _, idx := range idxs {
-			if c := value.Compare(out.Rows[i][idx], out.Rows[j][idx]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 	return out, nil
 }
 

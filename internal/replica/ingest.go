@@ -14,11 +14,11 @@ import (
 // (down, ejected, slow past the caller's deadline) are marked lagging
 // and their acked index version stops advancing — which is exactly what
 // the read-your-writes gate keys on to route fresh reads away from
-// them. A bounded replay buffer holds recent batches so a lagging
-// replica can be caught up on its next successful contact without a
-// full snapshot transfer.
+// them. A bounded replay buffer holds recent batches so that the next
+// write to reach a lagging replica replays what it missed first,
+// without a full snapshot transfer. Reads never repair a replica.
 
-// replayEntry is one broadcast batch retained for catch-up.
+// replayEntry is one broadcast batch retained for replay.
 type replayEntry struct {
 	batch int64
 	ops   []texservice.IngestOp
@@ -65,7 +65,7 @@ func (s *Set) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texservic
 	batch := s.nextBatch
 	s.nextBatch++
 
-	// Retain the batch for catch-up BEFORE its outcome is known: even a
+	// Retain the batch for replay BEFORE its outcome is known: even a
 	// quorum-failed broadcast may have been applied by some replicas, and
 	// the ones that missed it can only close the gap if the batch stays
 	// replayable. Re-applying to a replica that did ack is harmless —
@@ -127,7 +127,7 @@ func (s *Set) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texservic
 		// its whole gap before applying, so all of them report the same
 		// post-batch version — that is the set-wide fence. Stragglers
 		// drain in the background so their lagging/ejection state stays
-		// truthful for the read-your-writes gate and CatchUp, and so a
+		// truthful for the read-your-writes gate, and so a
 		// hung replica cannot hold every writer hostage.
 		if rest := pending - 1; rest > 0 {
 			go func() {
@@ -200,54 +200,6 @@ func (s *Set) applyTo(ctx context.Context, r *replicaState, batch int64, ops []t
 	r.version.Store(res.Version)
 	r.lagging.Store(false)
 	return res, nil
-}
-
-// CatchUp replays missed batches into every lagging replica. The read
-// path calls nothing — catch-up is driven by the next write or by an
-// explicit call (e.g. after a chaos window ends, or from a probe hook).
-// Returns the number of replicas repaired.
-func (s *Set) CatchUp(ctx context.Context) (int, error) {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.nextBatch == 0 {
-		return 0, nil
-	}
-	repaired := 0
-	var firstErr error
-	for _, r := range s.replicas {
-		if !r.lagging.Load() {
-			continue
-		}
-		last := r.ackedBatch.Load()
-		target := s.nextBatch - 1
-		if last >= target {
-			r.lagging.Store(false)
-			repaired++
-			continue
-		}
-		// Reuse applyTo's replay logic by "re-sending" the newest batch:
-		// it replays the gap then applies the final entry.
-		var newest *replayEntry
-		for i := range s.replay {
-			if s.replay[i].batch == target {
-				newest = &s.replay[i]
-			}
-		}
-		if newest == nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("replica %d: newest batch %d evicted from replay buffer", r.idx, target)
-			}
-			continue
-		}
-		if _, err := s.applyTo(texservice.DetachQueryMeter(ctx), r, newest.batch, newest.ops); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		repaired++
-	}
-	return repaired, firstErr
 }
 
 // IndexVersion implements texservice.Versioned: the highest version any

@@ -185,7 +185,8 @@ func TestQuorumFailedBatchStaysReplayable(t *testing.T) {
 
 // TestFreshReadsRouteAroundLaggers: after a write misses one replica,
 // an unpinned read may see stale data but a WithFreshReads read never
-// does; after catch-up the lagger serves fresh data again.
+// does; once the next write repairs the lagger it serves fresh data
+// again.
 func TestFreshReadsRouteAroundLaggers(t *testing.T) {
 	var lagger *killable
 	s := writableSet(t, 3, func(k int, svc texservice.Service) texservice.Service {
@@ -217,16 +218,14 @@ func TestFreshReadsRouteAroundLaggers(t *testing.T) {
 		}
 	}
 
-	// Catch the lagger up; now even it serves the document.
-	repaired, err := s.CatchUp(bg)
-	if err != nil {
+	// The next write replays the missed batch into the lagger before
+	// applying its own; now even the lagger serves the first document.
+	if _, err := s.Ingest(bg, []texservice.IngestOp{putOp("w2", "Second Write")}); err != nil {
 		t.Fatal(err)
 	}
-	if repaired != 1 {
-		t.Fatalf("repaired %d replicas, want 1", repaired)
-	}
+	waitWritesSettled(t, s)
 	if len(s.Lagging()) != 0 {
-		t.Fatalf("laggers remain after catch-up: %v", s.Lagging())
+		t.Fatalf("laggers remain after the repairing write: %v", s.Lagging())
 	}
 	for i := 0; i < 30; i++ {
 		got, err := s.Search(bg, q, texservice.FormShort)
@@ -234,7 +233,7 @@ func TestFreshReadsRouteAroundLaggers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got.Hits) != 1 {
-			t.Fatalf("post-catch-up read %d missed the write", i)
+			t.Fatalf("post-repair read %d missed the write", i)
 		}
 	}
 }
@@ -286,8 +285,10 @@ func TestReplayCatchUpMultiBatch(t *testing.T) {
 }
 
 // TestReplayEviction: missing more batches than the buffer holds leaves
-// the replica permanently lagging (snapshot transfer is out of scope),
-// and the error says so.
+// the replica lagging (snapshot transfer is out of scope): the next
+// write is refused by it, with an error that says so, and it does not
+// apply the write out of order. The quorum is every replica, so the
+// lagger's refusal surfaces as the write's error.
 func TestReplayEviction(t *testing.T) {
 	var lagger *killable
 	s := writableSet(t, 3, func(k int, svc texservice.Service) texservice.Service {
@@ -296,24 +297,32 @@ func TestReplayEviction(t *testing.T) {
 		}
 		lagger = &killable{inner: svc}
 		return lagger
-	}, replica.WithReplayDepth(2), replica.WithSeed(3))
+	}, replica.WithReplayDepth(2), replica.WithWriteQuorum(3), replica.WithSeed(3))
 
 	lagger.dead.Store(true)
 	for i := 0; i < 4; i++ {
 		if _, err := s.Ingest(bg, []texservice.IngestOp{putOp(
-			"ev"+string(rune('a'+i)), "Evicted Batch")}); err != nil {
-			t.Fatal(err)
+			"ev"+string(rune('a'+i)), "Evicted Batch")}); err == nil {
+			t.Fatal("all-replica write succeeded with a replica down")
 		}
 	}
 	waitWritesSettled(t, s)
 	lagger.dead.Store(false)
-	if _, err := s.CatchUp(bg); err == nil {
-		t.Fatal("catch-up succeeded past an evicted batch")
+	if _, err := s.Ingest(bg, []texservice.IngestOp{putOp("late", "Beyond Replay")}); err == nil {
+		t.Fatal("write repaired a replica past an evicted batch")
 	} else if !strings.Contains(err.Error(), "snapshot") {
 		t.Errorf("eviction error should point at snapshot transfer: %v", err)
 	}
-	if len(s.Lagging()) != 1 {
-		t.Fatalf("beyond-replay replica not marked lagging: %v", s.Lagging())
+	waitWritesSettled(t, s)
+	if got := s.Lagging(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("beyond-replay replica not marked lagging: %v", got)
+	}
+	got, err := lagger.Search(bg, textidx.Term{Field: "title", Word: "beyond"}, texservice.FormShort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Hits) != 0 {
+		t.Fatal("beyond-replay replica applied a write past its gap")
 	}
 }
 

@@ -40,9 +40,10 @@
 //
 // The write path broadcasts each ingest batch to every replica with
 // per-replica ack tracking. Replicas that miss a batch (down, ejected)
-// are marked lagging and caught up from a bounded replay buffer on their
-// next successful contact; until then the read-your-writes gate
-// (WithFreshReads) routes pinned queries away from them.
+// are marked lagging; the next write that reaches one replays what it
+// missed from a bounded replay buffer before applying its own batch.
+// Reads never repair a replica. Until a write does, the read-your-writes
+// gate (WithFreshReads) routes pinned queries away from it.
 package replica
 
 import (
@@ -71,6 +72,10 @@ const (
 	// DefaultProbeAfter is how long an ejected replica sits out before
 	// probe re-admission attempts begin.
 	DefaultProbeAfter = 500 * time.Millisecond
+	// defaultReplayDepth bounds the ingest replay buffer that repairs
+	// lagging replicas. A replica that misses more batches than this
+	// stays lagging until a snapshot transfer (out of scope) repairs it.
+	defaultReplayDepth = 64
 	// DefaultHedgeMin / DefaultHedgeMax clamp the adaptive hedge budget.
 	DefaultHedgeMin = 500 * time.Microsecond
 	DefaultHedgeMax = 250 * time.Millisecond
@@ -84,6 +89,10 @@ const (
 // Option configures a Set.
 type Option func(*options)
 
+// options holds a Set's knobs. ejectAfter, hedgeLossEject, probeAfter
+// and replayDepth always hold their defaults outside tests, and
+// writeQuorum is always the majority; tests tighten them through the
+// options in export_test.go.
 type options struct {
 	hedgeAfter     time.Duration
 	hedgeOff       bool
@@ -91,7 +100,7 @@ type options struct {
 	hedgeLossEject int
 	probeAfter     time.Duration
 	replayDepth    int
-	writeQuorum    int
+	writeQuorum    int // 0 or out of range: a majority, ceil((R+1)/2)
 	seed           int64
 }
 
@@ -100,7 +109,7 @@ func defaultOptions() options {
 		ejectAfter:     DefaultEjectAfter,
 		hedgeLossEject: DefaultHedgeLossEject,
 		probeAfter:     DefaultProbeAfter,
-		replayDepth:    64,
+		replayDepth:    defaultReplayDepth,
 		seed:           1,
 	}
 }
@@ -116,55 +125,6 @@ func WithHedgeAfter(d time.Duration) Option {
 // ejection still apply) — the ablation baseline.
 func WithoutHedging() Option {
 	return func(o *options) { o.hedgeOff = true }
-}
-
-// WithEjectAfter sets the consecutive-failure ejection threshold; values
-// below 1 keep the default.
-func WithEjectAfter(n int) Option {
-	return func(o *options) {
-		if n >= 1 {
-			o.ejectAfter = n
-		}
-	}
-}
-
-// WithHedgeLossEject sets the consecutive-hedge-loss ejection threshold
-// (how many races a replica may lose to its own hedge before it is
-// treated as browned out); values below 1 keep the default.
-func WithHedgeLossEject(n int) Option {
-	return func(o *options) {
-		if n >= 1 {
-			o.hedgeLossEject = n
-		}
-	}
-}
-
-// WithProbeAfter sets how long an ejected replica waits before probe
-// re-admission attempts.
-func WithProbeAfter(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.probeAfter = d
-		}
-	}
-}
-
-// WithReplayDepth bounds the ingest replay buffer that catches lagging
-// replicas up. A replica that misses more batches than this stays
-// lagging until a snapshot transfer (out of scope) repairs it.
-func WithReplayDepth(n int) Option {
-	return func(o *options) {
-		if n >= 0 {
-			o.replayDepth = n
-		}
-	}
-}
-
-// WithWriteQuorum sets how many replica acks an ingest needs to succeed.
-// 0 (the default) means a majority — ceil((R+1)/2); pass R for
-// all-replica strictness or 1 for availability-first writes.
-func WithWriteQuorum(n int) Option {
-	return func(o *options) { o.writeQuorum = n }
 }
 
 // WithSeed makes replica selection deterministic for tests.

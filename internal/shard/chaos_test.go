@@ -125,8 +125,8 @@ func TestJoinMethodsOverShardedChaos(t *testing.T) {
 						tc.m.Name(), n, seed, res.Table.Cardinality(), want.Cardinality(),
 						join.Canonical(res.Table), join.Canonical(want))
 				}
-				if sharded.Degraded() != 0 {
-					t.Errorf("%s n=%d seed=%d: strict federation reported degradation",
+				if res.Stats.Partial {
+					t.Errorf("%s n=%d seed=%d: strict federation answered partially",
 						tc.m.Name(), n, seed)
 				}
 			}
@@ -153,8 +153,8 @@ func TestJoinMethodsOverHealthyBestEffort(t *testing.T) {
 			if !join.SameRows(res.Table, want) {
 				t.Errorf("%s n=%d: best-effort healthy run differs from naive", tc.m.Name(), n)
 			}
-			if sharded.Degraded() != 0 {
-				t.Errorf("%s n=%d: healthy run counted degradation", tc.m.Name(), n)
+			if res.Stats.Partial {
+				t.Errorf("%s n=%d: healthy run answered partially", tc.m.Name(), n)
 			}
 		}
 	}
@@ -173,15 +173,11 @@ func TestJoinUsageSumsAcrossShards(t *testing.T) {
 		base := single.Meter().Snapshot()
 
 		const n = 3
-		sharded := cluster(t, ix, n)
+		sharded, meters := meteredCluster(t, ix, n, nil)
 		if _, err := tc.m.Execute(bg, tc.spec, sharded); err != nil {
 			t.Fatal(err)
 		}
-		perShard := 0
-		for _, u := range sharded.PerShardUsage() {
-			perShard += u.Searches
-		}
-		if perShard < base.Searches {
+		if perShard := sumUsage(meters).Searches; perShard < base.Searches {
 			t.Errorf("%s: per-shard searches sum %d < unsharded %d",
 				tc.m.Name(), perShard, base.Searches)
 		}

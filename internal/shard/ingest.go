@@ -44,9 +44,6 @@ func (s *Sharded) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texse
 	var firstErr error
 	for k, err := range errs {
 		if err != nil {
-			s.mu.Lock()
-			s.shardErrs[k]++
-			s.mu.Unlock()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("shard: ingest on shard %d/%d: %w", k, len(s.shards), err)
 			}

@@ -13,7 +13,8 @@ import (
 // query would be billed once per shard on top of the database-side
 // summary. The query meter must therefore track the root meter exactly.
 func TestShardQueryMeterMirrorsRootOnly(t *testing.T) {
-	s := cluster(t, fixture(t), 3)
+	const n = 3
+	s, meters := meteredCluster(t, fixture(t), n, nil)
 	qm := texservice.NewMeter(texservice.DefaultCosts())
 	ctx := texservice.WithQueryMeter(bg, qm)
 
@@ -31,22 +32,16 @@ func TestShardQueryMeterMirrorsRootOnly(t *testing.T) {
 	// The scatter summary counts one search per shard with CritCost equal
 	// to the most expensive part; the query sees that once, not the
 	// per-shard charges a second time.
-	if query.Searches != s.NumShards() || query.Retrieves != 1 {
+	if query.Searches != n || query.Retrieves != 1 {
 		t.Fatalf("query usage should see %d scatter searches and one retrieve: %+v",
-			s.NumShards(), query)
+			n, query)
 	}
 	if query.CritCost >= query.Cost {
 		t.Fatalf("scatter critical path should beat total cost: %+v", query)
 	}
 	// Sanity: the backends did charge their own meters — the detach kept
 	// those charges out of the query meter, it did not suppress them.
-	var backendSearches int
-	perShard := s.PerShardUsage()
-	for _, u := range perShard {
-		backendSearches += u.Searches
-	}
-	if backendSearches != len(perShard) {
-		t.Fatalf("backend meters saw %d searches, want one per shard (%d)",
-			backendSearches, len(perShard))
+	if got := sumUsage(meters).Searches; got != n {
+		t.Fatalf("backend meters saw %d searches, want one per shard (%d)", got, n)
 	}
 }

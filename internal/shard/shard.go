@@ -49,10 +49,6 @@ type Sharded struct {
 	bestEffort  bool
 	maxTerms    int
 	shortFields []string
-
-	mu        sync.Mutex
-	degraded  int   // best-effort searches that lost at least one shard
-	shardErrs []int // per-shard failed-call counts
 }
 
 // Option configures a Sharded federation.
@@ -96,12 +92,8 @@ func New(shards []texservice.Service, opts ...Option) (*Sharded, error) {
 		bestEffort:  cfg.bestEffort,
 		maxTerms:    maxTerms,
 		shortFields: short,
-		shardErrs:   make([]int, len(backends)),
 	}, nil
 }
-
-// NumShards returns the partition width N.
-func (s *Sharded) NumShards() int { return len(s.shards) }
 
 // BestEffort reports whether partial shard failure degrades gracefully
 // instead of failing the search.
@@ -149,8 +141,8 @@ func errString(err error) string {
 
 // gather folds per-shard outcomes under the failure mode: in strict mode
 // any error aborts; in best-effort mode failed shards are dropped unless
-// every shard failed. It records failure counters and returns the indices
-// of the successful shards. The reported error prefers a root cause over
+// every shard failed. It returns the indices of the successful shards and
+// whether any was dropped. The reported error prefers a root cause over
 // a cancellation: in strict mode the first failing shard cancels the
 // rest, and their "context canceled" must not mask why.
 func (s *Sharded) gather(op string, errs []error) (ok []int, partial bool, err error) {
@@ -158,9 +150,6 @@ func (s *Sharded) gather(op string, errs []error) (ok []int, partial bool, err e
 	firstShard := -1
 	for k, e := range errs {
 		if e != nil {
-			s.mu.Lock()
-			s.shardErrs[k]++
-			s.mu.Unlock()
 			if firstErr == nil ||
 				(errors.Is(firstErr, context.Canceled) && !errors.Is(e, context.Canceled)) {
 				firstErr, firstShard = e, k
@@ -176,9 +165,6 @@ func (s *Sharded) gather(op string, errs []error) (ok []int, partial bool, err e
 		return nil, false, fmt.Errorf("shard: %s on shard %d/%d: %w",
 			op, firstShard, len(s.shards), firstErr)
 	}
-	s.mu.Lock()
-	s.degraded++
-	s.mu.Unlock()
 	return ok, true, nil
 }
 
@@ -312,9 +298,6 @@ func (s *Sharded) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Docum
 	}
 	doc, err := s.shards[k].Retrieve(texservice.DetachQueryMeter(ctx), textidx.LocalID(id, n))
 	if err != nil {
-		s.mu.Lock()
-		s.shardErrs[k]++
-		s.mu.Unlock()
 		return textidx.Document{}, err
 	}
 	s.meter.ChargeRetrieve(ctx)
@@ -347,32 +330,5 @@ func (s *Sharded) ShortFields() []string {
 // Meter implements texservice.Service: the root meter, charged with
 // parallel cost semantics for fan-outs.
 func (s *Sharded) Meter() *texservice.Meter { return s.meter }
-
-// Degraded reports how many best-effort searches returned with at least
-// one shard's documents missing.
-func (s *Sharded) Degraded() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
-}
-
-// ShardFailures returns the per-shard failed-call counts (after each
-// shard's own retries, if its backend retries).
-func (s *Sharded) ShardFailures() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int(nil), s.shardErrs...)
-}
-
-// PerShardUsage snapshots every shard backend's own meter. The counts sum
-// to at least the root meter's (shards also charge local work the root
-// meter summarizes per fan-out).
-func (s *Sharded) PerShardUsage() []texservice.Usage {
-	out := make([]texservice.Usage, len(s.shards))
-	for k, svc := range s.shards {
-		out[k] = svc.Meter().Snapshot()
-	}
-	return out
-}
 
 var _ texservice.Service = (*Sharded)(nil)

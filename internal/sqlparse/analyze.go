@@ -97,9 +97,6 @@ type Analyzed struct {
 	OutputCols []string
 }
 
-// HasText reports whether the query involves any text source.
-func (a *Analyzed) HasText() bool { return len(a.Text) > 0 }
-
 // Part returns the TextPart of the named source, or nil.
 func (a *Analyzed) Part(source string) *TextPart {
 	for i := range a.Text {
@@ -119,15 +116,6 @@ func (a *Analyzed) ForeignOf(source string) []ForeignPred {
 		}
 	}
 	return out
-}
-
-// SingleSource returns the sole text source's name, or "" when the query
-// has none or several.
-func (a *Analyzed) SingleSource() string {
-	if len(a.Text) == 1 {
-		return a.Text[0].Source
-	}
-	return ""
 }
 
 // Analyze resolves and classifies a parsed query against the catalog.
@@ -447,33 +435,6 @@ func (r *resolver) resolveSelect(q *Query) error {
 		a.OutputCols = append(a.OutputCols, tbl+"."+c.Column)
 	}
 	return nil
-}
-
-// ForeignPredsOf returns the foreign predicates whose relation column
-// belongs to the given table.
-func (a *Analyzed) ForeignPredsOf(table string) []ForeignPred {
-	var out []ForeignPred
-	for _, f := range a.Foreign {
-		if f.Table == table {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// ForeignTables returns the sorted set of tables referenced by foreign
-// predicates.
-func (a *Analyzed) ForeignTables() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range a.Foreign {
-		if !seen[f.Table] {
-			seen[f.Table] = true
-			out = append(out, f.Table)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String summarises the classification (useful in EXPLAIN output).

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -47,8 +48,8 @@ func TestAnalyzeQ1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Tables) != 1 || a.Tables[0] != "student" || a.SingleSource() != "mercury" {
-		t.Fatalf("tables = %v, text = %q", a.Tables, a.SingleSource())
+	if len(a.Tables) != 1 || a.Tables[0] != "student" || len(a.Text) != 1 || a.Text[0].Source != "mercury" {
+		t.Fatalf("tables = %v, text = %+v", a.Tables, a.Text)
 	}
 	sel := a.Selections["student"]
 	and, ok := sel.(relation.And)
@@ -97,12 +98,13 @@ func TestAnalyzeQ5MultiJoin(t *testing.T) {
 	if len(a.Foreign) != 2 {
 		t.Fatalf("foreign = %v", a.Foreign)
 	}
-	ft := a.ForeignTables()
+	var ft []string
+	for _, f := range a.Foreign {
+		ft = append(ft, f.Table)
+	}
+	sort.Strings(ft)
 	if len(ft) != 2 || ft[0] != "faculty" || ft[1] != "student" {
 		t.Fatalf("foreign tables = %v", ft)
-	}
-	if len(a.ForeignPredsOf("student")) != 1 {
-		t.Fatalf("foreign preds of student = %v", a.ForeignPredsOf("student"))
 	}
 	// docid-only output: no long forms.
 	if p := a.Part("mercury"); p.LongForm || len(p.DocFields) != 0 {
@@ -218,7 +220,7 @@ func TestAnalyzePureRelational(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.HasText() || len(a.Foreign) != 0 {
+	if len(a.Text) != 0 || len(a.Foreign) != 0 {
 		t.Fatalf("pure relational query misclassified: %+v", a)
 	}
 	if len(a.Edges) != 1 || len(a.Tables) != 2 {

@@ -26,11 +26,11 @@ func TestParseQ1(t *testing.T) {
 	}
 	c0, ok := q.Conjuncts[0].(Comparison)
 	if !ok || c0.Left.Qualified() != "student.area" || c0.Op != relation.OpEq ||
-		c0.RightLit.AsString() != "AI" {
+		!value.Equal(c0.RightLit, value.String("AI")) {
 		t.Errorf("conjunct 0 = %#v", q.Conjuncts[0])
 	}
 	c1 := q.Conjuncts[1].(Comparison)
-	if c1.Op != relation.OpGt || c1.RightLit.AsInt() != 3 {
+	if c1.Op != relation.OpGt || !value.Equal(c1.RightLit, value.Int(3)) {
 		t.Errorf("conjunct 1 = %#v", c1)
 	}
 	c2, ok := q.Conjuncts[2].(TextPred)
@@ -84,10 +84,10 @@ func TestParseLiterals(t *testing.T) {
 	if v := q.Conjuncts[0].(Comparison).RightLit; v.Kind() != value.KindFloat || v.AsFloat() != 2.5 {
 		t.Errorf("float literal = %v", v)
 	}
-	if v := q.Conjuncts[1].(Comparison).RightLit; v.AsInt() != -3 {
+	if v := q.Conjuncts[1].(Comparison).RightLit; !value.Equal(v, value.Int(-3)) {
 		t.Errorf("negative int literal = %v", v)
 	}
-	if v := q.Conjuncts[2].(Comparison).RightLit; v.AsString() != "x y" {
+	if v := q.Conjuncts[2].(Comparison).RightLit; !value.Equal(v, value.String("x y")) {
 		t.Errorf("string literal = %v", v)
 	}
 }
@@ -173,7 +173,7 @@ func TestCaseInsensitivity(t *testing.T) {
 		t.Errorf("column not lower-cased: %v", c.Left)
 	}
 	// String literal case preserved.
-	if c.RightLit.AsString() != "AI" {
+	if !value.Equal(c.RightLit, value.String("AI")) {
 		t.Errorf("literal case changed: %v", c.RightLit)
 	}
 }

@@ -50,7 +50,6 @@ func TestEstimatorConcurrent(t *testing.T) {
 					t.Errorf("concurrent Selection = %+v, want %+v", s, refSel)
 					return
 				}
-				_ = est.CacheSize()
 			}
 		}()
 	}

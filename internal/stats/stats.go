@@ -198,26 +198,6 @@ func (e *Estimator) Predicate(tbl *relation.Table, column, field string) (Estima
 	return est, nil
 }
 
-// SetPredicate installs (or overrides) the cached estimate for "column in
-// field" over the named table without sampling. It is the feedback-import
-// hook: a serving layer that retained observed selectivities and fanouts
-// for a predicate (internal/telemetry's sink) seeds them here, so later
-// queries with the same shape plan from actuals instead of samples.
-func (e *Estimator) SetPredicate(table, column, field string, est Estimate) {
-	e.mu.Lock()
-	e.predCache[table+"\x00"+column+"\x00"+field] = est
-	e.mu.Unlock()
-}
-
-// PredicateCached returns the cached estimate for "column in field" over
-// the named table, never sampling.
-func (e *Estimator) PredicateCached(table, column, field string) (Estimate, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	est, ok := e.predCache[table+"\x00"+column+"\x00"+field]
-	return est, ok
-}
-
 // Selection measures a text selection's fanout and processing work with a
 // single short-form search, cached by the expression's rendering.
 func (e *Estimator) Selection(sel textidx.Expr) (SelectionStats, error) {
@@ -234,11 +214,4 @@ func (e *Estimator) Selection(sel textidx.Expr) (SelectionStats, error) {
 	st := SelectionStats{Fanout: float64(len(res.Hits)), Postings: float64(res.Postings)}
 	e.selCache[key] = st
 	return st, nil
-}
-
-// CacheSize reports how many predicate estimates are cached.
-func (e *Estimator) CacheSize() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.predCache)
 }

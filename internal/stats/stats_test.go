@@ -118,9 +118,6 @@ func TestPredicateCaching(t *testing.T) {
 	if e2.Samples != 4 {
 		t.Fatal("cached estimate wrong")
 	}
-	if est.CacheSize() != 1 {
-		t.Fatalf("cache size = %d", est.CacheSize())
-	}
 }
 
 func TestPredicateSampling(t *testing.T) {

@@ -5,8 +5,9 @@
 // loop the ROADMAP's feedback-driven-statistics item needs: EXPLAIN
 // ANALYZE already computes the est-vs-act comparison per plan node but
 // discarded it at render time; the sink keeps it, aggregates observed
-// predicate behavior per (table, column, field), and exports it in the
-// shape stats.Estimator.SetPredicate consumes.
+// predicate behavior per (table, column, field), and exports it as
+// observed fanouts a stats.Estimate can be built from. Nothing feeds them
+// back into the estimator yet; /telemetry serves them.
 package telemetry
 
 import (
@@ -201,9 +202,7 @@ func (s *Sink) Close() error {
 }
 
 // PredicateFeedback is the aggregated observation for one predicate key,
-// averaged over every retained record that probed it — the shape
-// stats.Estimator.SetPredicate consumes (via a stats.Estimate built from
-// Fanout).
+// averaged over every retained record that probed it.
 type PredicateFeedback struct {
 	Table   string  `json:"table"`
 	Column  string  `json:"column"`

@@ -110,10 +110,6 @@ func Dial(addr string, meter *Meter, opts ...DialOption) (*Remote, error) {
 	return r, nil
 }
 
-// SpanVersion reports the server's negotiated span-return protocol
-// version (0 means the server predates span return and is never asked).
-func (r *Remote) SpanVersion() int { return r.spanVer }
-
 // Close releases all pooled connections; subsequent calls fail.
 func (r *Remote) Close() error {
 	r.mu.Lock()
@@ -415,9 +411,6 @@ func (r *Remote) ShortFields() []string { return append([]string(nil), r.shortFi
 
 // Meter implements Service.
 func (r *Remote) Meter() *Meter { return r.meter }
-
-// PoolSize reports the configured connection-pool capacity.
-func (r *Remote) PoolSize() int { return r.cfg.pool }
 
 // IdleConns reports the number of pooled idle connections (observability
 // and tests).

@@ -93,7 +93,7 @@ func TestPoolConcurrencySpeedup(t *testing.T) {
 	if ratio := float64(serial) / float64(parallel); ratio < 2 {
 		t.Fatalf("pool=8 not faster: serial %v, parallel %v (ratio %.2f)", serial, parallel, ratio)
 	}
-	if got := pooled.PoolSize(); got != 8 {
+	if got := pooled.cfg.pool; got != 8 {
 		t.Fatalf("pool size = %d", got)
 	}
 	if idle := pooled.IdleConns(); idle < 1 || idle > 8 {

@@ -49,8 +49,8 @@ func findSpan(s obs.SpanSnapshot, name string) (obs.SpanSnapshot, bool) {
 // labeled with the dialed address — the tentpole's cross-process path.
 func TestRemoteSpanReturn(t *testing.T) {
 	_, remote := spanServer(t)
-	if remote.SpanVersion() != spanWireVersion {
-		t.Fatalf("negotiated span version %d, want %d", remote.SpanVersion(), spanWireVersion)
+	if remote.spanVer != spanWireVersion {
+		t.Fatalf("negotiated span version %d, want %d", remote.spanVer, spanWireVersion)
 	}
 
 	rec := obs.NewRecorder("query")

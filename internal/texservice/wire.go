@@ -76,8 +76,8 @@ type wireResponse struct {
 const spanWireVersion = 1
 
 // SpanWireVersion reports the span-return protocol version this build
-// speaks (0 meant no span return; see Remote.SpanVersion for what a
-// dialed server negotiated).
+// speaks (0 meant no span return; a Remote records what each dialed
+// server negotiated at dial time).
 func SpanWireVersion() int { return spanWireVersion }
 
 // writeMessage frames and writes one JSON message.

@@ -165,15 +165,6 @@ func (ix *Index) DocFrequency(field, term string) int {
 	return len(pl.docs)
 }
 
-// VocabularySize returns the number of distinct terms in a field.
-func (ix *Index) VocabularySize(field string) int {
-	fi := ix.fields[field]
-	if fi == nil {
-		return 0
-	}
-	return len(fi.terms)
-}
-
 // list returns the posting list for (field, term), or nil.
 func (ix *Index) list(field, term string) *postingList {
 	fi := ix.fields[field]

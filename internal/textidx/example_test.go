@@ -7,6 +7,10 @@ import (
 	"textjoin/internal/textidx"
 )
 
+// aliases maps the paper's field abbreviations to the fields indexed
+// below.
+var aliases = map[string]string{"TI": "title", "AU": "author"}
+
 // Example demonstrates the Boolean retrieval engine: index documents,
 // freeze, and search with the paper's query syntax.
 func Example() {
@@ -20,7 +24,7 @@ func Example() {
 	ix.Freeze()
 
 	// The paper's example search: a phrase plus a field-scoped term.
-	expr, err := textidx.Parse("'information' near3 'filtering' and AU='smith'", textidx.MercuryAliases)
+	expr, err := textidx.Parse("'information' near3 'filtering' and AU='smith'", aliases)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +45,7 @@ func Example() {
 
 // ExampleParse shows truncation and Boolean connectives.
 func ExampleParse() {
-	expr, err := textidx.Parse("TI='filter?' and not AU='jones'", textidx.MercuryAliases)
+	expr, err := textidx.Parse("TI='filter?' and not AU='jones'", aliases)
 	if err != nil {
 		log.Fatal(err)
 	}

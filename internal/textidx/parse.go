@@ -275,12 +275,3 @@ func (p *searchParser) resolveField(ident string) string {
 	}
 	return strings.ToLower(ident)
 }
-
-// MercuryAliases is the field alias map of the paper's examples, matching
-// the bibliographic CSTR schema.
-var MercuryAliases = map[string]string{
-	"TI": "title",
-	"AU": "author",
-	"AB": "abstract",
-	"YR": "year",
-}

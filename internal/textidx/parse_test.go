@@ -7,6 +7,15 @@ import (
 	"time"
 )
 
+// MercuryAliases is the field alias map of the paper's examples, matching
+// the bibliographic CSTR schema.
+var MercuryAliases = map[string]string{
+	"TI": "title",
+	"AU": "author",
+	"AB": "abstract",
+	"YR": "year",
+}
+
 func TestParseSimple(t *testing.T) {
 	e, err := Parse("TI='belief update' and AU='radhika'", MercuryAliases)
 	if err != nil {

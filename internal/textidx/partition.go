@@ -59,24 +59,3 @@ func (ix *Index) Partition(n int) ([]*Index, error) {
 	}
 	return shards, nil
 }
-
-// SplitSnapshotFile loads a full-corpus snapshot, partitions it n ways,
-// and writes one snapshot per shard to fmt.Sprintf(pattern, k). It lets
-// shard servers start without re-indexing: split once, then serve each
-// piece with `textserve -snapshot`.
-func SplitSnapshotFile(src string, n int, pattern string) error {
-	ix, err := LoadFile(src)
-	if err != nil {
-		return err
-	}
-	shards, err := ix.Partition(n)
-	if err != nil {
-		return err
-	}
-	for k, s := range shards {
-		if err := s.SaveFile(fmt.Sprintf(pattern, k)); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -152,33 +152,46 @@ func TestPartitionErrors(t *testing.T) {
 	}
 }
 
+// TestSplitSnapshotFile: a persisted full snapshot splits into per-shard
+// snapshots that load back as the same partitions, the path
+// `textserve -snapshot full -shard k/n -write-snapshot` takes so shard
+// servers start without re-indexing.
 func TestSplitSnapshotFile(t *testing.T) {
 	dir := t.TempDir()
-	ix := partitionFixture(t, 20)
 	src := filepath.Join(dir, "full.snap")
-	if err := ix.SaveFile(src); err != nil {
+	if err := partitionFixture(t, 20).SaveFile(src); err != nil {
 		t.Fatal(err)
 	}
-	pattern := filepath.Join(dir, "shard-%d.snap")
+	full, err := LoadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 4
-	if err := SplitSnapshotFile(src, n, pattern); err != nil {
+	parts, err := full.Partition(n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for k := 0; k < n; k++ {
-		part, err := LoadFile(fmt.Sprintf(pattern, k))
+	for k, part := range parts {
+		path := filepath.Join(dir, fmt.Sprintf("shard-%d.snap", k))
+		if err := part.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += part.NumDocs()
-		if part.NumDocs() != 5 {
-			t.Fatalf("shard %d holds %d docs, want 5", k, part.NumDocs())
+		if back.NumDocs() != 5 {
+			t.Fatalf("shard %d holds %d docs, want 5", k, back.NumDocs())
+		}
+		for id := DocID(0); int(id) < back.NumDocs(); id++ {
+			got, _ := back.Doc(id)
+			want, _ := full.Doc(GlobalID(k, id, n))
+			if got.ExtID != want.ExtID {
+				t.Fatalf("shard %d local doc %d is %q, want global doc %q", k, id, got.ExtID, want.ExtID)
+			}
 		}
 	}
-	if total != 20 {
-		t.Fatalf("shards hold %d docs", total)
-	}
-	if err := SplitSnapshotFile(filepath.Join(dir, "missing.snap"), 2, pattern); err == nil {
-		t.Fatal("missing source accepted")
+	if _, err := LoadFile(filepath.Join(dir, "missing.snap")); err == nil {
+		t.Fatal("missing snapshot loaded")
 	}
 }

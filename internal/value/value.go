@@ -74,22 +74,6 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// AsBool returns the boolean payload; it panics if v is not a boolean.
-func (v Value) AsBool() bool {
-	if v.kind != KindBool {
-		panic("value: AsBool on " + v.kind.String())
-	}
-	return v.b
-}
-
-// AsInt returns the integer payload; it panics if v is not an integer.
-func (v Value) AsInt() int64 {
-	if v.kind != KindInt {
-		panic("value: AsInt on " + v.kind.String())
-	}
-	return v.i
-}
-
 // AsFloat returns the numeric payload widened to float64; it panics if v is
 // neither an integer nor a float.
 func (v Value) AsFloat() float64 {
@@ -101,14 +85,6 @@ func (v Value) AsFloat() float64 {
 	default:
 		panic("value: AsFloat on " + v.kind.String())
 	}
-}
-
-// AsString returns the string payload; it panics if v is not a string.
-func (v Value) AsString() string {
-	if v.kind != KindString {
-		panic("value: AsString on " + v.kind.String())
-	}
-	return v.s
 }
 
 // Text renders any value as text. Strings are returned verbatim; other kinds

@@ -328,7 +328,7 @@ func TestHashJoinKeysDoNotCollide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cardinality() != 1 || got.Rows[0][0].AsString() != "p" {
+	if got.Cardinality() != 1 || !value.Equal(got.Rows[0][0], value.String("p")) {
 		t.Fatalf("join = %v, want only the (p, q) pair", got.Rows)
 	}
 }

@@ -20,7 +20,7 @@ func TestQ5WorkloadValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Q5 query does not analyze: %v", err)
 	}
-	if len(a.Tables) != 2 || a.SingleSource() != "mercury" || len(a.Foreign) != 2 {
+	if len(a.Tables) != 2 || len(a.Text) != 1 || a.Text[0].Source != "mercury" || len(a.Foreign) != 2 {
 		t.Fatalf("Q5 classification: %+v", a)
 	}
 	svc, err := w.Service()

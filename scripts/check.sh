@@ -27,8 +27,26 @@ fi
 go build ./...
 go vet ./...
 
+# gate PATTERN PKG [FLAGS...] runs `go test FLAGS -run PATTERN PKG`, after
+# checking that every |-separated alternative of PATTERN names at least
+# one test in PKG. `go test -run` passes silently when a rename or a
+# deletion leaves it matching nothing; a gate must not.
+gate() {
+    pattern=$1
+    pkg=$2
+    shift 2
+    listed=$(go test -list "$pattern" "$pkg")
+    for alt in $(printf '%s' "$pattern" | tr '|' ' '); do
+        if ! printf '%s\n' "$listed" | grep -E '^[A-Z]' | grep -qE -- "$alt"; then
+            echo "gate selects no test: -run '$alt' in $pkg" >&2
+            exit 1
+        fi
+    done
+    go test "$@" -run "$pattern" "$pkg"
+}
+
 # Quick race-detector smoke of the sharded federation before the full runs.
-go test -run TestShardedSmoke -race ./internal/shard
+gate TestShardedSmoke ./internal/shard -race
 
 # Batched probe pushdown equivalence harness under the race detector:
 # probing methods × {per-tuple, batched} × 1/2/4-shard federations with
@@ -39,18 +57,18 @@ go test -run TestShardedSmoke -race ./internal/shard
 # too. The seed is fixed in the test (batchPropertySeed) so failures
 # reproduce; -short caps the trial count here, the full-trial run happens
 # in the go test -race ./... pass below.
-go test -race -short -run 'TestBatchedProbing|TestBatchProbe|TestSJ|TestSearchTranscript' ./internal/join
+gate 'TestBatchedProbing|TestBatchProbe|TestSJ|TestSearchTranscript' ./internal/join -race -short
 
 # Gateway concurrency suite under the race detector: equivalence,
 # saturation shedding, budgets, drain.
-go test -race -run Gateway ./internal/gateway
+gate Gateway ./internal/gateway -race
 
 # Observability gates: the span recorder must be race-clean under
 # concurrent recording/snapshotting, and the /metrics exposition must
 # parse as Prometheus text format (line-grammar validator, no deps) —
 # including the trace-store series and histogram bucket exemplars.
 go test -race ./internal/obs
-go test -race -run 'Metrics|Analyze|SlowQuery' ./internal/gateway
+gate 'Metrics|Analyze|SlowQuery' ./internal/gateway -race
 
 # Distributed-tracing gates, all under the race detector:
 # 1. Trace-propagation smoke: a federation whose client links fail 30%
@@ -63,16 +81,16 @@ go test -race -run 'Metrics|Analyze|SlowQuery' ./internal/gateway
 # 3. Trace ring soak: concurrent queries hammer the tail-sampled store
 #    while /traces and /trace/{id} are polled; plus the tentpole 2x2
 #    sharded+replicated hedged-query trace acceptance test.
-go test -race -run 'TestTracePropagationUnderFaults' ./internal/shard
-go test -race -run 'Span' ./internal/texservice
-go test -race -run 'TestTraceRingConcurrent|TestShardedReplicatedHedgedTrace|TestTraceStore' ./internal/gateway
+gate TestTracePropagationUnderFaults ./internal/shard -race
+gate Span ./internal/texservice -race
+gate 'TestTraceRingConcurrent|TestShardedReplicatedHedgedTrace|TestTraceStore' ./internal/gateway -race
 go test -race ./internal/telemetry
 
 # Tracing overhead gate: the disabled span path must stay allocation-free.
 # Its ns/op is BenchmarkStartSpanDisabled, run once below with the other
 # benchmarks; BENCH_trace.json records a reference run of both span
 # benchmarks.
-go test -run 'TestDisabledSpanPathBudget' ./internal/obs
+gate TestDisabledSpanPathBudget ./internal/obs
 
 # Vectorized execution gates. The equivalence harness runs every join
 # method on the same pruned plans through the executor against the naive
@@ -80,24 +98,24 @@ go test -run 'TestDisabledSpanPathBudget' ./internal/obs
 # the seed is fixed (vectorPropertySeed) so failures reproduce. -short
 # caps the trial count here, the full-trial run happens in the
 # go test -race ./... pass below.
-go test -race -short -run 'TestVectorizedEquivalence' ./internal/exec
+gate TestVectorizedEquivalence ./internal/exec -race -short
 
 # Allocation regression gate: the steady-state batch path (a filtering
 # scan → project) must not allocate per Next once the pipeline is warm.
-go test -run 'TestSteadyStateAllocs' ./internal/vec
+gate TestSteadyStateAllocs ./internal/vec
 
 # Boundary allocation gate: an SJ+RTP text join over a 1k-row and a
 # 64k-row scan with the same 64 bindings must allocate the same per run —
 # the join's input lives in the run's recycled arena and bindings are
 # grouped by typed key, so any per-row heap object between the relational
 # pipeline and the text join fails this.
-go test -run 'TestForeignJoinInputAllocsIndependentOfRows' ./internal/exec
+gate TestForeignJoinInputAllocsIndependentOfRows ./internal/exec
 
 # Cardinality-independence gate: once a query shape is warm, Prepare must
 # cost the same allocations and bytes over a 1k-row and a 64k-row table —
 # optimize is O(1) in table size (distinct counts are memoized on the
 # table), and any per-row work on the plan path fails this.
-go test -run 'TestPrepareIndependentOfCardinality' ./internal/core
+gate TestPrepareIndependentOfCardinality ./internal/core
 
 # Fuzz smokes: arbitrary bytes through parse → analyze → optimize may be
 # rejected but must not panic or hang; the text-search parser terminates
@@ -113,7 +131,7 @@ go test -run NONE -fuzz FuzzServerDispatch -fuzztime 5s ./internal/texservice
 # isolation, cache-staleness regression and the live join-equivalence
 # suite, all under the race detector.
 go test -race ./internal/ingest/...
-go test -race -run 'TestLiveIngest' ./internal/join
+gate TestLiveIngest ./internal/join -race
 
 # Crash-recovery smoke: start textserve with a WAL directory, ingest a
 # document over the wire, kill -9 the server mid-flight, restart it on
@@ -128,15 +146,15 @@ go test -race -run 'TestLiveIngest' ./internal/join
 #    replicas must drain in-flight counts to zero and return goroutine
 #    and pooled-connection counts to baseline — a lost cancel or an
 #    unconsumed loser attempt fails this.
-go test -race -run 'TestJoinMethodsOverReplicated|TestFailover|TestProbeReadmission' ./internal/replica
-go test -race -run 'TestHedgeCancellationNoLeaks' ./internal/replica
+gate 'TestJoinMethodsOverReplicated|TestFailover|TestProbeReadmission' ./internal/replica -race
+gate TestHedgeCancellationNoLeaks ./internal/replica -race
 
 # The one composition the binaries ship, under the race detector:
 # appcfg.DialText over three TCP servers as "-remote a,b|c -retries 3",
 # a faulty sole replica whose back-to-back faults only the per-endpoint
 # Retrying wrapper absorbs (answers equal the in-process ones), then that
 # partition lost for good and the gateway's answer flagged Partial.
-go test -race -run 'TestDialTextComposes' ./internal/appcfg
+gate TestDialTextComposes ./internal/appcfg -race
 
 # Benchmarks must at least compile and run one iteration — they are the
 # before/after evidence for the execution core, the relational matcher
