@@ -255,8 +255,11 @@ func BenchmarkSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	queries := map[string]textidx.Expr{
-		"term":   textidx.Term{Field: "title", Word: "text"},
+		"term": textidx.Term{Field: "title", Word: "text"},
+		// The weight-1 topic: its phrase matches a few titles.
 		"phrase": textidx.Phrase{Field: "title", Words: []string{"belief", "update"}},
+		// A weight-100 topic: its phrase matches about a fifth of the titles.
+		"hot_phrase": textidx.Phrase{Field: "title", Words: []string{"query", "optimization"}},
 		"conjunction": textidx.And{
 			textidx.Term{Field: "title", Word: "text"},
 			textidx.Term{Field: "year", Word: "1994"},

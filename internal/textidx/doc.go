@@ -4,12 +4,14 @@
 // Boolean search language with field-scoped terms, phrases, truncated words
 // ('filter?'), proximity ('nearK'), and the connectives and/or/not.
 //
-// Searching follows the paper's model of inversion-based systems: the
-// inverted list of every term mentioned by the search is retrieved and the
-// result is computed by set operations over sorted docid lists, so
-// processing cost is linear in the total number of postings touched. That
-// posting count is reported with every evaluation so the service layer can
-// charge the paper's c_p cost constant.
+// Searching is charged by the paper's model of inversion-based systems:
+// the inverted list of every term the search names is retrieved, and the
+// processing cost is the total length of those lists. That posting count
+// is reported with every evaluation so the service layer can charge the
+// paper's c_p cost constant. The evaluation itself need not walk every
+// list in full: a conjunction narrows its candidates with its docid-only
+// conjuncts first, and phrase and proximity positions are checked only at
+// the candidates that remain.
 package textidx
 
 import (
@@ -188,14 +190,4 @@ func (ix *Index) prefixTerms(field, stem string) []string {
 		hi++
 	}
 	return terms[lo:hi]
-}
-
-// allDocs returns the sorted list of every docid (the universe used to
-// evaluate NOT).
-func (ix *Index) allDocs() []DocID {
-	out := make([]DocID, len(ix.docs))
-	for i := range out {
-		out[i] = DocID(i)
-	}
-	return out
 }

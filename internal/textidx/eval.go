@@ -5,13 +5,21 @@ import "fmt"
 // EvalResult is the outcome of evaluating a search expression: the sorted
 // docids of matching documents plus the processing work done, measured as
 // the total length of all inverted lists retrieved (the quantity the
-// paper's c_p constant multiplies).
+// paper's c_p constant multiplies). Docs may share storage with the index
+// and must not be modified.
 type EvalResult struct {
 	Docs     []DocID
 	Postings int
 }
 
 // Eval evaluates a Boolean search expression over the frozen index.
+//
+// The charge follows the paper's model of inversion-based systems: every
+// inverted list the expression names is fetched and counted at its full
+// length. The walk does not follow the model's order, though. A
+// conjunction evaluates its docid-only conjuncts first, and a phrase or
+// proximity conjunct then checks positions only at the documents that
+// survive them; a negated conjunct subtracts from the survivors.
 func (ix *Index) Eval(e Expr) (EvalResult, error) {
 	if !ix.frozen {
 		return EvalResult{}, fmt.Errorf("textidx: Eval requires a frozen index")
@@ -20,13 +28,32 @@ func (ix *Index) Eval(e Expr) (EvalResult, error) {
 		return EvalResult{}, err
 	}
 	ev := evaluator{ix: ix}
-	docs := ev.eval(e)
+	docs := ev.eval(e, everyDoc)
 	return EvalResult{Docs: docs, Postings: ev.postings}, nil
 }
 
 type evaluator struct {
 	ix       *Index
 	postings int
+}
+
+// cands is the set of documents an expression is evaluated within: the
+// running result of the conjuncts of an enclosing And that came before it.
+// Until a conjunct has narrowed it, every document is a candidate (all).
+// That is not the same as an empty ids, within which nothing matches.
+type cands struct {
+	all bool
+	ids []DocID
+}
+
+var everyDoc = cands{all: true}
+
+// within returns the documents of the sorted list that are candidates.
+func (c cands) within(docs []DocID) []DocID {
+	if c.all {
+		return docs[:len(docs):len(docs)]
+	}
+	return intersectIDs(c.ids, docs)
 }
 
 // fetch returns the posting list for (field, term) in one concrete field,
@@ -48,148 +75,159 @@ func (ev *evaluator) fieldsFor(field string) []string {
 	return ev.ix.FieldNames()
 }
 
-func (ev *evaluator) eval(e Expr) []DocID {
+// eval returns the sorted documents among c that match e. It fetches and
+// charges every list e names, whatever c holds.
+func (ev *evaluator) eval(e Expr, c cands) []DocID {
+	var partsBuf [4][]DocID // a scoped leaf has one part; room for a few more
+	parts := partsBuf[:0]
 	switch e := e.(type) {
 	case Term:
-		return ev.evalTerm(e)
-	case Phrase:
-		return ev.evalPhrase(e)
+		word := normalizeToken(e.Word)
+		for _, f := range ev.fieldsFor(e.Field) {
+			if pl := ev.fetch(f, word); pl != nil {
+				parts = append(parts, c.within(pl.docs))
+			}
+		}
 	case Prefix:
-		return ev.evalPrefix(e)
-	case Near:
-		return ev.evalNear(e)
-	case And:
-		out := ev.eval(e[0])
-		for _, sub := range e[1:] {
-			out = intersectIDs(out, ev.eval(sub))
-		}
-		return out
-	case Or:
-		out := ev.eval(e[0])
-		for _, sub := range e[1:] {
-			out = unionIDs(out, ev.eval(sub))
-		}
-		return out
-	case Not:
-		// Complementing requires a pass over the full docid universe.
-		ev.postings += ev.ix.NumDocs()
-		return diffIDs(ev.ix.allDocs(), ev.eval(e.E))
-	default:
-		return nil
-	}
-}
-
-func (ev *evaluator) evalTerm(t Term) []DocID {
-	word := normalizeToken(t.Word)
-	var out []DocID
-	for _, f := range ev.fieldsFor(t.Field) {
-		if pl := ev.fetch(f, word); pl != nil {
-			out = unionIDs(out, pl.docs)
-		}
-	}
-	return out
-}
-
-func (ev *evaluator) evalPrefix(p Prefix) []DocID {
-	stem := normalizeToken(p.Stem)
-	var out []DocID
-	for _, f := range ev.fieldsFor(p.Field) {
-		for _, term := range ev.ix.prefixTerms(f, stem) {
-			if pl := ev.fetch(f, term); pl != nil {
-				out = unionIDs(out, pl.docs)
-			}
-		}
-	}
-	return out
-}
-
-func (ev *evaluator) evalPhrase(p Phrase) []DocID {
-	var out []DocID
-	for _, f := range ev.fieldsFor(p.Field) {
-		out = unionIDs(out, ev.evalPhraseInField(f, p.Words))
-	}
-	return out
-}
-
-// evalPhraseInField intersects the words' lists with adjacency checks.
-func (ev *evaluator) evalPhraseInField(field string, words []string) []DocID {
-	lists := make([]*postingList, len(words))
-	for i, w := range words {
-		pl := ev.fetch(field, normalizeToken(w))
-		if pl == nil {
-			return nil
-		}
-		lists[i] = pl
-	}
-	// Walk candidates: docs present in every list where positions line up.
-	var out []DocID
-	cursors := make([]int, len(lists))
-	first := lists[0]
-candidate:
-	for i0, id := range first.docs {
-		// Advance every cursor to id.
-		positionsByWord := make([][]int32, len(lists))
-		positionsByWord[0] = first.positions[i0]
-		for w := 1; w < len(lists); w++ {
-			c := cursors[w]
-			for c < len(lists[w].docs) && lists[w].docs[c] < id {
-				c++
-			}
-			cursors[w] = c
-			if c >= len(lists[w].docs) || lists[w].docs[c] != id {
-				continue candidate
-			}
-			positionsByWord[w] = lists[w].positions[c]
-		}
-		// Adjacency: some p with word w at p+w for all w.
-		for _, p0 := range positionsByWord[0] {
-			ok := true
-			for w := 1; w < len(positionsByWord); w++ {
-				if !containsPos(positionsByWord[w], p0+int32(w)) {
-					ok = false
-					break
+		stem := normalizeToken(e.Stem)
+		for _, f := range ev.fieldsFor(e.Field) {
+			for _, term := range ev.ix.prefixTerms(f, stem) {
+				if pl := ev.fetch(f, term); pl != nil {
+					parts = append(parts, c.within(pl.docs))
 				}
 			}
-			if ok {
-				out = append(out, id)
+		}
+	case Phrase:
+		for _, f := range ev.fieldsFor(e.Field) {
+			parts = append(parts, ev.positional(f, e, c))
+		}
+	case Near:
+		for _, f := range ev.fieldsFor(e.Field) {
+			parts = append(parts, ev.positional(f, e, c))
+		}
+	case Or:
+		for _, sub := range e {
+			parts = append(parts, ev.eval(sub, c))
+		}
+	case And:
+		// Each conjunct narrows the candidates of the next: the docid-only
+		// ones first, then the positional ones, then the negated ones.
+		for rank := 0; rank < 3; rank++ {
+			for _, sub := range e {
+				if conjunctRank(sub) == rank {
+					c = cands{ids: ev.eval(sub, c)}
+				}
+			}
+		}
+		return c.ids
+	case Not:
+		// Complementing is charged a pass over the full docid universe,
+		// also when it only subtracts from an And's candidates.
+		ev.postings += ev.ix.NumDocs()
+		neg := ev.eval(e.E, c)
+		if c.all {
+			return complementIDs(ev.ix.NumDocs(), neg)
+		}
+		return diffIDs(c.ids, neg)
+	}
+	return unionAll(parts)
+}
+
+// conjunctRank orders an And's children: docid-only (0), positional (1),
+// negated (2).
+func conjunctRank(e Expr) int {
+	switch e.(type) {
+	case Phrase, Near:
+		return 1
+	case Not:
+		return 2
+	}
+	return 0
+}
+
+// positional returns the documents among c whose field holds the Phrase
+// or Near leaf. It fetches and charges the leaf's lists as the paper's
+// model does: a phrase's words up to the first that has no list, and both
+// operands of a Near. It then drives from the shortest of those lists and
+// the candidates, and gallops a cursor through each of the others to each
+// driving document. Adjacency (Phrase) or distance (Near) is checked on
+// the positions found where every list holds the document.
+func (ev *evaluator) positional(field string, leaf Expr, c cands) []DocID {
+	var words []string
+	dist := 0 // a Near's distance; Validate keeps it positive
+	switch l := leaf.(type) {
+	case Phrase:
+		words = l.Words
+	case Near:
+		words, dist = []string{l.A, l.B}, l.Dist
+	}
+	lists := make([]*postingList, len(words))
+	missing := false
+	for i, w := range words {
+		if lists[i] = ev.fetch(field, normalizeToken(w)); lists[i] == nil {
+			missing = true
+			if dist == 0 {
 				break
 			}
 		}
 	}
-	return out
-}
-
-func (ev *evaluator) evalNear(n Near) []DocID {
-	var out []DocID
-	for _, f := range ev.fieldsFor(n.Field) {
-		out = unionIDs(out, ev.evalNearInField(f, n))
-	}
-	return out
-}
-
-func (ev *evaluator) evalNearInField(field string, n Near) []DocID {
-	la := ev.fetch(field, normalizeToken(n.A))
-	lb := ev.fetch(field, normalizeToken(n.B))
-	if la == nil || lb == nil {
+	if missing {
 		return nil
 	}
-	var out []DocID
-	i, j := 0, 0
-	for i < len(la.docs) && j < len(lb.docs) {
-		switch {
-		case la.docs[i] < lb.docs[j]:
-			i++
-		case la.docs[i] > lb.docs[j]:
-			j++
-		default:
-			if withinDistance(la.positions[i], lb.positions[j], n.Dist) {
-				out = append(out, la.docs[i])
+	drive := lists[0].docs
+	for _, pl := range lists[1:] {
+		if len(pl.docs) < len(drive) {
+			drive = pl.docs
+		}
+	}
+	if !c.all && len(c.ids) < len(drive) {
+		drive = c.ids
+	}
+	cursors := make([]int, len(lists))
+	pos := make([][]int32, len(lists))
+	out := make([]DocID, 0, len(drive))
+	kc := 0 // the candidates' cursor
+next:
+	for _, id := range drive {
+		if !c.all {
+			if kc = seek(c.ids, kc, id); kc == len(c.ids) {
+				break
 			}
-			i++
-			j++
+			if c.ids[kc] != id {
+				continue
+			}
+		}
+		for i, pl := range lists {
+			k := seek(pl.docs, cursors[i], id)
+			cursors[i] = k
+			if k == len(pl.docs) {
+				break next
+			}
+			if pl.docs[k] != id {
+				continue next
+			}
+			pos[i] = pl.positions[k]
+		}
+		if dist == 0 && adjacent(pos) || dist > 0 && withinDistance(pos[0], pos[1], dist) {
+			out = append(out, id)
 		}
 	}
 	return out
+}
+
+// adjacent reports whether some position p of the first word has the
+// i-th word at p+i for every later word i.
+func adjacent(pos [][]int32) bool {
+	for _, p := range pos[0] {
+		ok := true
+		for i := 1; i < len(pos) && ok; i++ {
+			ok = containsPos(pos[i], p+int32(i))
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
 }
 
 func containsPos(ps []int32, p int32) bool {

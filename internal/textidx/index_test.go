@@ -2,6 +2,7 @@ package textidx
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -302,6 +303,14 @@ func TestValidate(t *testing.T) {
 		And{Term{Field: "t", Word: ""}},
 		Or{Term{Field: "t", Word: ""}},
 		Not{E: Term{Field: "t", Word: ""}},
+		// Leaf words that are not exactly one search token: Eval would look
+		// up "foo-bar" literally while MatchesDoc matches "foo bar".
+		Term{Field: "title", Word: "foo-bar"},
+		Phrase{Field: "title", Words: []string{"foo bar", "baz"}},
+		Prefix{Field: "t", Stem: "fil ter"},
+		Near{Field: "t", A: "a.b", B: "c", Dist: 2},
+		Near{Field: "t", A: "a", B: "---", Dist: 2},
+		And{Term{Field: "t", Word: "a"}, Not{E: Term{Field: "t", Word: "x,y"}}},
 	}
 	for _, e := range bad {
 		if err := Validate(e); err == nil {
@@ -315,6 +324,17 @@ func TestValidate(t *testing.T) {
 	}
 	if err := Validate(good); err != nil {
 		t.Errorf("Validate rejected valid expr: %v", err)
+	}
+	if err := Validate(Term{Field: "t", Word: "foo-bar"}); err == nil || !strings.Contains(err.Error(), "MakeExactPred") {
+		t.Errorf("multi-token word error = %v, want it to name MakeExactPred", err)
+	}
+	// A word passes exactly when it tokenizes to itself, normalized.
+	for _, w := range []string{"a", " Foo ", "café", "IPv6", "2020", "foo-bar", "foo bar", "x_y", "é\u00a0", "\xff", "a\xffb", "---", "ǅ"} {
+		toks := Tokenize(w)
+		single := len(toks) == 1 && toks[0] == normalizeToken(w)
+		if got := Validate(Term{Field: "t", Word: w}) == nil; got != single {
+			t.Errorf("Validate(Term %q) accepted = %v, but Tokenize gives %q", w, got, toks)
+		}
 	}
 }
 

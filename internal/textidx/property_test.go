@@ -1,6 +1,7 @@
 package textidx
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -36,58 +37,96 @@ func randomCorpus(rng *rand.Rand, nDocs int) *Index {
 	return ix
 }
 
-// randomExpr builds a random search expression of bounded depth.
+// randomExpr builds a random search expression of bounded depth: And and
+// Or of 2-6 children, Not, and leaves of every kind, scoped to a field or
+// unscoped. Words come from the corpus vocabulary plus "omega", which no
+// document holds, so an And's docid-only children often come out empty
+// beside positional children that would match on their own. Phrases have
+// 1-3 words and often repeat one ("alpha alpha").
 func randomExpr(rng *rand.Rand, depth int) Expr {
-	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
+	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "omega"}
 	fields := []string{"title", "author", ""}
 	word := func() string { return vocab[rng.Intn(len(vocab))] }
 	field := func() string { return fields[rng.Intn(len(fields))] }
-	if depth == 0 {
+	children := func() []Expr {
+		kids := make([]Expr, 2+rng.Intn(5))
+		for i := range kids {
+			kids[i] = randomExpr(rng, depth-1)
+		}
+		return kids
+	}
+	if depth > 0 {
 		switch rng.Intn(4) {
 		case 0:
-			return Term{Field: field(), Word: word()}
+			return And(children())
 		case 1:
-			return Phrase{Field: field(), Words: []string{word(), word()}}
+			return Or(children())
 		case 2:
-			return Prefix{Field: field(), Stem: word()[:2]}
-		default:
-			return Near{Field: field(), A: word(), B: word(), Dist: 1 + rng.Intn(3)}
+			return Not{E: randomExpr(rng, depth-1)}
 		}
 	}
-	switch rng.Intn(3) {
+	switch rng.Intn(4) {
 	case 0:
-		return And{randomExpr(rng, depth-1), randomExpr(rng, depth-1)}
+		return Term{Field: field(), Word: word()}
 	case 1:
-		return Or{randomExpr(rng, depth-1), randomExpr(rng, depth-1)}
+		words := make([]string, 1+rng.Intn(3))
+		for i := range words {
+			if i > 0 && rng.Intn(3) == 0 {
+				words[i] = words[i-1]
+			} else {
+				words[i] = word()
+			}
+		}
+		return Phrase{Field: field(), Words: words}
+	case 2:
+		return Prefix{Field: field(), Stem: word()[:2]}
 	default:
-		return Not{E: randomExpr(rng, depth-1)}
+		return Near{Field: field(), A: word(), B: word(), Dist: 1 + rng.Intn(3)}
 	}
+}
+
+// checkEval evaluates e over ix and holds the result to both oracles: the
+// documents to a MatchesDoc scan, and the documents and the Postings
+// charge to the reference evaluator.
+func checkEval(ix *Index, e Expr) error {
+	res, err := ix.Eval(e)
+	if err != nil {
+		return fmt.Errorf("Eval(%s): %v", e, err)
+	}
+	var scan []DocID
+	for id := 0; id < ix.NumDocs(); id++ {
+		d, _ := ix.Doc(DocID(id))
+		if MatchesDoc(e, d) {
+			scan = append(scan, DocID(id))
+		}
+	}
+	if !sameIDs(res.Docs, scan) {
+		return fmt.Errorf("%s\n  index: %v\n  scan:  %v", e, res.Docs, scan)
+	}
+	ref, err := ix.refEval(e)
+	if err != nil {
+		return fmt.Errorf("refEval(%s): %v", e, err)
+	}
+	if !sameIDs(res.Docs, ref.Docs) || res.Postings != ref.Postings {
+		return fmt.Errorf("%s\n  index:     %v, %d postings\n  reference: %v, %d postings",
+			e, res.Docs, res.Postings, ref.Docs, ref.Postings)
+	}
+	if !sort.SliceIsSorted(res.Docs, func(i, j int) bool { return res.Docs[i] < res.Docs[j] }) {
+		return fmt.Errorf("%s: result not sorted: %v", e, res.Docs)
+	}
+	return nil
 }
 
 // TestIndexMatchesNaiveScan is the semantics property test: for random
 // corpora and random Boolean expressions, index evaluation returns exactly
-// the documents the per-document oracle accepts.
+// the documents the per-document oracle accepts, and the same documents
+// and charge as the reference evaluator.
 func TestIndexMatchesNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 1000; trial++ {
 		ix := randomCorpus(rng, 1+rng.Intn(30))
-		e := randomExpr(rng, rng.Intn(3))
-		res, err := ix.Eval(e)
-		if err != nil {
-			t.Fatalf("trial %d: Eval(%s): %v", trial, e, err)
-		}
-		var want []DocID
-		for id := 0; id < ix.NumDocs(); id++ {
-			d, _ := ix.Doc(DocID(id))
-			if MatchesDoc(e, d) {
-				want = append(want, DocID(id))
-			}
-		}
-		if !sameIDs(res.Docs, want) {
-			t.Fatalf("trial %d: %s\n  index: %v\n  naive: %v", trial, e, res.Docs, want)
-		}
-		if !sort.SliceIsSorted(res.Docs, func(i, j int) bool { return res.Docs[i] < res.Docs[j] }) {
-			t.Fatalf("trial %d: result not sorted", trial)
+		if err := checkEval(ix, randomExpr(rng, rng.Intn(4))); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
@@ -215,6 +254,16 @@ func TestSetOpsAgainstMaps(t *testing.T) {
 		}
 		if got := diffIDs(a, b); !sameIDs(got, fromMap(wantD)) {
 			t.Fatalf("diff(%v, %v) = %v", a, b, got)
+		}
+		c, d := randSet(), randSet()
+		wantAll := map[DocID]bool{}
+		for _, s := range [][]DocID{a, b, c, d} {
+			for _, id := range s {
+				wantAll[id] = true
+			}
+		}
+		if got := unionAll([][]DocID{a, nil, b, c, d}); !sameIDs(got, fromMap(wantAll)) {
+			t.Fatalf("unionAll(%v, %v, %v, %v) = %v", a, b, c, d, got)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package textidx
 import (
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // Expr is a Boolean search expression. The empty field name "" means
@@ -214,34 +215,32 @@ func anyField(field string, d Document, f func(string) bool) bool {
 	return false
 }
 
-// Validate checks the expression for structural errors (empty connectives,
-// empty terms, negative proximity distance).
+// Validate checks the expression for structural errors (empty
+// connectives, negative proximity distance, and leaf words that are not
+// exactly one search token).
 func Validate(e Expr) error {
 	switch e := e.(type) {
 	case Term:
-		if normalizeToken(e.Word) == "" {
-			return fmt.Errorf("textidx: empty term")
-		}
+		return checkWord("term", e.Word)
 	case Phrase:
 		if len(e.Words) == 0 {
 			return fmt.Errorf("textidx: empty phrase")
 		}
 		for _, w := range e.Words {
-			if normalizeToken(w) == "" {
-				return fmt.Errorf("textidx: empty word in phrase")
+			if err := checkWord("word in phrase", w); err != nil {
+				return err
 			}
 		}
 	case Prefix:
-		if normalizeToken(e.Stem) == "" {
-			return fmt.Errorf("textidx: empty prefix stem")
-		}
+		return checkWord("prefix stem", e.Stem)
 	case Near:
 		if e.Dist <= 0 {
 			return fmt.Errorf("textidx: near distance must be positive")
 		}
-		if normalizeToken(e.A) == "" || normalizeToken(e.B) == "" {
-			return fmt.Errorf("textidx: empty proximity operand")
+		if err := checkWord("proximity operand", e.A); err != nil {
+			return err
 		}
+		return checkWord("proximity operand", e.B)
 	case And:
 		if len(e) == 0 {
 			return fmt.Errorf("textidx: empty conjunction")
@@ -266,6 +265,25 @@ func Validate(e Expr) error {
 		return fmt.Errorf("textidx: nil expression")
 	default:
 		return fmt.Errorf("textidx: unknown expression type %T", e)
+	}
+	return nil
+}
+
+// checkWord rejects a leaf word that is not exactly one search token,
+// that is, unless Tokenize(w) is [normalizeToken(w)]. Eval looks a word
+// up in the index as one token, while MatchesDoc tokenizes it, so
+// "foo-bar" would find nothing through the index yet match "foo bar" in a
+// scan. The trimmed word is one token exactly when every rune of it is a
+// letter or a digit, which checkWord tests without allocating.
+func checkWord(kind, w string) error {
+	w = strings.TrimSpace(w)
+	if w == "" {
+		return fmt.Errorf("textidx: empty %s", kind)
+	}
+	for _, r := range w {
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			return fmt.Errorf("textidx: %s %q is not a single search token; build leaves from text with MakeExactPred", kind, w)
+		}
 	}
 	return nil
 }

@@ -120,10 +120,13 @@ gate TestPrepareIndependentOfCardinality ./internal/core
 # Fuzz smokes: arbitrary bytes through parse → analyze → optimize may be
 # rejected but must not panic or hang; the text-search parser terminates
 # and round-trips what it accepts through Expr.String (the remote client
-# ships that rendering for the server to re-parse); and any decodable
-# wire request gets a reply from the text server, never a panic or a hang.
+# ships that rendering for the server to re-parse); whatever it accepts,
+# Eval answers as a per-document scan does and charges what the reference
+# evaluator charges; and any decodable wire request gets a reply from the
+# text server, never a panic or a hang.
 go test -run NONE -fuzz FuzzPrepare -fuzztime 5s ./internal/core
 go test -run NONE -fuzz FuzzParse -fuzztime 5s ./internal/textidx
+go test -run NONE -fuzz FuzzEval -fuzztime 5s ./internal/textidx
 go test -run NONE -fuzz FuzzServerDispatch -fuzztime 5s ./internal/texservice
 
 # Live-ingest gates: the WAL torture tests (torn tail, corrupt CRC,
@@ -159,11 +162,12 @@ gate TestDialTextComposes ./internal/appcfg -race
 # Benchmarks must at least compile and run one iteration — they are the
 # before/after evidence for the execution core, the relational matcher
 # (BenchmarkMatchHits, BENCH_rtp.json), the span path
-# (BenchmarkStartSpan*, BENCH_trace.json) and the path from the relational
+# (BenchmarkStartSpan*, BENCH_trace.json), the path from the relational
 # pipeline into the text join (BenchmarkGroupBy, BenchmarkVecHashJoin and
-# the root package's BenchmarkWarmQuery, BENCH_boundary.json), and they
-# rot silently otherwise.
-go test -run 'NOTESTS' -bench . -benchtime 1x ./internal/vec ./internal/relation ./internal/join ./internal/obs
+# the root package's BenchmarkWarmQuery, BENCH_boundary.json) and Boolean
+# evaluation (BenchmarkEval, BENCH_textidx.json), and they rot silently
+# otherwise.
+go test -run 'NOTESTS' -bench . -benchtime 1x ./internal/vec ./internal/relation ./internal/join ./internal/obs ./internal/textidx
 go test -run 'NOTESTS' -bench 'BenchmarkWarmQuery' -benchtime 1x .
 
 # Benchmark self-test (about 5 s): every workload end to end at tiny
