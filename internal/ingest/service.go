@@ -103,7 +103,7 @@ func (l *Live) PinSnapshot(ctx context.Context) context.Context {
 // the query is held to must be fixed no later than that answer.
 func (l *Live) SnapshotPinned(ctx context.Context) bool {
 	p, ok := ctx.Value(pinKey{l.store}).(*pin)
-	return ok && p.resolve(l.store).Seq() != l.store.CurrentView().Seq()
+	return ok && p.resolve(l.store).Seq() != l.store.Version()
 }
 
 // view resolves the context's pinned view, or captures the latest.

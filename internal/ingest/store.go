@@ -18,8 +18,14 @@ import (
 // layers:
 //
 //   - an immutable, frozen textidx snapshot (the base),
-//   - an in-memory delta of documents added since the snapshot, and
+//   - an append-only textidx index of the documents added since the
+//     snapshot (the delta), and
 //   - a tombstone map recording when a docid was deleted.
+//
+// Both indexes are searched by the same evaluator: the base in full, the
+// delta over the prefix a View captured (textidx.EvalFirst), so a search
+// reads and is charged inverted lists on both sides and never tokenizes a
+// document again.
 //
 // Every write is assigned a monotonically increasing sequence number,
 // logged to the WAL, fsynced (group commit), and only then applied and
@@ -53,7 +59,8 @@ type Store struct {
 	applyCond *sync.Cond // on &mu; broadcast whenever applied advances
 	base      *textidx.Index
 	baseCount int
-	delta     []deltaDoc // ascending addSeq; ids continue after baseCount
+	delta     *textidx.Index // never frozen; its i-th document has docid baseCount+i
+	addSeq    []uint64       // parallel to delta's documents, ascending
 	tomb      map[textidx.DocID]uint64
 	extid     map[string]textidx.DocID // ext id -> currently live docid
 	applied   uint64                   // last applied seq == index version
@@ -65,13 +72,6 @@ type Store struct {
 	compactions uint64
 	replayed    uint64
 	torn        int64
-}
-
-// deltaDoc is one document added since the last compaction.
-type deltaDoc struct {
-	id     textidx.DocID
-	doc    textidx.Document
-	addSeq uint64
 }
 
 // Options configures a Store.
@@ -132,8 +132,9 @@ func Open(base *textidx.Index, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("ingest: base index must be frozen")
 	}
 	s := &Store{
-		opts: opts,
-		tomb: map[textidx.DocID]uint64{},
+		opts:  opts,
+		delta: textidx.NewIndex(),
+		tomb:  map[textidx.DocID]uint64{},
 	}
 	s.applyCond = sync.NewCond(&s.mu)
 
@@ -331,12 +332,8 @@ func (s *Store) applyOneLocked(op texservice.IngestOp, seq uint64) bool {
 		for k, v := range op.Fields {
 			fields[k] = v
 		}
-		id := textidx.DocID(s.baseCount + len(s.delta))
-		s.delta = append(s.delta, deltaDoc{
-			id:     id,
-			doc:    textidx.Document{ExtID: op.ExtID, Fields: fields},
-			addSeq: seq,
-		})
+		id := textidx.DocID(s.baseCount) + s.delta.MustAdd(textidx.Document{ExtID: op.ExtID, Fields: fields})
+		s.addSeq = append(s.addSeq, seq)
 		s.extid[op.ExtID] = id
 		s.live++
 		return true
@@ -357,15 +354,20 @@ func (s *Store) tombstoneLocked(extID string, seq uint64) bool {
 	return true
 }
 
-// View is a consistent read snapshot pinned at a sequence number. All
-// evaluation against a View happens inside the store's read lock (the
-// Search/Retrieve/... methods below), which is what makes the shared
-// tombstone map safe while writers add entries for newer sequences.
+// View is a consistent read snapshot pinned at a sequence number: the
+// base, and the delta index with the number of its documents that were
+// added at or before that sequence. Later writes append past that prefix
+// and a compaction swaps in a fresh delta, so neither changes what the
+// view reads. All evaluation against a View happens inside the store's
+// read lock (the Search/Retrieve/... methods below), which orders its
+// reads of the growing delta and of the shared tombstone map against the
+// writers that add to them.
 type View struct {
 	seq       uint64
 	base      *textidx.Index
 	baseCount int
-	delta     []deltaDoc
+	delta     *textidx.Index
+	deltaLen  int
 	tomb      map[textidx.DocID]uint64
 }
 
@@ -376,36 +378,28 @@ func (v *View) Seq() uint64 { return v.seq }
 func (s *Store) CurrentView() *View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.viewLocked()
-}
-
-func (s *Store) viewLocked() *View {
 	return &View{
 		seq:       s.applied,
 		base:      s.base,
 		baseCount: s.baseCount,
-		delta:     s.delta[:len(s.delta):len(s.delta)],
+		delta:     s.delta,
+		deltaLen:  s.delta.NumDocs(),
 		tomb:      s.tomb,
 	}
+}
+
+// live reports whether docid id is not tombstoned at or before the
+// view's sequence.
+func (v *View) live(id textidx.DocID) bool {
+	ts, ok := v.tomb[id]
+	return !ok || ts > v.seq
 }
 
 // visibleBase reports whether base docid id is visible at the view's
 // sequence: not a placeholder, and not tombstoned at or before it.
 func (v *View) visibleBase(id textidx.DocID) bool {
 	doc, err := v.base.Doc(id)
-	if err != nil || doc.ExtID == "" {
-		return false
-	}
-	ts, ok := v.tomb[id]
-	return !ok || ts > v.seq
-}
-
-func (v *View) visibleDelta(d *deltaDoc) bool {
-	if d.addSeq > v.seq {
-		return false
-	}
-	ts, ok := v.tomb[d.id]
-	return !ok || ts > v.seq
+	return err == nil && doc.ExtID != "" && v.live(id)
 }
 
 // HitDoc is one search hit with its full document.
@@ -415,12 +409,13 @@ type HitDoc struct {
 }
 
 // Search evaluates a Boolean expression against the view: the frozen
-// base is evaluated through its inverted index and filtered by
-// visibility; the (bounded, compaction keeps it small) delta is scanned
-// with the per-document semantics oracle textidx.MatchesDoc. Results
-// stay in ascending docid order because every delta id exceeds every
-// base id. Postings counts the base's inverted-list work plus one unit
-// per scanned delta document — the processing charge c_p models.
+// base in full and the delta over the view's prefix, both through their
+// inverted indexes, with hits filtered by visibility. Results stay in
+// ascending docid order because every delta id exceeds every base id.
+// Postings is the inverted-list work on both sides — the processing
+// charge c_p models: every list the expression names, cut to the view's
+// prefix on the delta side, plus the collection size of each side for
+// every Not.
 func (s *Store) Search(v *View, e textidx.Expr) (hits []HitDoc, postings int, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -428,7 +423,13 @@ func (s *Store) Search(v *View, e textidx.Expr) (hits []HitDoc, postings int, er
 	if err != nil {
 		return nil, 0, err
 	}
-	postings = res.Postings
+	var dres textidx.EvalResult
+	if v.deltaLen > 0 { // an empty delta has nothing to read or charge
+		if dres, err = v.delta.EvalFirst(e, v.deltaLen); err != nil {
+			return nil, 0, err
+		}
+	}
+	hits = make([]HitDoc, 0, len(res.Docs)+len(dres.Docs))
 	for _, id := range res.Docs {
 		if !v.visibleBase(id) {
 			continue
@@ -439,17 +440,18 @@ func (s *Store) Search(v *View, e textidx.Expr) (hits []HitDoc, postings int, er
 		}
 		hits = append(hits, HitDoc{ID: id, Doc: doc})
 	}
-	for i := range v.delta {
-		d := &v.delta[i]
-		if !v.visibleDelta(d) {
+	for _, local := range dres.Docs {
+		id := textidx.DocID(v.baseCount) + local
+		if !v.live(id) {
 			continue
 		}
-		postings++
-		if textidx.MatchesDoc(e, d.doc) {
-			hits = append(hits, HitDoc{ID: d.id, Doc: d.doc})
+		doc, err := v.delta.Doc(local)
+		if err != nil {
+			return nil, 0, err
 		}
+		hits = append(hits, HitDoc{ID: id, Doc: doc})
 	}
-	return hits, postings, nil
+	return hits, res.Postings + dres.Postings, nil
 }
 
 // Retrieve returns the document with the given id if it is visible in
@@ -463,34 +465,32 @@ func (s *Store) Retrieve(v *View, id textidx.DocID) (textidx.Document, error) {
 		}
 		return v.base.Doc(id)
 	}
-	if len(v.delta) > 0 {
-		i := int(id) - int(v.delta[0].id)
-		if i >= 0 && i < len(v.delta) {
-			d := &v.delta[i]
-			if v.visibleDelta(d) {
-				return d.doc, nil
-			}
-		}
+	if local := int(id) - v.baseCount; local >= 0 && local < v.deltaLen && v.live(id) {
+		return v.delta.Doc(textidx.DocID(local))
 	}
 	return textidx.Document{}, fmt.Errorf("textidx: no document %d", id)
 }
 
-// DocFrequency approximates the document frequency of a term at the
-// latest state: the base index's exact count (which may still include
-// not-yet-compacted tombstoned documents) plus the matching visible
-// delta documents. Statistics consumers tolerate the slack — they are
-// estimates for the optimizer, not query answers.
+// DocFrequency approximates the document frequency of a term in a field
+// at the latest state: the base index's exact count (which may still
+// include not-yet-compacted tombstoned documents) plus the exact count of
+// visible delta documents, read off the term's delta list (a phrase's
+// lists, for a term of several words). Statistics consumers tolerate the
+// base's slack — they are estimates for the optimizer, not query answers.
 func (s *Store) DocFrequency(field, term string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v := s.viewLocked()
-	n := v.base.DocFrequency(field, term)
-	for i := range v.delta {
-		d := &v.delta[i]
-		if !v.visibleDelta(d) {
-			continue
-		}
-		if textidx.TermOccursIn(term, d.doc.Fields[field]) {
+	n := s.base.DocFrequency(field, term)
+	pred, err := textidx.MakeExactPred(field, term)
+	if err != nil {
+		return n
+	}
+	res, err := s.delta.EvalFirst(pred, s.delta.NumDocs())
+	if err != nil {
+		return n
+	}
+	for _, local := range res.Docs {
+		if _, dead := s.tomb[textidx.DocID(s.baseCount)+local]; !dead {
 			n++
 		}
 	}
@@ -522,14 +522,14 @@ func (s *Store) Compactions() uint64 {
 func (s *Store) DeltaLen() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.delta)
+	return s.delta.NumDocs()
 }
 
 func (s *Store) shouldCompactLocked() bool {
 	if s.opts.CompactThreshold < 0 || s.compacting {
 		return false
 	}
-	if len(s.delta)+len(s.tomb) < s.opts.CompactThreshold {
+	if s.delta.NumDocs()+len(s.tomb) < s.opts.CompactThreshold {
 		return false
 	}
 	return time.Since(s.lastCompact) >= s.opts.CompactMinInterval
@@ -582,20 +582,24 @@ func (s *Store) Compact(ctx context.Context) error {
 	}
 
 	// Wait until everything at or below the cut is applied, then capture
-	// an immutable build input: the base and the delta prefix are never
-	// mutated again; the relevant tombstones are copied out because the
-	// live map keeps growing for newer sequences.
+	// an immutable build input: the base is never mutated again, the
+	// delta prefix's documents are copied out because the delta index
+	// keeps growing, and so are the relevant tombstones because the live
+	// map keeps growing for newer sequences.
 	s.mu.Lock()
 	for s.applied < cut {
 		s.applyCond.Wait()
 	}
 	base := s.base
 	baseCount := s.baseCount
-	split := len(s.delta)
-	for split > 0 && s.delta[split-1].addSeq > cut {
+	split := len(s.addSeq)
+	for split > 0 && s.addSeq[split-1] > cut {
 		split--
 	}
-	deltaPrefix := s.delta[:split:split]
+	deltaPrefix := make([]textidx.Document, split)
+	for i := range deltaPrefix {
+		deltaPrefix[i], _ = s.delta.Doc(textidx.DocID(i))
+	}
 	cutTomb := make(map[textidx.DocID]uint64, len(s.tomb))
 	for id, ts := range s.tomb {
 		if ts <= cut {
@@ -619,10 +623,8 @@ func (s *Store) Compact(ctx context.Context) error {
 			return err
 		}
 	}
-	for i := range deltaPrefix {
-		d := &deltaPrefix[i]
-		doc := d.doc
-		if deadAt(cutTomb, d.id) {
+	for i, doc := range deltaPrefix {
+		if deadAt(cutTomb, textidx.DocID(baseCount+i)) {
 			doc = textidx.Document{}
 		}
 		if _, err := next.Add(doc); err != nil {
@@ -651,12 +653,18 @@ func (s *Store) Compact(ctx context.Context) error {
 		}
 	}
 
-	// Swap. Delta entries above the cut keep their ids, which continue
-	// the new base's numbering exactly; tombstones above the cut refer to
-	// docids that still exist (live in the new base or still in the
-	// delta), so they carry over unchanged.
+	// Swap. Delta documents above the cut are indexed afresh and keep
+	// their ids, which continue the new base's numbering exactly; views
+	// captured earlier keep the old delta index, which is no longer
+	// added to. Tombstones above the cut refer to docids that still exist
+	// (live in the new base or still in the delta), so they carry over
+	// unchanged.
 	s.mu.Lock()
-	suffix := append([]deltaDoc(nil), s.delta[split:]...)
+	suffix := textidx.NewIndex()
+	for i := split; i < s.delta.NumDocs(); i++ {
+		doc, _ := s.delta.Doc(textidx.DocID(i))
+		suffix.MustAdd(doc)
+	}
 	newTomb := make(map[textidx.DocID]uint64)
 	for id, ts := range s.tomb {
 		if ts > cut {
@@ -666,6 +674,7 @@ func (s *Store) Compact(ctx context.Context) error {
 	s.base = next
 	s.baseCount = next.NumDocs()
 	s.delta = suffix
+	s.addSeq = append([]uint64(nil), s.addSeq[split:]...)
 	s.tomb = newTomb
 	s.snapSeq = cut
 	s.compactions++

@@ -184,10 +184,62 @@ func (m *model) search(e textidx.Expr) []string {
 	return exts
 }
 
+// clone returns a copy of the model that later applies leave alone (a
+// put installs a fresh fields map, so the maps can be shared).
+func (m *model) clone() *model {
+	c := &model{docs: make(map[string]map[string]string, len(m.docs))}
+	for ext, fields := range m.docs {
+		c.docs[ext] = fields
+	}
+	return c
+}
+
+// count is the number of modelled documents whose field holds the term.
+func (m *model) count(field, term string) int {
+	n := 0
+	for _, fields := range m.docs {
+		if textidx.TermOccursIn(term, fields[field]) {
+			n++
+		}
+	}
+	return n
+}
+
+// viewCharge is what a search of v is charged: Eval's charge over the
+// base plus Eval's charge over a frozen index of the view's delta
+// documents, as if they were a collection of their own.
+func viewCharge(t *testing.T, v *View, e textidx.Expr) int {
+	t.Helper()
+	res, err := v.base.Eval(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := textidx.NewIndex()
+	for i := 0; i < v.deltaLen; i++ {
+		doc, err := v.delta.Doc(textidx.DocID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta.MustAdd(doc)
+	}
+	delta.Freeze()
+	dres, err := delta.Eval(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Postings + dres.Postings
+}
+
 // TestStorePropertyRandomOps drives a random sequence of puts, updates and
 // deletes — with compactions and a durable reopen interleaved — and after
 // every step checks that store reads are equivalent to a trivially correct
-// model of the visible state.
+// model of the visible state. Reads go through the latest view and through
+// a few views kept from earlier steps, each checked against a copy of the
+// model taken when it was captured: later writes and compactions must not
+// change what a view answers, retrieves or is charged. Every search is
+// charged Eval's charge over the base plus Eval's charge over the view's
+// delta documents, and DocFrequency stays within its documented slack of
+// the model and is exact for the delta.
 func TestStorePropertyRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
@@ -207,6 +259,12 @@ func TestStorePropertyRandomOps(t *testing.T) {
 	queries := []string{
 		"title='belief'", "title='fusion'", "title='join' and title='methods'",
 		"title='belief' or title='plans'", "author='nobody'", "title='update' and not author='author1'",
+		"title='belief update'", "title='bel?'", "title='update' near2 'belief'", "'nobody'",
+		"not title='belief'", "'sensor fusion' or (title='text?' and not 'author2')",
+	}
+	freqs := [][2]string{
+		{"title", "belief"}, {"title", "fusion"}, {"author", "nobody"}, {"author", "author1"},
+		{"title", "Belief"}, {"title", "belief update"}, {"title", "absent"},
 	}
 	exprs := make([]textidx.Expr, len(queries))
 	for i, q := range queries {
@@ -217,20 +275,80 @@ func TestStorePropertyRandomOps(t *testing.T) {
 		exprs[i] = e
 	}
 
-	check := func(step int) {
+	// kept holds views from earlier steps, each with the model, the hits
+	// and the charges of its queries as of its capture.
+	type keptView struct {
+		v       *View
+		m       *model
+		hits    [][]HitDoc
+		charges []int
+	}
+	var kept []keptView
+	checkView := func(step int, kv keptView) {
 		for qi, e := range exprs {
-			hits, _, err := s.Search(s.CurrentView(), e)
+			hits, postings, err := s.Search(kv.v, e)
 			if err != nil {
-				t.Fatalf("step %d query %q: %v", step, queries[qi], err)
+				t.Fatalf("step %d view@%d query %q: %v", step, kv.v.Seq(), queries[qi], err)
 			}
 			var got []string
 			for _, h := range hits {
 				got = append(got, h.Doc.ExtID)
+				doc, err := s.Retrieve(kv.v, h.ID)
+				if err != nil || doc.ExtID != h.Doc.ExtID {
+					t.Fatalf("step %d view@%d: Retrieve(%d) = %v, %v; the hit was %s",
+						step, kv.v.Seq(), h.ID, doc.ExtID, err, h.Doc.ExtID)
+				}
 			}
 			sort.Strings(got)
-			want := m.search(e)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("step %d query %q: store=%v model=%v", step, queries[qi], got, want)
+			if want := kv.m.search(e); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("step %d view@%d query %q: store=%v model=%v", step, kv.v.Seq(), queries[qi], got, want)
+			}
+			if want := viewCharge(t, kv.v, e); postings != want {
+				t.Fatalf("step %d view@%d query %q: charged %d postings, want %d", step, kv.v.Seq(), queries[qi], postings, want)
+			}
+			if kv.hits != nil && (fmt.Sprint(hits) != fmt.Sprint(kv.hits[qi]) || postings != kv.charges[qi]) {
+				t.Fatalf("step %d view@%d query %q: answer moved from %v (%d postings) to %v (%d postings)",
+					step, kv.v.Seq(), queries[qi], kv.hits[qi], kv.charges[qi], hits, postings)
+			}
+		}
+	}
+	check := func(step int) {
+		v := s.CurrentView()
+		checkView(step, keptView{v: v, m: m})
+		for _, kv := range kept {
+			checkView(step, kv)
+		}
+		if step%10 == 0 {
+			kv := keptView{v: v, m: m.clone()}
+			for _, e := range exprs {
+				hits, postings, err := s.Search(v, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kv.hits = append(kv.hits, hits)
+				kv.charges = append(kv.charges, postings)
+			}
+			if kept = append(kept, kv); len(kept) > 4 {
+				kept = kept[1:]
+			}
+		}
+		for _, f := range freqs {
+			// The slack holds for a word; the base counts a term of several
+			// words as one token, which no document holds.
+			df, want := s.DocFrequency(f[0], f[1]), m.count(f[0], f[1])
+			if oneWord := len(textidx.Tokenize(f[1])) == 1; oneWord && (df < want || df > want+len(s.tomb)) {
+				t.Fatalf("step %d: DocFrequency(%s, %q) = %d, model %d, %d tombstones", step, f[0], f[1], df, want, len(s.tomb))
+			}
+			delta := 0
+			for i := 0; i < s.delta.NumDocs(); i++ {
+				doc, _ := s.delta.Doc(textidx.DocID(i))
+				if _, dead := s.tomb[textidx.DocID(s.baseCount+i)]; !dead && textidx.TermOccursIn(f[1], doc.Fields[f[0]]) {
+					delta++
+				}
+			}
+			if base := s.base.DocFrequency(f[0], f[1]); df != base+delta {
+				t.Fatalf("step %d: DocFrequency(%s, %q) = %d, want the base's %d plus the %d visible delta documents",
+					step, f[0], f[1], df, base, delta)
 			}
 		}
 		if n := s.NumDocs(); n != len(m.docs) {
@@ -255,6 +373,7 @@ func TestStorePropertyRandomOps(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d reopen: %v", step, err)
 			}
+			kept = nil // views of the closed store go with it
 		default:
 			n := 1 + rng.Intn(3)
 			ops := make([]texservice.IngestOp, 0, n)
@@ -502,8 +621,11 @@ func TestStoreShardedBroadcast(t *testing.T) {
 }
 
 // TestStoreConcurrentWritersAndReaders hammers the store from parallel
-// writers and readers under -race; consistency is checked at the end
-// (every acked write visible).
+// writers and a reader under -race. The reader holds each view it
+// captures for a run of searches while writes append to the delta index
+// and the small CompactThreshold forces compactions that swap it out; a
+// held view's hits and Postings must never change. Consistency is checked
+// at the end (every acked write visible).
 func TestStoreConcurrentWritersAndReaders(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(baseIndex(t, 8), Options{Dir: dir, CompactThreshold: 16, CompactMinInterval: 1})
@@ -528,11 +650,34 @@ func TestStoreConcurrentWritersAndReaders(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e, _ := textidx.Parse("title='concurrent'", nil)
-		for i := 0; i < 200; i++ {
-			if _, _, err := s.Search(s.CurrentView(), e); err != nil {
-				t.Errorf("reader: %v", err)
+		var exprs []textidx.Expr
+		for _, q := range []string{"title='concurrent'", "'write' and not title='belief?'"} {
+			e, err := textidx.Parse(q, nil)
+			if err != nil {
+				t.Error(err)
 				return
+			}
+			exprs = append(exprs, e)
+		}
+		var v *View
+		var first []string
+		for i := 0; i < 200; i++ {
+			if i%25 == 0 {
+				v, first = s.CurrentView(), nil
+			}
+			for qi, e := range exprs {
+				hits, postings, err := s.Search(v, e)
+				if err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+				got := fmt.Sprint(hits, postings)
+				if len(first) < len(exprs) {
+					first = append(first, got)
+				} else if got != first[qi] {
+					t.Errorf("view@%d: search %d answered %s, then %s", v.Seq(), qi, first[qi], got)
+					return
+				}
 			}
 		}
 	}()

@@ -12,6 +12,14 @@
 // list in full: a conjunction narrows its candidates with its docid-only
 // conjuncts first, and phrase and proximity positions are checked only at
 // the candidates that remain.
+//
+// An index is usually built with Add, frozen, and then searched with
+// Eval. It can also be searched while it grows: EvalFirst evaluates over
+// the first n documents, reading a prefix of every list without copying
+// it, so a reader that captured n keeps its answers while later Adds
+// append past it. The live store keeps its recent writes in such an
+// append-only index and searches it with the same evaluator as its
+// frozen base.
 package textidx
 
 import (
@@ -65,7 +73,8 @@ type fieldIndex struct {
 
 // Index is an in-memory positional inverted index over a document
 // collection. Build it with Add and then Freeze; a frozen index is
-// read-only and safe for concurrent searches.
+// read-only and safe for concurrent searches. An index that is not frozen
+// can be searched with EvalFirst between Adds.
 type Index struct {
 	docs   []Document
 	fields map[string]*fieldIndex
@@ -177,11 +186,22 @@ func (ix *Index) list(field, term string) *postingList {
 }
 
 // prefixTerms returns all indexed terms of the field beginning with stem.
-// The index must be frozen.
+// A frozen index finds them in its sorted term list. An index still being
+// added to has none and scans the field's term map; the order of the
+// terms is then arbitrary, which no caller depends on.
 func (ix *Index) prefixTerms(field, stem string) []string {
 	fi := ix.fields[field]
 	if fi == nil {
 		return nil
+	}
+	if !ix.frozen {
+		var out []string
+		for t := range fi.terms {
+			if strings.HasPrefix(t, stem) {
+				out = append(out, t)
+			}
+		}
+		return out
 	}
 	terms := fi.sortedTerms
 	lo := sort.SearchStrings(terms, stem)

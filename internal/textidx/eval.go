@@ -24,16 +24,31 @@ func (ix *Index) Eval(e Expr) (EvalResult, error) {
 	if !ix.frozen {
 		return EvalResult{}, fmt.Errorf("textidx: Eval requires a frozen index")
 	}
+	return ix.EvalFirst(e, ix.NumDocs())
+}
+
+// EvalFirst evaluates e over the first n documents of the index, as Eval
+// would over an index of those documents alone: every list the expression
+// names is read and charged only up to its first docid at or past n, and
+// a Not charges n and complements within [0, n). Nothing is copied, so a
+// reader can hold n fixed while the index keeps growing: EvalFirst also
+// runs on an index that is not frozen, provided the caller orders it
+// against Add (a read lock around EvalFirst, a write lock around Add).
+func (ix *Index) EvalFirst(e Expr, n int) (EvalResult, error) {
+	if n < 0 || n > ix.NumDocs() {
+		return EvalResult{}, fmt.Errorf("textidx: EvalFirst over %d of %d documents", n, ix.NumDocs())
+	}
 	if err := Validate(e); err != nil {
 		return EvalResult{}, err
 	}
-	ev := evaluator{ix: ix}
+	ev := evaluator{ix: ix, n: DocID(n)}
 	docs := ev.eval(e, everyDoc)
 	return EvalResult{Docs: docs, Postings: ev.postings}, nil
 }
 
 type evaluator struct {
 	ix       *Index
+	n        DocID // documents at or past n are outside the evaluation
 	postings int
 }
 
@@ -56,15 +71,24 @@ func (c cands) within(docs []DocID) []DocID {
 	return intersectIDs(c.ids, docs)
 }
 
-// fetch returns the posting list for (field, term) in one concrete field,
-// charging its length.
-func (ev *evaluator) fetch(field, term string) *postingList {
+// fetch returns the part below ev.n of the posting list for (field,
+// term) in one concrete field, charging its length. A list with nothing
+// below ev.n is missing, as it is from an index of the first n documents.
+func (ev *evaluator) fetch(field, term string) (postingList, bool) {
 	pl := ev.ix.list(field, term)
 	if pl == nil {
-		return nil
+		return postingList{}, false
 	}
-	ev.postings += len(pl.docs)
-	return pl
+	docs, positions := pl.docs, pl.positions
+	if k := len(docs); k > 0 && docs[k-1] >= ev.n {
+		k = seek(docs, 0, ev.n)
+		docs, positions = docs[:k:k], positions[:k:k]
+	}
+	if len(docs) == 0 {
+		return postingList{}, false
+	}
+	ev.postings += len(docs)
+	return postingList{docs: docs, positions: positions}, true
 }
 
 // fieldsFor resolves "" to all indexed fields.
@@ -84,7 +108,7 @@ func (ev *evaluator) eval(e Expr, c cands) []DocID {
 	case Term:
 		word := normalizeToken(e.Word)
 		for _, f := range ev.fieldsFor(e.Field) {
-			if pl := ev.fetch(f, word); pl != nil {
+			if pl, ok := ev.fetch(f, word); ok {
 				parts = append(parts, c.within(pl.docs))
 			}
 		}
@@ -92,7 +116,7 @@ func (ev *evaluator) eval(e Expr, c cands) []DocID {
 		stem := normalizeToken(e.Stem)
 		for _, f := range ev.fieldsFor(e.Field) {
 			for _, term := range ev.ix.prefixTerms(f, stem) {
-				if pl := ev.fetch(f, term); pl != nil {
+				if pl, ok := ev.fetch(f, term); ok {
 					parts = append(parts, c.within(pl.docs))
 				}
 			}
@@ -106,6 +130,9 @@ func (ev *evaluator) eval(e Expr, c cands) []DocID {
 			parts = append(parts, ev.positional(f, e, c))
 		}
 	case Or:
+		if len(e) > cap(parts) {
+			parts = make([][]DocID, 0, len(e))
+		}
 		for _, sub := range e {
 			parts = append(parts, ev.eval(sub, c))
 		}
@@ -123,10 +150,10 @@ func (ev *evaluator) eval(e Expr, c cands) []DocID {
 	case Not:
 		// Complementing is charged a pass over the full docid universe,
 		// also when it only subtracts from an And's candidates.
-		ev.postings += ev.ix.NumDocs()
+		ev.postings += int(ev.n)
 		neg := ev.eval(e.E, c)
 		if c.all {
-			return complementIDs(ev.ix.NumDocs(), neg)
+			return complementIDs(int(ev.n), neg)
 		}
 		return diffIDs(c.ids, neg)
 	}
@@ -161,10 +188,11 @@ func (ev *evaluator) positional(field string, leaf Expr, c cands) []DocID {
 	case Near:
 		words, dist = []string{l.A, l.B}, l.Dist
 	}
-	lists := make([]*postingList, len(words))
+	lists := make([]postingList, len(words))
 	missing := false
 	for i, w := range words {
-		if lists[i] = ev.fetch(field, normalizeToken(w)); lists[i] == nil {
+		var ok bool
+		if lists[i], ok = ev.fetch(field, normalizeToken(w)); !ok {
 			missing = true
 			if dist == 0 {
 				break

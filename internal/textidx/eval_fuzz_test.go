@@ -7,37 +7,38 @@ import (
 	"testing"
 )
 
-// fuzzIndex is FuzzEval's fixed corpus: 48 documents over the fields and
+// fuzzDocs is FuzzEval's fixed corpus: 48 documents over the fields and
 // words the paper's Q1-Q4 searches name, drawn from a fixed seed. Titles
 // are "<tag> <topic> <filler>", so topic phrases, repeated words and the
 // unselective "text" all occur.
-func fuzzIndex() *Index {
+func fuzzDocs() []Document {
 	rng := rand.New(rand.NewSource(5))
 	topics := []string{"belief update", "text retrieval", "information filtering", "query optimization", "update belief"}
 	filler := []string{"text", "text", "model", "systems", "belief", "data"}
 	pick := func(ws []string) string { return ws[rng.Intn(len(ws))] }
-	ix := NewIndex()
-	for i := 0; i < 48; i++ {
+	docs := make([]Document, 48)
+	for i := range docs {
 		authors := fmt.Sprintf("author%02d", rng.Intn(12))
 		if rng.Intn(3) == 0 {
 			authors += fmt.Sprintf(" author%02d", rng.Intn(12))
 		}
-		ix.MustAdd(Document{ExtID: fmt.Sprintf("CSTR-%d", i), Fields: map[string]string{
+		docs[i] = Document{ExtID: fmt.Sprintf("CSTR-%d", i), Fields: map[string]string{
 			"title":    strings.Join([]string{fmt.Sprintf("tag%02d", rng.Intn(16)), pick(topics), pick(filler)}, " "),
 			"author":   authors,
 			"abstract": strings.Join([]string{pick(filler), pick(topics), pick(filler), pick(filler)}, " "),
 			"year":     fmt.Sprint(1990 + rng.Intn(6)),
-		}})
+		}}
 	}
-	ix.Freeze()
-	return ix
+	return docs
 }
 
 // FuzzEval: whatever Parse accepts, Eval over a fixed corpus returns the
 // documents a MatchesDoc scan accepts, and the same documents and Postings
-// charge as the reference evaluator.
+// charge as the reference evaluator. EvalFirst over the corpus's first n
+// documents, on an index that is not frozen, answers and charges as Eval
+// over a frozen index of those documents alone.
 func FuzzEval(f *testing.F) {
-	for _, q := range []string{
+	for i, q := range []string{
 		"TI='belief update' and AU='author03'",                                     // Q1's substituted search (P+TS)
 		"TI='text' and YR='1994' and AU='author07'",                                // Q2
 		"YR='1995' and TI='tag04' and AU='author02'",                               // Q3
@@ -49,15 +50,31 @@ func FuzzEval(f *testing.F) {
 		"'information filtering' and (TI='text' or YR='1994')",
 		"TI='update belief update' and AU='author04'",
 	} {
-		f.Add(q)
+		f.Add(q, uint8(5*i))
 	}
-	ix := fuzzIndex()
-	f.Fuzz(func(t *testing.T, q string) {
+	docs := fuzzDocs()
+	grow := NewIndex()
+	prefixes := make([]*Index, len(docs)+1) // prefixes[n]: the first n documents, frozen
+	for n := range prefixes {
+		prefixes[n] = NewIndex()
+		for _, d := range docs[:n] {
+			prefixes[n].MustAdd(d)
+		}
+		prefixes[n].Freeze()
+		if n < len(docs) {
+			grow.MustAdd(docs[n])
+		}
+	}
+	ix := prefixes[len(docs)]
+	f.Fuzz(func(t *testing.T, q string, n uint8) {
 		e, err := Parse(q, MercuryAliases)
 		if err != nil {
 			return
 		}
 		if err := checkEval(ix, e); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if err := checkEvalFirst(grow, prefixes[int(n)%len(prefixes)], e); err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
 	})

@@ -5,36 +5,34 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
 // randomCorpus builds a small random corpus over a tiny vocabulary so terms
 // collide frequently.
 func randomCorpus(rng *rand.Rand, nDocs int) *Index {
-	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
-	fields := []string{"title", "author"}
 	ix := NewIndex()
 	for i := 0; i < nDocs; i++ {
-		d := Document{ExtID: "", Fields: map[string]string{}}
-		for _, f := range fields {
-			n := rng.Intn(6)
-			words := make([]string, n)
-			for j := range words {
-				words[j] = vocab[rng.Intn(len(vocab))]
-			}
-			text := ""
-			for j, w := range words {
-				if j > 0 {
-					text += " "
-				}
-				text += w
-			}
-			d.Fields[f] = text
-		}
-		ix.MustAdd(d)
+		ix.MustAdd(randomDoc(rng))
 	}
 	ix.Freeze()
 	return ix
+}
+
+// randomDoc draws one document of randomCorpus: a title and an author of
+// 0-5 words each from the tiny vocabulary.
+func randomDoc(rng *rand.Rand) Document {
+	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
+	d := Document{Fields: map[string]string{}}
+	for _, f := range []string{"title", "author"} {
+		words := make([]string, rng.Intn(6))
+		for j := range words {
+			words[j] = vocab[rng.Intn(len(vocab))]
+		}
+		d.Fields[f] = strings.Join(words, " ")
+	}
+	return d
 }
 
 // randomExpr builds a random search expression of bounded depth: And and
@@ -127,6 +125,76 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 		ix := randomCorpus(rng, 1+rng.Intn(30))
 		if err := checkEval(ix, randomExpr(rng, rng.Intn(4))); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// checkEvalFirst holds EvalFirst(e, n) over grow, an index that may hold
+// more than n documents and need not be frozen, to Eval(e) over prefix, a
+// frozen index of grow's first n documents: the same documents and the
+// same Postings charge.
+func checkEvalFirst(grow, prefix *Index, e Expr) error {
+	n := prefix.NumDocs()
+	got, err := grow.EvalFirst(e, n)
+	if err != nil {
+		return fmt.Errorf("EvalFirst(%s, %d): %v", e, n, err)
+	}
+	want, err := prefix.Eval(e)
+	if err != nil {
+		return fmt.Errorf("Eval(%s): %v", e, err)
+	}
+	if !sameIDs(got.Docs, want.Docs) || got.Postings != want.Postings {
+		return fmt.Errorf("%s over the first %d of %d documents\n  EvalFirst: %v, %d postings\n  Eval:      %v, %d postings",
+			e, n, grow.NumDocs(), got.Docs, got.Postings, want.Docs, want.Postings)
+	}
+	return nil
+}
+
+// TestEvalFirstOnGrowingIndex is the property test of EvalFirst over an
+// index that is still being added to: for random n and random
+// expressions, it answers and charges as Eval over a frozen index of the
+// first n documents, and the Adds that follow leave a second evaluation
+// at the same n unchanged. A list cut that reads past n fails this once
+// a later document holds a word the expression names.
+func TestEvalFirstOnGrowingIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		grow := NewIndex()
+		var docs []Document
+		add := func(k int) {
+			for i := 0; i < k; i++ {
+				d := randomDoc(rng)
+				docs = append(docs, d)
+				grow.MustAdd(d)
+			}
+		}
+		add(rng.Intn(20))
+		for round := 0; round < 4; round++ {
+			n := rng.Intn(len(docs) + 1)
+			prefix := NewIndex()
+			for _, d := range docs[:n] {
+				prefix.MustAdd(d)
+			}
+			prefix.Freeze()
+			e := randomExpr(rng, rng.Intn(4))
+			if err := checkEvalFirst(grow, prefix, e); err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
+			}
+			add(1 + rng.Intn(8))
+			if err := checkEvalFirst(grow, prefix, e); err != nil {
+				t.Fatalf("trial %d round %d, after more Adds: %v", trial, round, err)
+			}
+		}
+	}
+}
+
+// TestEvalFirstBounds: n outside [0, NumDocs] is an error, not a panic.
+func TestEvalFirstBounds(t *testing.T) {
+	ix := NewIndex()
+	ix.MustAdd(Document{Fields: map[string]string{"title": "alpha"}})
+	for _, n := range []int{-1, 2} {
+		if _, err := ix.EvalFirst(Term{Word: "alpha"}, n); err == nil {
+			t.Errorf("EvalFirst over %d of 1 documents: no error", n)
 		}
 	}
 }

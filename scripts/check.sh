@@ -164,10 +164,11 @@ gate TestDialTextComposes ./internal/appcfg -race
 # (BenchmarkMatchHits, BENCH_rtp.json), the span path
 # (BenchmarkStartSpan*, BENCH_trace.json), the path from the relational
 # pipeline into the text join (BenchmarkGroupBy, BenchmarkVecHashJoin and
-# the root package's BenchmarkWarmQuery, BENCH_boundary.json) and Boolean
-# evaluation (BenchmarkEval, BENCH_textidx.json), and they rot silently
-# otherwise.
-go test -run 'NOTESTS' -bench . -benchtime 1x ./internal/vec ./internal/relation ./internal/join ./internal/obs ./internal/textidx
+# the root package's BenchmarkWarmQuery, BENCH_boundary.json), Boolean
+# evaluation (BenchmarkEval, BENCH_textidx.json) and the live store's
+# search over its base and delta (BenchmarkStoreSearch, BENCH_ingest.json),
+# and they rot silently otherwise.
+go test -run 'NOTESTS' -bench . -benchtime 1x ./internal/vec ./internal/relation ./internal/join ./internal/obs ./internal/textidx ./internal/ingest
 go test -run 'NOTESTS' -bench 'BenchmarkWarmQuery' -benchtime 1x .
 
 # Benchmark self-test (about 5 s): every workload end to end at tiny
