@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
 	"strings"
@@ -32,16 +33,18 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/paper.golden")
+
 // TestPaperGolden locks the paper's tables: every experiment but
 // overhead, at the default corpus (D = 2000, seed 42), must print
 // byte-for-byte what testdata/paper.golden holds. Those experiments
 // report deterministic simulated cost, so any difference is a change in
 // what the reproduction computes.
+//
+// Regenerate the file (after an intended change only) with
+//
+//	go test ./cmd/benchrun -run TestPaperGolden -update
 func TestPaperGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/paper.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := workload.NewCorpus(workload.CorpusConfig{Docs: 2000, Seed: 42})
 	var got bytes.Buffer
 	for _, e := range experiments {
@@ -51,6 +54,16 @@ func TestPaperGolden(t *testing.T) {
 		if err := e.print(c, &got); err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile("testdata/paper.golden", got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile("testdata/paper.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if bytes.Equal(got.Bytes(), want) {
 		return

@@ -22,8 +22,8 @@ var testOnlyExports = map[string]string{
 	"RepeatedEngine":  "bench: cross-package fixture, the warm repeated-query engine of the root package's BenchmarkWarmQuery",
 	"SetLatency":      "texservice: cross-package fixture, Faulty's injected latency, which the replica hedging suites slow a replica with",
 	"IdleConns":       "texservice: cross-package fixture, Remote's pooled idle connections, which replica's hedge leak gate reads",
-	"CostTSBatched":   "cost: pending ROADMAP item 4, which decides whether TS(batched) becomes a plan choice",
-	"CostPTSLazy":     "cost: pending ROADMAP item 4, which decides whether P+TS(lazy) becomes a plan choice",
+	"CostTSBatched":   "cost: the formula of TS(batched), pending the change that makes it a plan choice, which waits on ROADMAP item 8's methodKey fix",
+	"CostPTSLazy":     "cost: the formula of P+TS(lazy), pending the change that makes it a plan choice, which waits on ROADMAP item 8's methodKey fix",
 }
 
 // TestNoTestOnlyExports keeps the non-test API free of names that only

@@ -25,22 +25,17 @@ type AblationRow struct {
 //
 //   - P+TS execution discipline: the eager probe-first execution the cost
 //     formula C_{P+TS} describes vs §3.3's lazy query-first probe-cache
-//     algorithm vs the grouped no-cache variant.
-//   - Semi-join OR packing: full tuple conjuncts in the OR groups vs the
-//     single-column variant that ships more documents but batches fewer
-//     terms.
+//     algorithm.
 //   - §8 batched invocation: plain TS vs TS over BatchSearch.
-//   - §5 runtime safeguard: P+RTP vs the adaptive variant under a tight
-//     document budget.
+//
+// Every variant must run on its scenario: an inapplicable variant is an
+// error (Execute checks applicability first), not a missing row.
 func Ablations(c *workload.Corpus) ([]AblationRow, error) {
 	var out []AblationRow
 	runOne := func(group string, sc *workload.Scenario, m join.Method) error {
 		svc, err := sc.Service()
 		if err != nil {
 			return err
-		}
-		if err := m.Applicable(sc.Spec, svc); err != nil {
-			return nil // skip inapplicable variants silently
 		}
 		res, err := m.Execute(context.Background(), sc.Spec, svc)
 		if err != nil {
@@ -67,20 +62,8 @@ func Ablations(c *workload.Corpus) ([]AblationRow, error) {
 	for _, m := range []join.Method{
 		join.PTS{ProbeColumns: probeCols},
 		join.PTS{ProbeColumns: probeCols, Lazy: true},
-		join.PTS{ProbeColumns: probeCols, Grouped: true},
 	} {
 		if err := runOne("pts-discipline", q3, m); err != nil {
-			return nil, err
-		}
-	}
-
-	// SJ OR packing on Q3.
-	for _, m := range []join.Method{
-		join.SJRTP{},
-		join.SJRTP{OrColumns: []string{"name"}},
-		join.SJRTP{OrColumns: []string{"member"}},
-	} {
-		if err := runOne("sj-packing", q3, m); err != nil {
 			return nil, err
 		}
 	}
@@ -90,22 +73,8 @@ func Ablations(c *workload.Corpus) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range []join.Method{join.TS{}, join.TSBatch{}} {
+	for _, m := range []join.Method{join.TS{}, join.TS{Batched: true}} {
 		if err := runOne("batched-invocation", q1, m); err != nil {
-			return nil, err
-		}
-	}
-
-	// Runtime safeguard on Q4 (prolific probe column).
-	q4, err := workload.ScenarioByName(c, "Q4")
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range []join.Method{
-		join.PRTP{ProbeColumns: []string{"advisor"}},
-		join.PRTPAdaptive{ProbeColumns: []string{"advisor"}, DocBudget: 10},
-	} {
-		if err := runOne("runtime-safeguard", q4, m); err != nil {
 			return nil, err
 		}
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // Every method works on the distinct bindings of some relation columns —
-// the join columns, the probe columns or the semi-join's OR columns —
+// the join columns or the probe columns —
 // sending one instantiated search (or one OR disjunct) per binding and
 // sharing its answer among the binding's tuples. This file computes them.
 
@@ -109,16 +109,6 @@ func (s *Spec) nest(probeCols []string) (nesting, error) {
 	return nesting{probes: probes, joins: joins, under: under}, nil
 }
 
-// byProbe returns, for every probe binding, the join bindings under it in
-// first-appearance order.
-func (n nesting) byProbe() [][]binding {
-	out := make([][]binding, len(n.probes))
-	for j, b := range n.joins {
-		out[n.under[j]] = append(out[n.under[j]], b)
-	}
-	return out
-}
-
 // conjBinding is a distinct binding with its conjunct over some join
 // predicates (without the text selection) and the conjunct's term count.
 // It is built straight from the grouping rather than from a []binding, so
@@ -130,16 +120,15 @@ type conjBinding struct {
 }
 
 // conjuncts is the one term-limit check. It builds, once per distinct
-// binding of the columns, the conjunct of the predicates on them, dropping
+// binding of the join columns, the conjunct of the join predicates, dropping
 // bindings with a value that has no searchable words (they cannot match).
 // The first binding whose conjunct plus the selection exceeds the term
 // limit is an error naming what the conjunct becomes in a search, so
 // nothing is searched for a spec that some tuple makes inapplicable.
-func (s *Spec) conjuncts(cols []string, svc texservice.Service, what string) ([]conjBinding, error) {
-	preds, _ := s.splitPreds(cols)
+func (s *Spec) conjuncts(svc texservice.Service, what string) ([]conjBinding, error) {
 	selTerms, limit := s.selTerms(), svc.MaxTerms()
-	return groupBindings(s, cols, func(rows []int) (conjBinding, bool, error) {
-		conj, ok := s.substPreds(s.Relation.Rows[rows[0]], preds)
+	return groupBindings(s, s.JoinColumns(), func(rows []int) (conjBinding, bool, error) {
+		conj, ok := s.substPreds(s.Relation.Rows[rows[0]], s.Preds)
 		if !ok {
 			return conjBinding{}, false, nil
 		}

@@ -13,10 +13,11 @@ import (
 )
 
 // chaosMethods is the five-method set of the paper (§3) the chaos
-// property tests exercise.
+// property tests exercise, plus batched tuple substitution.
 func chaosMethods() []Method {
 	return []Method{
 		TS{},
+		TS{Batched: true},
 		RTP{},
 		SJRTP{},
 		PTS{ProbeColumns: []string{"name"}},

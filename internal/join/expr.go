@@ -33,7 +33,7 @@ func (s *Spec) withSel(conj textidx.Expr) textidx.Expr {
 
 // substPreds builds a tuple's conjunct over the given predicates without
 // the text selection. The OR-pack step uses it directly, carrying the
-// selection once per group; TSBatch prefixes it with withSel.
+// selection once per group; TS prefixes it with withSel.
 func (s *Spec) substPreds(tuple relation.Tuple, preds []Pred) (textidx.Expr, bool) {
 	var conj textidx.And
 	for _, p := range preds {

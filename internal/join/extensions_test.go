@@ -21,7 +21,7 @@ func TestTSBatchEquivalentAndAmortised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TSBatch{}.Execute(bg, spec, svc)
+	res, err := TS{Batched: true}.Execute(bg, spec, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,10 @@ func TestTSBatchRequiresCapability(t *testing.T) {
 	svc := service(t, ix)
 	spec := q3Spec(t, false)
 	// Wrap the service to hide the capability.
-	if err := (TSBatch{}).Applicable(spec, noBatch{svc}); err == nil {
+	if err := (TS{Batched: true}).Applicable(spec, noBatch{svc}); err == nil {
 		t.Fatal("TS(batched) applicable without BatchSearcher")
 	}
-	if _, err := (TSBatch{}).Execute(bg, spec, noBatch{svc}); err == nil {
+	if _, err := (TS{Batched: true}).Execute(bg, spec, noBatch{svc}); err == nil {
 		t.Fatal("TS(batched) executed without BatchSearcher")
 	}
 }
@@ -65,7 +65,7 @@ func TestTSBatchRequiresCapability(t *testing.T) {
 type noBatch struct{ texservice.Service }
 
 // TestTSBatchOverDecoratorWithoutBatching: a decorator offers BatchSearch
-// by construction, so TSBatch is applicable over a cache whose backend
+// by construction, so batched TS is applicable over a cache whose backend
 // cannot batch; the refusal from below degrades to one search per
 // binding and the answer is still the naive join's.
 func TestTSBatchOverDecoratorWithoutBatching(t *testing.T) {
@@ -76,10 +76,10 @@ func TestTSBatchOverDecoratorWithoutBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := texservice.NewCached(noBatch{service(t, ix)}, 64)
-	if err := (TSBatch{}).Applicable(spec, svc); err != nil {
+	if err := (TS{Batched: true}).Applicable(spec, svc); err != nil {
 		t.Fatalf("TS(batched) not applicable over a decorator: %v", err)
 	}
-	res, err := TSBatch{}.Execute(bg, spec, svc)
+	res, err := TS{Batched: true}.Execute(bg, spec, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,134 +92,26 @@ func TestTSBatchOverDecoratorWithoutBatching(t *testing.T) {
 	}
 }
 
+// TestTSBatchRejectsOversizedConjunct: TS has one applicability rule,
+// batched or not. A spec whose substituted query exceeds the term limit
+// is inapplicable, and Execute rejects it before sending any search.
 func TestTSBatchRejectsOversizedConjunct(t *testing.T) {
 	ix := corpus(t)
-	svc, err := texservice.NewLocal(ix, texservice.WithMaxTerms(1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := q3Spec(t, false) // 2 terms per conjunct
-	if err := (TSBatch{}).Applicable(spec, svc); err == nil {
-		t.Fatal("oversized conjunct accepted")
-	}
-}
-
-func TestSJOrColumnsEquivalent(t *testing.T) {
-	ix := corpus(t)
-	for _, longForm := range []bool{false, true} {
-		spec := q3Spec(t, longForm)
-		want, err := NaiveJoin(spec, ix)
+	for _, m := range []TS{{}, {Batched: true}} {
+		svc, err := texservice.NewLocal(ix, texservice.WithMaxTerms(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, orCols := range [][]string{{"name"}, {"member"}, {"name", "member"}} {
-			svc := service(t, ix)
-			m := SJRTP{OrColumns: orCols}
-			res, err := m.Execute(bg, spec, svc)
-			if err != nil {
-				t.Fatalf("%s: %v", m.Name(), err)
-			}
-			if !SameRows(res.Table, want) {
-				t.Fatalf("%s differs from naive (longForm=%v)", m.Name(), longForm)
-			}
+		if err := m.Applicable(spec, svc); err == nil {
+			t.Fatalf("%s: oversized conjunct accepted", m.Name())
 		}
-	}
-}
-
-func TestSJOrColumnsShipsMore(t *testing.T) {
-	ix := corpus(t)
-	spec := q3Spec(t, false)
-	svcFull := service(t, ix)
-	full, err := SJRTP{}.Execute(bg, spec, svcFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svcOne := service(t, ix)
-	one, err := SJRTP{OrColumns: []string{"member"}}.Execute(bg, spec, svcOne)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The single-column variant ships every document by any member; the
-	// full-conjunct variant ships only documents matching a whole tuple.
-	if one.Stats.Usage.ShortDocs <= full.Stats.Usage.ShortDocs {
-		t.Fatalf("single-column SJ shipped %d docs, full-conjunct %d",
-			one.Stats.Usage.ShortDocs, full.Stats.Usage.ShortDocs)
-	}
-	// Fewer distinct bindings on one column → no more batches.
-	if one.Stats.Usage.Searches > full.Stats.Usage.Searches {
-		t.Fatalf("single-column SJ used more searches (%d) than full (%d)",
-			one.Stats.Usage.Searches, full.Stats.Usage.Searches)
-	}
-}
-
-func TestSJOrColumnsValidation(t *testing.T) {
-	ix := corpus(t)
-	svc := service(t, ix)
-	spec := q3Spec(t, false)
-	if err := (SJRTP{OrColumns: []string{"zzz"}}).Applicable(spec, svc); err == nil {
-		t.Fatal("bad OR column accepted")
-	}
-	if got := (SJRTP{OrColumns: []string{"name"}}).Name(); got != "SJ(name)+RTP" {
-		t.Fatalf("name = %q", got)
-	}
-}
-
-func TestPRTPAdaptiveEquivalent(t *testing.T) {
-	ix := corpus(t)
-	spec := q3Spec(t, true)
-	want, err := NaiveJoin(spec, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []int{0, 1, 2, 1000} {
-		svc := service(t, ix)
-		m := PRTPAdaptive{ProbeColumns: []string{"name"}, DocBudget: budget}
-		res, err := m.Execute(bg, spec, svc)
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
+		if _, err := m.Execute(bg, spec, svc); err == nil {
+			t.Fatalf("%s: oversized conjunct executed", m.Name())
 		}
-		if !SameRows(res.Table, want) {
-			t.Fatalf("budget %d: result differs from naive", budget)
+		if n := svc.Meter().Snapshot().Searches; n != 0 {
+			t.Fatalf("%s: sent %d searches for an inapplicable spec", m.Name(), n)
 		}
-	}
-}
-
-func TestPRTPAdaptiveSwitches(t *testing.T) {
-	ix := corpus(t)
-	spec := q3Spec(t, false)
-
-	// Without a budget: one probe per distinct probe binding (4).
-	svcPlain := service(t, ix)
-	plain, err := PRTPAdaptive{ProbeColumns: []string{"name"}}.Execute(bg, spec, svcPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Stats.Probes != 4 {
-		t.Fatalf("plain adaptive sent %d probes", plain.Stats.Probes)
-	}
-
-	// With budget 1 the first successful probe (2 docs) exceeds it and
-	// the rest degrade to substitution: fewer probes, more searches.
-	svcTight := service(t, ix)
-	tight, err := PRTPAdaptive{ProbeColumns: []string{"name"}, DocBudget: 1}.Execute(bg, spec, svcTight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Stats.Probes >= plain.Stats.Probes {
-		t.Fatalf("tight budget did not reduce probes: %d vs %d",
-			tight.Stats.Probes, plain.Stats.Probes)
-	}
-	if tight.Stats.Usage.Searches <= tight.Stats.Probes {
-		t.Fatal("tight budget sent no substituted searches after switching")
-	}
-	if !SameRows(tight.Table, plain.Table) {
-		t.Fatal("adaptive switch changed the result")
-	}
-}
-
-func TestPRTPAdaptiveName(t *testing.T) {
-	if (PRTPAdaptive{}).Name() != "P+RTP(adaptive)" {
-		t.Fatal("name wrong")
 	}
 }
 
@@ -248,7 +140,7 @@ func TestExtensionsAgainstRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plain and batched TS over the wire.
-	for _, m := range []Method{TS{}, TSBatch{}} {
+	for _, m := range []Method{TS{}, TS{Batched: true}} {
 		res, err := m.Execute(bg, spec, remote)
 		if err != nil {
 			t.Fatal(err)
@@ -300,7 +192,7 @@ func TestBatchSearchTermLimit(t *testing.T) {
 }
 
 func TestTSBatchName(t *testing.T) {
-	if (TSBatch{}).Name() != "TS(batched)" {
-		t.Fatal("TSBatch name wrong")
+	if (TS{Batched: true}).Name() != "TS(batched)" {
+		t.Fatal("batched TS name wrong")
 	}
 }

@@ -14,12 +14,9 @@ func failingMethods() []Method {
 		TS{},
 		RTP{},
 		SJRTP{},
-		SJRTP{OrColumns: []string{"member"}},
 		PTS{ProbeColumns: []string{"name"}},
 		PTS{ProbeColumns: []string{"name"}, Lazy: true},
-		PTS{ProbeColumns: []string{"name"}, Grouped: true},
 		PRTP{ProbeColumns: []string{"name"}},
-		PRTPAdaptive{ProbeColumns: []string{"name"}, DocBudget: 1},
 	}
 }
 
@@ -65,7 +62,7 @@ func TestTSBatchSurfacesBatchErrors(t *testing.T) {
 	ix := corpus(t)
 	spec := q3Spec(t, false)
 	flaky := texservice.NewFaulty(service(t, ix), texservice.FaultConfig{ErrorEvery: 1})
-	if _, err := (TSBatch{}).Execute(bg, spec, flaky); !errors.Is(err, texservice.ErrInjected) {
+	if _, err := (TS{Batched: true}).Execute(bg, spec, flaky); !errors.Is(err, texservice.ErrInjected) {
 		t.Fatalf("batched failure not surfaced: %v", err)
 	}
 }

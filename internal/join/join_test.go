@@ -92,24 +92,18 @@ func allMethods() []Method {
 	name, member := []string{"name"}, []string{"member"}
 	return []Method{
 		TS{},
-		TSBatch{},
+		TS{Batched: true},
 		SJRTP{},
-		SJRTP{OrColumns: name},
-		SJRTP{OrColumns: member},
 		PTS{ProbeColumns: name},
 		PTS{ProbeColumns: member},
 		PTS{ProbeColumns: name, Lazy: true},
 		PTS{ProbeColumns: member, Lazy: true},
-		PTS{ProbeColumns: name, Grouped: true},
-		PTS{ProbeColumns: member, Grouped: true},
 		PTS{ProbeColumns: name, Batched: true},
 		PTS{ProbeColumns: member, Batched: true},
 		PRTP{ProbeColumns: name},
 		PRTP{ProbeColumns: member},
 		PRTP{ProbeColumns: name, Batched: true},
 		PRTP{ProbeColumns: member, Batched: true},
-		PRTPAdaptive{ProbeColumns: name, DocBudget: 1},
-		PRTPAdaptive{ProbeColumns: member, DocBudget: 1},
 	}
 }
 
@@ -344,25 +338,6 @@ func TestPTSNoDuplicateProbes(t *testing.T) {
 	// probe binding.
 	if res.Stats.Probes > 4 {
 		t.Fatalf("sent %d probes for 4 distinct probe bindings", res.Stats.Probes)
-	}
-}
-
-func TestPTSGroupedSkipsSingletonProbes(t *testing.T) {
-	ix := corpus(t)
-	spec := q3Spec(t, false)
-	svc := service(t, ix)
-	res, err := PTS{ProbeColumns: []string{"name"}, Grouped: true}.Execute(bg, spec, svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Probe groups: PWS(3), Mercury(2), NoSuchProject(2), Belief(1).
-	// A probe is only useful when a failure occurs before the last
-	// binding of a group; Belief's singleton group must never probe.
-	// NoSuchProject fails on its first binding and has another → 1 probe.
-	// Mercury: (Mercury,Radhika) fails → probe sent (succeeds, r1&r2...
-	// actually no document has Mercury in title → probe fails, skip).
-	if res.Stats.Probes > 3 {
-		t.Fatalf("grouped variant sent %d probes", res.Stats.Probes)
 	}
 }
 
@@ -610,8 +585,7 @@ func TestMethodNames(t *testing.T) {
 	if (TS{}).Name() != "TS" || (RTP{}).Name() != "RTP" || (SJRTP{}).Name() != "SJ+RTP" {
 		t.Fatal("method names wrong")
 	}
-	if (PTS{}).Name() != "P+TS" || (PTS{Grouped: true}).Name() != "P+TS(grouped)" ||
-		(PTS{Lazy: true}).Name() != "P+TS(lazy)" {
+	if (PTS{}).Name() != "P+TS" || (PTS{Lazy: true}).Name() != "P+TS(lazy)" {
 		t.Fatal("PTS names wrong")
 	}
 	if (PRTP{}).Name() != "P+RTP" {

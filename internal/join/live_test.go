@@ -104,12 +104,12 @@ func liveFederation(t testing.TB, n int) (texservice.Service, []*ingest.Store) {
 	return fed, stores
 }
 
-// liveMethods is every §3 method plus the batched probe variants. RTP
-// needs a text selection, so it only joins the list when the spec
-// carries one.
+// liveMethods is every §3 method plus the batched variants. RTP needs a
+// text selection, so it only joins the list when the spec carries one.
 func liveMethods(withSel bool) []Method {
 	ms := []Method{
 		TS{},
+		TS{Batched: true},
 		SJRTP{},
 		PTS{ProbeColumns: []string{"name"}},
 		PTS{ProbeColumns: []string{"member"}},

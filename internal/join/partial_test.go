@@ -39,7 +39,7 @@ func TestStatsPartial(t *testing.T) {
 	spec := q3Spec(t, false)
 	spec.TextSel = textidx.Term{Field: "year", Word: "1994"}
 	methods := append(failingMethods(),
-		TSBatch{},
+		TS{Batched: true},
 		PTS{ProbeColumns: []string{"name"}, Batched: true},
 		PRTP{ProbeColumns: []string{"name"}, Batched: true})
 	for _, partial := range []bool{false, true} {

@@ -32,7 +32,7 @@ func validateProbeColumns(spec *Spec, probeCols []string) error {
 	return nil
 }
 
-// PTS is probing with tuple substitution (§3.3). Three variants are
+// PTS is probing with tuple substitution (§3.3). Two variants are
 // provided:
 //
 //   - The default eager variant probes every distinct probe-column
@@ -46,32 +46,24 @@ func validateProbeColumns(spec *Spec, probeCols []string) error {
 //     for bindings whose full query succeeds, but when probe bindings are
 //     rarely shared it can cost almost one probe per failing binding on
 //     top of the full queries.
-//   - The grouped variant is the lazy algorithm for relations ordered or
-//     grouped on the probe columns: no cache, and a probe is sent only
-//     when a failed group still has bindings left to skip.
 type PTS struct {
 	// ProbeColumns is the probe set P; it must be a nonempty subset of
 	// the join columns. The optimizer selects it via the cost model (§5).
 	ProbeColumns []string
 	// Lazy selects §3.3's query-first probe-cache algorithm.
 	Lazy bool
-	// Grouped selects the ordered/grouped no-cache variant (implies the
-	// lazy query-first discipline within a probe group).
-	Grouped bool
 	// Batched turns on batched probe pushdown for the eager variant's
 	// probing phase: deduplicated, sorted probe bindings are packed into
 	// OR groups under the term limit (or travel via batched invocation)
 	// instead of one search each. The result set is identical; only the
-	// number of probe round trips changes. Ignored by Lazy and Grouped,
-	// whose query-first discipline is inherently per-binding.
+	// number of probe round trips changes. Ignored by Lazy, whose
+	// query-first discipline is inherently per-binding.
 	Batched bool
 }
 
 // Name implements Method.
 func (m PTS) Name() string {
 	switch {
-	case m.Grouped:
-		return "P+TS(grouped)"
 	case m.Lazy:
 		return "P+TS(lazy)"
 	case m.Batched:
@@ -103,15 +95,10 @@ func (m PTS) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*
 		if err != nil {
 			return err
 		}
-		preds, _ := spec.splitPreds(m.ProbeColumns)
-		switch {
-		case m.Grouped:
-			return m.executeGrouped(ex, n, preds)
-		case m.Lazy:
-			return m.executeCached(ex, n, preds)
-		default:
-			return m.executeEager(ex, n)
+		if m.Lazy {
+			return m.executeCached(ex, n)
 		}
+		return m.executeEager(ex, n)
 	})
 }
 
@@ -135,7 +122,8 @@ func (m PTS) executeEager(ex *execution, n nesting) error {
 }
 
 // executeCached is the probe-cache algorithm of §3.3.
-func (m PTS) executeCached(ex *execution, n nesting, preds []Pred) error {
+func (m PTS) executeCached(ex *execution, n nesting) error {
+	preds, _ := ex.spec.splitPreds(m.ProbeColumns)
 	// probeCache maps a probe binding to its probe's success.
 	probeCache := map[int]bool{}
 	for j, b := range n.joins {
@@ -164,34 +152,6 @@ func (m PTS) executeCached(ex *execution, n nesting, preds []Pred) error {
 			return err
 		}
 		probeCache[p] = o.success
-	}
-	return nil
-}
-
-// executeGrouped is the ordered/grouped variant without a cache: the join
-// bindings are taken probe group by probe group, emulating a relation
-// ordered on the probe columns.
-func (m PTS) executeGrouped(ex *execution, n nesting, preds []Pred) error {
-	groups := n.byProbe()
-	for _, p := range ex.spec.byKey(m.ProbeColumns, n.probes) {
-		for bi, b := range groups[p] {
-			res, err := ex.substitute(b)
-			if err != nil {
-				return err
-			}
-			// A failed query sends a probe only if more bindings of this
-			// probe group remain to be skipped.
-			if res == nil || !res.IsEmpty() || bi == len(groups[p])-1 {
-				continue
-			}
-			o, err := ex.probe(preds, ex.spec.rep(b), false)
-			if err != nil {
-				return err
-			}
-			if !o.success {
-				break
-			}
-		}
 	}
 	return nil
 }

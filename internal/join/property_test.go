@@ -89,8 +89,10 @@ func TestMethodsEquivalentOnRandomWorkloads(t *testing.T) {
 			PTS{ProbeColumns: []string{"c0"}},
 			PTS{ProbeColumns: []string{"c0", "c1"}},
 			PTS{ProbeColumns: []string{"c0"}, Lazy: true},
-			PTS{ProbeColumns: []string{"c1"}, Grouped: true},
+			PTS{ProbeColumns: []string{"c1"}, Batched: true},
+			TS{Batched: true},
 			PRTP{ProbeColumns: []string{"c0"}},
+			PRTP{ProbeColumns: []string{"c1"}, Batched: true},
 		}
 		if spec.TextSel != nil {
 			methods = append(methods, RTP{})

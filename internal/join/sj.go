@@ -3,7 +3,6 @@ package join
 import (
 	"context"
 	"errors"
-	"strings"
 
 	"textjoin/internal/obs"
 	"textjoin/internal/texservice"
@@ -17,35 +16,13 @@ var errNoSelection = errors.New("join: method requires a text selection")
 // groups, subject to the text system's search-term limit M, so
 // ⌈N_K·t/M⌉-ish batched searches replace N_K individual ones. The batched
 // results come back in short form and are attributed to tuples by
-// relational string matching.
-//
-// By default every join predicate's instantiation enters the OR groups
-// (the strongest variant: only documents matching a full tuple conjunct
-// are shipped). OrColumns restricts the OR groups to the named columns'
-// predicates — the paper's looser generalization in which the remaining
-// predicates are evaluated relationally after fetching; it ships more
-// documents but batches far fewer terms per tuple.
-type SJRTP struct {
-	// OrColumns restricts the batched disjuncts to the predicates on
-	// these columns (empty = all join columns).
-	OrColumns []string
-}
+// relational string matching. Every join predicate's instantiation enters
+// the OR groups, so only documents matching a full tuple conjunct are
+// shipped.
+type SJRTP struct{}
 
 // Name implements Method.
-func (m SJRTP) Name() string {
-	if len(m.OrColumns) > 0 {
-		return "SJ(" + strings.Join(m.OrColumns, ",") + ")+RTP"
-	}
-	return "SJ+RTP"
-}
-
-// orColumns resolves the effective OR column set.
-func (m SJRTP) orColumns(spec *Spec) []string {
-	if len(m.OrColumns) > 0 {
-		return m.OrColumns
-	}
-	return spec.JoinColumns()
-}
+func (SJRTP) Name() string { return "SJ+RTP" }
 
 // Applicable implements Method: every tuple's OR conjunct (plus the
 // selection) must fit in one search, and the join-predicate fields must be
@@ -56,28 +33,22 @@ func (m SJRTP) Applicable(spec *Spec, svc texservice.Service) error {
 }
 
 // bindings checks applicability and prepares the OR disjuncts: the
-// distinct bindings of the OR columns (restricting the OR set shrinks the
-// number of disjuncts too), each conjunct built and checked against the
-// term limit once.
-func (m SJRTP) bindings(spec *Spec, svc texservice.Service) ([]conjBinding, error) {
+// distinct bindings of the join columns, each conjunct built and checked
+// against the term limit once.
+func (SJRTP) bindings(spec *Spec, svc texservice.Service) ([]conjBinding, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if err := requireShortFields(spec.Preds, svc); err != nil {
 		return nil, err
 	}
-	if len(m.OrColumns) > 0 {
-		if err := validateProbeColumns(spec, m.OrColumns); err != nil {
-			return nil, err
-		}
-	}
-	return spec.conjuncts(m.orColumns(spec), svc, "a tuple's conjunct")
+	return spec.conjuncts(svc, "a tuple's conjunct")
 }
 
 // Execute implements Method: the distinct bindings go through the OR-pack
 // step, and each group's hits are attributed to its bindings' tuples
-// relationally (on all join predicates, covering those outside the OR
-// set). No binding is too large to pack: bindings rejects the spec first.
+// relationally. No binding is too large to pack: bindings rejects the spec
+// first.
 func (s SJRTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
 	bindings, err := s.bindings(spec, svc)
 	if err != nil {

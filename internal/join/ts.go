@@ -2,6 +2,7 @@ package join
 
 import (
 	"context"
+	"fmt"
 
 	"textjoin/internal/texservice"
 	"textjoin/internal/textidx"
@@ -11,45 +12,76 @@ import (
 // the outer operand, sending one instantiated search per distinct binding
 // of the join columns (the variant the paper's experiments use). Results
 // are shared by all tuples with the same binding.
-type TS struct{}
+type TS struct {
+	// Batched sends the substituted queries through the §8 batched
+	// invocation capability (texservice.SearchBatch), which packs them
+	// into batches under the term limit M, each batch one invocation,
+	// amortising c_i while keeping per-query answer correspondence. A
+	// layer below that refuses batching degrades it to one search per
+	// query. The result rows and their order are the same batched or not.
+	Batched bool
+}
 
 // Name implements Method.
-func (TS) Name() string { return "TS" }
+func (m TS) Name() string {
+	if m.Batched {
+		return "TS(batched)"
+	}
+	return "TS"
+}
 
-// Applicable implements Method: tuple substitution is universally
-// applicable.
-func (TS) Applicable(spec *Spec, svc texservice.Service) error {
-	return spec.Validate()
+// Applicable implements Method: every substituted query must fit in one
+// search, and batched substitution needs a service that supports batched
+// invocation.
+func (m TS) Applicable(spec *Spec, svc texservice.Service) error {
+	_, err := m.bindings(spec, svc)
+	return err
+}
+
+// bindings checks applicability and builds every join binding's conjunct
+// once, from the one grouping the term-limit check makes; a binding's
+// substituted query is its conjunct with the selection prefixed.
+func (m TS) bindings(spec *Spec, svc texservice.Service) ([]conjBinding, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if m.Batched {
+		if _, ok := svc.(texservice.BatchSearcher); !ok {
+			return nil, fmt.Errorf("join: %w", texservice.ErrNoBatch)
+		}
+	}
+	return spec.conjuncts(svc, "a substituted query")
 }
 
 // Execute implements Method.
 func (m TS) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*Result, error) {
+	joins, err := m.bindings(spec, svc)
+	if err != nil {
+		return nil, err
+	}
 	return run(ctx, "join."+m.Name(), spec, svc, func(ex *execution) error {
-		joins, err := spec.bindings(spec.JoinColumns())
-		if err != nil {
-			return err
-		}
-		_, err = ex.substitute(joins...)
+		_, err := ex.searchEach(ex.ctx, len(joins), func(k int) (textidx.Expr, bool) {
+			return spec.withSel(joins[k].conj), true
+		}, ex.searchForm(), m.Batched, func(k int, res *texservice.Result) { ex.emitAll(joins[k].rows, res.Hits) })
 		return err
 	})
 }
 
 var _ Method = TS{}
 
-// substitute is the substitute-and-emit step for join bindings, in
-// binding order: each binding's substituted search (the selection and
-// every join predicate, in the query's form) goes through the per-binding
-// search step one at a time, and a row is emitted per (tuple, hit). It
-// returns the last answer it got: for one binding, its answer, or nil
-// when an unsearchable value sent no search.
-func (ex *execution) substitute(joins ...binding) (last *texservice.Result, err error) {
-	_, err = ex.searchEach(ex.ctx, len(joins), func(k int) (textidx.Expr, bool) {
-		return ex.spec.SubstExpr(ex.spec.rep(joins[k]), ex.spec.Preds)
-	}, ex.searchForm(), false, func(k int, res *texservice.Result) {
-		ex.emitAll(joins[k].rows, res.Hits)
-		last = res
+// substitute is the substitute-and-emit step for one join binding: its
+// substituted search (the selection and every join predicate, in the
+// query's form) goes through the per-binding search step, and a row is
+// emitted per (tuple, hit). It returns the answer, or nil when an
+// unsearchable value sent no search.
+func (ex *execution) substitute(b binding) (res *texservice.Result, err error) {
+	_, err = ex.searchEach(ex.ctx, 1, func(int) (textidx.Expr, bool) {
+		return ex.spec.SubstExpr(ex.spec.rep(b), ex.spec.Preds)
+	}, ex.searchForm(), false, func(_ int, r *texservice.Result) {
+		ex.emitAll(b.rows, r.Hits)
+		res = r
 	})
-	return last, err
+	return res, err
 }
 
 // emitAll emits a row for every (tuple, hit) pair of a binding's rows, in

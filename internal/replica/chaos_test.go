@@ -64,7 +64,7 @@ func chaosSpec(t testing.TB, withSel bool) *join.Spec {
 }
 
 // chaosMethods are the five join methods of the paper, including the
-// batched-probe variants that exercise BatchSearch routing.
+// batched variants that exercise BatchSearch routing.
 func chaosMethods(t testing.TB) []struct {
 	m    join.Method
 	spec *join.Spec
@@ -75,6 +75,7 @@ func chaosMethods(t testing.TB) []struct {
 		spec *join.Spec
 	}{
 		{join.TS{}, chaosSpec(t, false)},
+		{join.TS{Batched: true}, chaosSpec(t, false)},
 		{join.RTP{}, chaosSpec(t, true)},
 		{join.SJRTP{}, chaosSpec(t, false)},
 		{join.PTS{ProbeColumns: []string{"name"}}, chaosSpec(t, false)},
