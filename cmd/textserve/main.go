@@ -121,6 +121,10 @@ func run(addr string, docs int, seed int64, load, snapshot, writeTo, short strin
 
 	var svc texservice.Service
 	var storeClose func() error
+	opts := []texservice.LocalOption{
+		texservice.WithShortFields(strings.Split(short, ",")...),
+		texservice.WithMaxTerms(maxTerms),
+	}
 	if ingestDir != "" {
 		store, err := ingest.Open(ix, ingest.Options{
 			Dir: ingestDir, ShardIndex: shardK, ShardCount: shardN,
@@ -129,15 +133,11 @@ func run(addr string, docs int, seed int64, load, snapshot, writeTo, short strin
 			return err
 		}
 		storeClose = store.Close
-		svc = ingest.NewLive(store,
-			ingest.WithShortFields(strings.Split(short, ",")...),
-			ingest.WithMaxTerms(maxTerms))
+		svc = ingest.NewLive(store, opts...)
 		fmt.Printf("textserve: live ingest enabled (dir %s, %d records replayed, %d torn-tail bytes truncated)\n",
 			ingestDir, store.Replayed(), store.TornBytes())
 	} else {
-		local, err := texservice.NewLocal(ix,
-			texservice.WithShortFields(strings.Split(short, ",")...),
-			texservice.WithMaxTerms(maxTerms))
+		local, err := texservice.NewLocal(ix, opts...)
 		if err != nil {
 			return err
 		}

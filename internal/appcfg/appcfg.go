@@ -270,6 +270,7 @@ func (c *EngineConfig) BuildEngine() (*core.Engine, func(), error) {
 	demo := workload.NewDemo(c.Docs, c.Seed)
 	cleanup := func() {}
 	var svc texservice.Service
+	localOpts := []texservice.LocalOption{texservice.WithShortFields("title", "author", "year")}
 	if c.Remote != "" {
 		var err error
 		svc, cleanup, err = c.DialText()
@@ -310,12 +311,10 @@ func (c *EngineConfig) BuildEngine() (*core.Engine, func(), error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("opening live-ingest store: %w", err)
 		}
-		svc = ingest.NewLive(store,
-			ingest.WithShortFields("title", "author", "year"))
+		svc = ingest.NewLive(store, localOpts...)
 		cleanup = func() { _ = store.Close() }
 	} else {
-		local, err := texservice.NewLocal(demo.Corpus.Index,
-			texservice.WithShortFields("title", "author", "year"))
+		local, err := texservice.NewLocal(demo.Corpus.Index, localOpts...)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -2,52 +2,31 @@ package ingest
 
 import (
 	"context"
-	"sort"
 	"sync"
 
-	"textjoin/internal/obs"
 	"textjoin/internal/texservice"
-	"textjoin/internal/textidx"
 )
 
-// Live serves texservice reads over a mutable Store and implements the
-// write capability (texservice.Ingestor). It is the mutable counterpart
-// of texservice.Local: identical cost charging and result shapes, plus
-// snapshot-isolated reads — a query pinned with PinSnapshot keeps one
-// consistent view, captured at its first read, for all of its searches and
-// retrievals no matter how many writes land while it runs.
+// Live is texservice.Local over a mutable Store's views, plus the write
+// capability (texservice.Ingestor) and snapshot-isolated reads: a query
+// pinned with PinSnapshot keeps one consistent view, captured at its
+// first read, for all of its searches and retrievals no matter how many
+// writes land while it runs. Searches, charges and hit shapes are
+// Local's; its spans are named live.search, live.batchsearch and
+// live.retrieve.
 type Live struct {
-	store       *Store
-	shortFields []string
-	maxTerms    int
-	meter       *texservice.Meter
+	*texservice.Local
+	store *Store
 }
-
-// LiveOption configures a Live service.
-type LiveOption func(*Live)
 
 // WithShortFields sets the fields transmitted in short form (default
-// title, author, year — matching texservice.Local).
-func WithShortFields(fields ...string) LiveOption {
-	return func(l *Live) { l.shortFields = fields }
-}
-
-// WithMaxTerms sets the per-search term limit M.
-func WithMaxTerms(m int) LiveOption {
-	return func(l *Live) { l.maxTerms = m }
-}
+// title, author, year).
+var WithShortFields = texservice.WithShortFields
 
 // NewLive wraps a Store as a Service.
-func NewLive(store *Store, opts ...LiveOption) *Live {
-	l := &Live{
-		store:       store,
-		shortFields: []string{"title", "author", "year"},
-		maxTerms:    texservice.DefaultMaxTerms,
-		meter:       texservice.NewMeter(texservice.DefaultCosts()),
-	}
-	for _, opt := range opts {
-		opt(l)
-	}
+func NewLive(store *Store, opts ...texservice.LocalOption) *Live {
+	l := &Live{store: store}
+	l.Local = texservice.NewCorpusService("live", l.read, opts...)
 	return l
 }
 
@@ -106,98 +85,12 @@ func (l *Live) SnapshotPinned(ctx context.Context) bool {
 	return ok && p.resolve(l.store).Seq() != l.store.Version()
 }
 
-// view resolves the context's pinned view, or captures the latest.
-func (l *Live) view(ctx context.Context) *View {
+// read resolves the context's pinned view, or captures the latest.
+func (l *Live) read(ctx context.Context) texservice.Corpus {
 	if p, ok := ctx.Value(pinKey{l.store}).(*pin); ok {
 		return p.resolve(l.store)
 	}
 	return l.store.CurrentView()
-}
-
-// Search implements texservice.Service: a batch of one.
-func (l *Live) Search(ctx context.Context, e textidx.Expr, form texservice.Form) (*texservice.Result, error) {
-	return texservice.Single(l.search(ctx, "live.search", []textidx.Expr{e}, form))
-}
-
-// BatchSearch implements texservice.BatchSearcher.
-func (l *Live) BatchSearch(ctx context.Context, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, error) {
-	return l.search(ctx, "live.batchsearch", exprs, form)
-}
-
-// search is Live's one request path: the expressions are evaluated in
-// order against one view and charged as one invocation.
-func (l *Live) search(ctx context.Context, span string, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, error) {
-	ctx, sp := obs.StartSpan(ctx, span)
-	defer sp.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := texservice.CheckTermLimit(exprs, l.maxTerms); err != nil {
-		return nil, err
-	}
-	v := l.view(ctx)
-	out := make([]*texservice.Result, len(exprs))
-	postings, docs := 0, 0
-	for i, e := range exprs {
-		hits, p, err := l.store.Search(v, e)
-		if err != nil {
-			return nil, err
-		}
-		r := &texservice.Result{Postings: p, Hits: make([]texservice.Hit, 0, len(hits))}
-		for _, h := range hits {
-			r.Hits = append(r.Hits, texservice.ShapeHit(h.ID, h.Doc, form, l.shortFields))
-		}
-		out[i] = r
-		postings += p
-		docs += len(r.Hits)
-	}
-	l.meter.ChargeSearch(ctx, postings, docs, form)
-	if sp != nil {
-		sp.SetAttr(texservice.QueryAttr(exprs), obs.Str("form", form.String()),
-			obs.Int("postings", postings), obs.Int("hits", docs),
-			obs.Int("view_seq", int(v.Seq())))
-	}
-	return out, nil
-}
-
-// Retrieve implements texservice.Service.
-func (l *Live) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
-	if err := ctx.Err(); err != nil {
-		return textidx.Document{}, err
-	}
-	doc, err := l.store.Retrieve(l.view(ctx), id)
-	if err != nil {
-		return textidx.Document{}, err
-	}
-	l.meter.ChargeRetrieve(ctx)
-	return doc, nil
-}
-
-// TermDocFrequency implements texservice.StatsProvider (metadata
-// traffic: no meter charge, approximate against the latest state).
-func (l *Live) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	words := textidx.Tokenize(term)
-	switch len(words) {
-	case 0:
-		return 0, nil
-	case 1:
-		return l.store.DocFrequency(field, words[0]), nil
-	default:
-		// Phrase frequencies need evaluation; run it against the current
-		// view without charging the meter (like Local does).
-		e, err := textidx.MakeExactPred(field, term)
-		if err != nil {
-			return 0, nil
-		}
-		hits, _, err := l.store.Search(l.store.CurrentView(), e)
-		if err != nil {
-			return 0, err
-		}
-		return len(hits), nil
-	}
 }
 
 // Ingest implements texservice.Ingestor: durably apply the batch.
@@ -215,23 +108,6 @@ func (l *Live) IndexVersion(ctx context.Context) (uint64, error) {
 	}
 	return l.store.Version(), nil
 }
-
-// NumDocs implements texservice.Service: visible documents at the
-// latest state.
-func (l *Live) NumDocs() (int, error) { return l.store.NumDocs(), nil }
-
-// MaxTerms implements texservice.Service.
-func (l *Live) MaxTerms() int { return l.maxTerms }
-
-// ShortFields implements texservice.Service (sorted, like Local).
-func (l *Live) ShortFields() []string {
-	out := append([]string(nil), l.shortFields...)
-	sort.Strings(out)
-	return out
-}
-
-// Meter implements texservice.Service.
-func (l *Live) Meter() *texservice.Meter { return l.meter }
 
 var (
 	_ texservice.Service       = (*Live)(nil)

@@ -358,17 +358,18 @@ func (s *Store) tombstoneLocked(extID string, seq uint64) bool {
 // base, and the delta index with the number of its documents that were
 // added at or before that sequence. Later writes append past that prefix
 // and a compaction swaps in a fresh delta, so neither changes what the
-// view reads. All evaluation against a View happens inside the store's
-// read lock (the Search/Retrieve/... methods below), which orders its
-// reads of the growing delta and of the shared tombstone map against the
-// writers that add to them.
+// view reads. A View is the texservice.Corpus a Live service reads: every
+// read takes the store's read lock, which orders it against the writers
+// that add to the growing delta and to the shared tombstone map.
 type View struct {
+	mu        *sync.RWMutex // the store's
 	seq       uint64
 	base      *textidx.Index
 	baseCount int
 	delta     *textidx.Index
 	deltaLen  int
 	tomb      map[textidx.DocID]uint64
+	numDocs   int // visible documents at seq
 }
 
 // Seq returns the sequence number the view is pinned at.
@@ -379,12 +380,14 @@ func (s *Store) CurrentView() *View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return &View{
+		mu:        &s.mu,
 		seq:       s.applied,
 		base:      s.base,
 		baseCount: s.baseCount,
 		delta:     s.delta,
 		deltaLen:  s.delta.NumDocs(),
 		tomb:      s.tomb,
+		numDocs:   s.live,
 	}
 }
 
@@ -402,107 +405,81 @@ func (v *View) visibleBase(id textidx.DocID) bool {
 	return err == nil && doc.ExtID != "" && v.live(id)
 }
 
-// HitDoc is one search hit with its full document.
-type HitDoc struct {
-	ID  textidx.DocID
-	Doc textidx.Document
-}
-
-// Search evaluates a Boolean expression against the view: the frozen
-// base in full and the delta over the view's prefix, both through their
-// inverted indexes, with hits filtered by visibility. Results stay in
-// ascending docid order because every delta id exceeds every base id.
-// Postings is the inverted-list work on both sides — the processing
-// charge c_p models: every list the expression names, cut to the view's
-// prefix on the delta side, plus the collection size of each side for
-// every Not.
-func (s *Store) Search(v *View, e textidx.Expr) (hits []HitDoc, postings int, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// Eval evaluates a Boolean expression against the view: the frozen base
+// in full and the delta over the view's prefix, both through their
+// inverted indexes, keeping only the visible ids. They stay ascending
+// because every delta id exceeds every base id. Postings is the
+// inverted-list work on both sides — the processing charge c_p models:
+// every list the expression names, cut to the view's prefix on the delta
+// side, plus the collection size of each side for every Not.
+func (v *View) Eval(e textidx.Expr) (textidx.EvalResult, error) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	res, err := v.base.Eval(e)
 	if err != nil {
-		return nil, 0, err
+		return textidx.EvalResult{}, err
 	}
 	var dres textidx.EvalResult
 	if v.deltaLen > 0 { // an empty delta has nothing to read or charge
 		if dres, err = v.delta.EvalFirst(e, v.deltaLen); err != nil {
-			return nil, 0, err
+			return textidx.EvalResult{}, err
 		}
 	}
-	hits = make([]HitDoc, 0, len(res.Docs)+len(dres.Docs))
+	docs := make([]textidx.DocID, 0, len(res.Docs)+len(dres.Docs))
 	for _, id := range res.Docs {
-		if !v.visibleBase(id) {
-			continue
+		if v.visibleBase(id) {
+			docs = append(docs, id)
 		}
-		doc, err := v.base.Doc(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		hits = append(hits, HitDoc{ID: id, Doc: doc})
 	}
 	for _, local := range dres.Docs {
-		id := textidx.DocID(v.baseCount) + local
-		if !v.live(id) {
-			continue
+		if id := textidx.DocID(v.baseCount) + local; v.live(id) {
+			docs = append(docs, id)
 		}
-		doc, err := v.delta.Doc(local)
-		if err != nil {
-			return nil, 0, err
-		}
-		hits = append(hits, HitDoc{ID: id, Doc: doc})
 	}
-	return hits, res.Postings + dres.Postings, nil
+	return textidx.EvalResult{Docs: docs, Postings: res.Postings + dres.Postings}, nil
 }
 
-// Retrieve returns the document with the given id if it is visible in
-// the view.
-func (s *Store) Retrieve(v *View, id textidx.DocID) (textidx.Document, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// Doc returns the document with the given id if it is visible in the
+// view.
+func (v *View) Doc(id textidx.DocID) (textidx.Document, error) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	if id >= 0 && int(id) < v.baseCount {
-		if !v.visibleBase(id) {
-			return textidx.Document{}, fmt.Errorf("textidx: no document %d", id)
+		if v.visibleBase(id) {
+			return v.base.Doc(id)
 		}
-		return v.base.Doc(id)
-	}
-	if local := int(id) - v.baseCount; local >= 0 && local < v.deltaLen && v.live(id) {
+	} else if local := int(id) - v.baseCount; local >= 0 && local < v.deltaLen && v.live(id) {
 		return v.delta.Doc(textidx.DocID(local))
 	}
 	return textidx.Document{}, fmt.Errorf("textidx: no document %d", id)
 }
 
-// DocFrequency approximates the document frequency of a term in a field
-// at the latest state: the base index's exact count (which may still
-// include not-yet-compacted tombstoned documents) plus the exact count of
-// visible delta documents, read off the term's delta list (a phrase's
-// lists, for a term of several words). Statistics consumers tolerate the
-// base's slack — they are estimates for the optimizer, not query answers.
-func (s *Store) DocFrequency(field, term string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := s.base.DocFrequency(field, term)
-	pred, err := textidx.MakeExactPred(field, term)
-	if err != nil {
-		return n
-	}
-	res, err := s.delta.EvalFirst(pred, s.delta.NumDocs())
+// DocFrequency approximates the number of documents whose field contains
+// the one word: the base index's exact count (which may still include
+// documents tombstoned since the last compaction) plus the exact count of
+// the delta documents visible in the view, read off the word's delta
+// list. Statistics consumers tolerate the base's slack — they are
+// estimates for the optimizer, not query answers.
+func (v *View) DocFrequency(field, word string) int {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	n := v.base.DocFrequency(field, word)
+	res, err := v.delta.EvalFirst(textidx.Term{Field: field, Word: word}, v.deltaLen)
 	if err != nil {
 		return n
 	}
 	for _, local := range res.Docs {
-		if _, dead := s.tomb[textidx.DocID(s.baseCount)+local]; !dead {
+		if v.live(textidx.DocID(v.baseCount) + local) {
 			n++
 		}
 	}
 	return n
 }
 
-// NumDocs returns the number of visible documents at the latest state.
-func (s *Store) NumDocs() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.live
-}
+// NumDocs returns the number of documents visible in the view.
+func (v *View) NumDocs() int { return v.numDocs }
+
+var _ texservice.Corpus = (*View)(nil)
 
 // Version returns the index version: the last applied sequence number.
 func (s *Store) Version() uint64 {

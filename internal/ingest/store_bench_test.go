@@ -13,10 +13,11 @@ import (
 	"textjoin/internal/workload"
 )
 
-// BenchmarkStoreSearch measures Store.Search over an 8 000-document base
-// (the mixed_ingest corpus size) with 0, 512 and 2 048 delta documents
-// shaped like the mixed_ingest writer's puts: a batch-unique author beside
-// a corpus author, a topic title and a repeated abstract, 16 puts to a
+// BenchmarkStoreSearch measures a search of a store's view (View.Eval,
+// then View.Doc for every hit) over an 8 000-document base (the
+// mixed_ingest corpus size) with 0, 512 and 2 048 delta documents shaped
+// like the mixed_ingest writer's puts: a batch-unique author beside a
+// corpus author, a topic title and a repeated abstract, 16 puts to a
 // batch. The searches are an Or of 64 authors (an SJ+RTP pack: 62 names
 // no document holds, one base author and one delta author), a topic
 // phrase, a title prefix, and a topic term and not a year.
@@ -68,8 +69,14 @@ func BenchmarkStoreSearch(b *testing.B) {
 			b.Run(fmt.Sprintf("delta%d/%s", delta, tc.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := s.Search(v, tc.e); err != nil {
+					res, err := v.Eval(tc.e)
+					if err != nil {
 						b.Fatal(err)
+					}
+					for _, id := range res.Docs {
+						if _, err := v.Doc(id); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 			})

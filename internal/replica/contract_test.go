@@ -63,8 +63,8 @@ func servingImpls() []servingImpl {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return ingest.NewLive(store, ingest.WithShortFields("title", "author", "year"),
-				ingest.WithMaxTerms(maxTerms))
+			return ingest.NewLive(store, texservice.WithShortFields("title", "author", "year"),
+				texservice.WithMaxTerms(maxTerms))
 		}},
 		{"Remote", "remote", func(t *testing.T, maxTerms int) texservice.Service {
 			srv := texservice.NewServer(limitedLocal(t, fixture(t), maxTerms))

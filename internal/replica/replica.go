@@ -51,7 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,10 +166,12 @@ type Set struct {
 	maxTerms    int
 	shortFields []string
 
-	mu    sync.Mutex // guards rng and the latency ring
-	rng   *rand.Rand
-	ring  []time.Duration
-	ringN uint64 // total samples ever recorded
+	mu      sync.Mutex // guards rng, the latency ring and its sorted copy
+	rng     *rand.Rand
+	ring    []time.Duration
+	ringN   uint64          // total samples ever recorded
+	sorted  []time.Duration // the ring, sorted when ringN was sortedN
+	sortedN uint64
 
 	version atomic.Uint64 // highest acked index version (the RYW fence)
 
@@ -310,9 +312,12 @@ func (s *Set) hedgeBudget() time.Duration {
 	if s.ringN < hedgeWarmup {
 		return DefaultHedgeMax
 	}
-	buf := append([]time.Duration(nil), s.ring...)
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	return min(max(buf[len(buf)*95/100], DefaultHedgeMin), DefaultHedgeMax)
+	if s.sortedN != s.ringN {
+		s.sorted = append(s.sorted[:0], s.ring...)
+		slices.Sort(s.sorted)
+		s.sortedN = s.ringN
+	}
+	return min(max(s.sorted[len(s.sorted)*95/100], DefaultHedgeMin), DefaultHedgeMax)
 }
 
 // recordLatency feeds one successful call into the hedge-budget ring.

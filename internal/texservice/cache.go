@@ -78,7 +78,7 @@ func probeKey(e textidx.Expr, form Form) (string, bool) {
 // once the shard recovers the next search sees every hit. On an immutable
 // collection the version never moves and none of this costs anything.
 type exprCache struct {
-	passThrough
+	Forward
 	span  string                                  // Search's span name; "" records none
 	keyOf func(textidx.Expr, Form) (string, bool) // false: pass through uncached
 
@@ -113,13 +113,13 @@ type inflightCall struct {
 
 func newExprCache(inner Service, capacity int, span string, keyOf func(textidx.Expr, Form) (string, bool)) exprCache {
 	return exprCache{
-		passThrough: passThrough{inner},
-		span:        span,
-		keyOf:       keyOf,
-		lru:         list.New(),
-		entries:     map[string]*list.Element{},
-		inflight:    map[string]*inflightCall{},
-		cap:         max(capacity, 1),
+		Forward:  Forward{inner},
+		span:     span,
+		keyOf:    keyOf,
+		lru:      list.New(),
+		entries:  map[string]*list.Element{},
+		inflight: map[string]*inflightCall{},
+		cap:      max(capacity, 1),
 	}
 }
 
@@ -135,14 +135,14 @@ func note(sp *obs.Span, verdict string) {
 func (c *exprCache) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
 	key, cacheable := c.keyOf(e, form)
 	if !cacheable {
-		return c.inner.Search(ctx, e, form)
+		return c.Service.Search(ctx, e, form)
 	}
 	var sp *obs.Span
 	if c.span != "" {
 		ctx, sp = obs.StartSpan(ctx, c.span)
 		defer sp.End()
 	}
-	if SnapshotPinned(ctx, c.inner) {
+	if SnapshotPinned(ctx, c.Service) {
 		// This query's pinned view has fallen behind the current index
 		// version: serving it a current-version entry would break its
 		// snapshot, and filling the cache with its answer would hand
@@ -150,7 +150,7 @@ func (c *exprCache) Search(ctx context.Context, e textidx.Expr, form Form) (*Res
 		// directions. (A pin still at the current state reads through the
 		// cache normally.)
 		note(sp, "pinned-bypass")
-		return c.inner.Search(ctx, e, form)
+		return c.Service.Search(ctx, e, form)
 	}
 	for {
 		c.mu.Lock()
@@ -197,20 +197,20 @@ func (c *exprCache) Search(ctx context.Context, e textidx.Expr, form Form) (*Res
 			// the backend directly (uncached).
 			c.mu.Unlock()
 			note(sp, "stale-leader-bypass")
-			return c.inner.Search(ctx, e, form)
+			return c.Service.Search(ctx, e, form)
 		}
 		call := &inflightCall{version: c.version, gen: c.gen, done: make(chan struct{})}
 		c.inflight[key] = call
 		c.mu.Unlock()
 
 		note(sp, "miss")
-		res, err := c.inner.Search(ctx, e, form)
+		res, err := c.Service.Search(ctx, e, form)
 		// Re-probe the pin before publishing: a write can land between the
 		// top-of-search check and the leader registration, in which case
 		// this answer reflects the old pinned view even though the cache
 		// version already moved on. Checked outside the cache lock — it
 		// reads backend state.
-		pinnedBehind := err == nil && SnapshotPinned(ctx, c.inner)
+		pinnedBehind := err == nil && SnapshotPinned(ctx, c.Service)
 		c.mu.Lock()
 		if c.inflight[key] == call {
 			delete(c.inflight, key)
@@ -280,7 +280,7 @@ func (c *exprCache) Invalidate() {
 // later write succeeds, so the error path conservatively invalidates
 // rather than let entries that predate the partial write keep serving.
 func (c *exprCache) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
-	res, err := c.passThrough.Ingest(ctx, ops)
+	res, err := c.Forward.Ingest(ctx, ops)
 	if err != nil {
 		if !errors.Is(err, ErrNoIngest) {
 			c.Invalidate()

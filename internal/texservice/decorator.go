@@ -6,45 +6,24 @@ import (
 	"textjoin/internal/textidx"
 )
 
-// passThrough is the embeddable base of every decorator in this package
-// (Cached, ProbeCache, Retrying, Faulty). It implements Service, every
-// optional capability and Unwrap by delegating to the inner service, so a
-// decorator defines only the operations it intercepts and cannot forget
-// to forward the rest. A capability the inner service lacks is refused
-// with its sentinel (ErrNoBatch, ErrNoStats, ErrNoIngest); SearchBatch
-// and the statistics estimator treat that refusal as "degrade", so a
-// decorated service without a capability behaves like the bare one.
-type passThrough struct{ inner Service }
-
-// Search implements Service.
-func (p passThrough) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
-	return p.inner.Search(ctx, e, form)
-}
-
-// Retrieve implements Service.
-func (p passThrough) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
-	return p.inner.Retrieve(ctx, id)
-}
-
-// NumDocs implements Service.
-func (p passThrough) NumDocs() (int, error) { return p.inner.NumDocs() }
-
-// MaxTerms implements Service.
-func (p passThrough) MaxTerms() int { return p.inner.MaxTerms() }
-
-// ShortFields implements Service.
-func (p passThrough) ShortFields() []string { return p.inner.ShortFields() }
-
-// Meter implements Service: the inner service's meter.
-func (p passThrough) Meter() *Meter { return p.inner.Meter() }
+// Forward is the embeddable base of every decorator (Cached, ProbeCache,
+// Retrying, Faulty in this package). It implements Service by promotion
+// from the inner service, and every optional capability and Unwrap by
+// delegating to it, so a decorator defines only the operations it
+// intercepts and cannot forget to forward the rest. A capability the
+// inner service lacks is refused with its sentinel (ErrNoBatch,
+// ErrNoStats, ErrNoIngest); SearchBatch and the statistics estimator
+// treat that refusal as "degrade", so a decorated service without a
+// capability behaves like the bare one.
+type Forward struct{ Service }
 
 // Unwrap exposes the decorated service, so serving layers can walk a
 // decorator chain (e.g. a probe cache stacked on a search cache).
-func (p passThrough) Unwrap() Service { return p.inner }
+func (f Forward) Unwrap() Service { return f.Service }
 
 // BatchSearch implements BatchSearcher when the inner service does.
-func (p passThrough) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
-	b, ok := p.inner.(BatchSearcher)
+func (f Forward) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
+	b, ok := f.Service.(BatchSearcher)
 	if !ok {
 		return nil, ErrNoBatch
 	}
@@ -52,8 +31,8 @@ func (p passThrough) BatchSearch(ctx context.Context, exprs []textidx.Expr, form
 }
 
 // TermDocFrequency implements StatsProvider when the inner service does.
-func (p passThrough) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
-	sp, ok := p.inner.(StatsProvider)
+func (f Forward) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
+	sp, ok := f.Service.(StatsProvider)
 	if !ok {
 		return 0, ErrNoStats
 	}
@@ -61,13 +40,13 @@ func (p passThrough) TermDocFrequency(ctx context.Context, field, term string) (
 }
 
 // Ingest implements Ingestor when the inner service does.
-func (p passThrough) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
-	return IngestInto(ctx, p.inner, ops)
+func (f Forward) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
+	return IngestInto(ctx, f.Service, ops)
 }
 
 // IndexVersion implements Versioned when the inner service does.
-func (p passThrough) IndexVersion(ctx context.Context) (uint64, error) {
-	v, ok := p.inner.(Versioned)
+func (f Forward) IndexVersion(ctx context.Context) (uint64, error) {
+	v, ok := f.Service.(Versioned)
 	if !ok {
 		return 0, ErrNoIngest
 	}
@@ -75,13 +54,13 @@ func (p passThrough) IndexVersion(ctx context.Context) (uint64, error) {
 }
 
 // PinSnapshot implements SnapshotPinner when the inner service does.
-func (p passThrough) PinSnapshot(ctx context.Context) context.Context {
-	return PinSnapshot(ctx, p.inner)
+func (f Forward) PinSnapshot(ctx context.Context) context.Context {
+	return PinSnapshot(ctx, f.Service)
 }
 
 // SnapshotPinned implements PinProber when the inner service does.
-func (p passThrough) SnapshotPinned(ctx context.Context) bool {
-	return SnapshotPinned(ctx, p.inner)
+func (f Forward) SnapshotPinned(ctx context.Context) bool {
+	return SnapshotPinned(ctx, f.Service)
 }
 
 // decorator is what every decorator offers by construction.
@@ -96,4 +75,4 @@ type decorator interface {
 	Unwrap() Service
 }
 
-var _ = [...]decorator{passThrough{}, (*Cached)(nil), (*ProbeCache)(nil), (*Retrying)(nil), (*Faulty)(nil)}
+var _ = [...]decorator{Forward{}, (*Cached)(nil), (*ProbeCache)(nil), (*Retrying)(nil), (*Faulty)(nil)}

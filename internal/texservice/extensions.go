@@ -58,26 +58,23 @@ type BatchSearcher interface {
 }
 
 // TermDocFrequency implements StatsProvider on the local service: it
-// consults the index directly, charging nothing — the statistic export
-// the paper wishes for.
+// consults the latest state directly, charging nothing — the statistic
+// export the paper wishes for. It never resolves a pinned view.
 func (l *Local) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	c := l.read(context.Background())
 	words := textidx.Tokenize(term)
 	switch len(words) {
 	case 0:
 		return 0, nil
 	case 1:
-		return l.index.DocFrequency(field, words[0]), nil
+		return c.DocFrequency(field, words[0]), nil
 	default:
-		// Phrase frequencies need evaluation; do it against the index
-		// without charging the meter (metadata traffic).
-		e, err := textidx.MakeExactPred(field, term)
-		if err != nil {
-			return 0, nil
-		}
-		res, err := l.index.Eval(e)
+		// Phrase frequencies need evaluation; do it without charging the
+		// meter (metadata traffic).
+		res, err := c.Eval(textidx.Phrase{Field: field, Words: words})
 		if err != nil {
 			return 0, err
 		}
@@ -87,7 +84,7 @@ func (l *Local) TermDocFrequency(ctx context.Context, field, term string) (int, 
 
 // BatchSearch implements BatchSearcher on the local service.
 func (l *Local) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
-	return l.search(ctx, "local.batchsearch", exprs, form)
+	return l.search(ctx, l.batchSpan, exprs, form)
 }
 
 // TermLimitError reports a search exceeding the per-invocation term limit.

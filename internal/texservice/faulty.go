@@ -47,7 +47,7 @@ import (
 // inner service lacks is refused before the gate, so a refusal is never
 // counted, delayed or replaced by a fault.
 type Faulty struct {
-	passThrough
+	Forward
 	cfg      FaultConfig
 	latency  atomic.Int64  // current per-operation latency in ns; see SetLatency
 	brownout atomic.Uint64 // latency multiplier as float64 bits; 0 = 1x; see SetBrownout
@@ -163,7 +163,7 @@ func NewFaulty(inner Service, cfg FaultConfig) *Faulty {
 	if seed == 0 {
 		seed = 1
 	}
-	f := &Faulty{passThrough: passThrough{inner}, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	f := &Faulty{Forward: Forward{inner}, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 	f.latency.Store(int64(cfg.Latency))
 	if cfg.Brownout > 0 {
 		f.SetBrownout(cfg.Brownout)
@@ -284,20 +284,20 @@ func inject[T any](ctx context.Context, f *Faulty, docs func(T) int, op func() (
 // Search implements Service.
 func (f *Faulty) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
 	return inject(ctx, f, func(res *Result) int { return len(res.Hits) }, func() (*Result, error) {
-		return f.inner.Search(ctx, e, form)
+		return f.Service.Search(ctx, e, form)
 	})
 }
 
 // Retrieve implements Service.
 func (f *Faulty) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
 	return inject(ctx, f, func(textidx.Document) int { return 1 }, func() (textidx.Document, error) {
-		return f.inner.Retrieve(ctx, id)
+		return f.Service.Retrieve(ctx, id)
 	})
 }
 
 // BatchSearch implements BatchSearcher when the inner service does.
 func (f *Faulty) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
-	if _, ok := f.inner.(BatchSearcher); !ok {
+	if _, ok := f.Service.(BatchSearcher); !ok {
 		return nil, ErrNoBatch
 	}
 	docs := func(out []*Result) (n int) {
@@ -307,17 +307,17 @@ func (f *Faulty) BatchSearch(ctx context.Context, exprs []textidx.Expr, form For
 		return n
 	}
 	return inject(ctx, f, docs, func() ([]*Result, error) {
-		return f.passThrough.BatchSearch(ctx, exprs, form)
+		return f.Forward.BatchSearch(ctx, exprs, form)
 	})
 }
 
 // TermDocFrequency implements StatsProvider when the inner service does.
 func (f *Faulty) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
-	if _, ok := f.inner.(StatsProvider); !ok {
+	if _, ok := f.Service.(StatsProvider); !ok {
 		return 0, ErrNoStats
 	}
 	return inject(ctx, f, nil, func() (int, error) {
-		return f.passThrough.TermDocFrequency(ctx, field, term)
+		return f.Forward.TermDocFrequency(ctx, field, term)
 	})
 }
 
@@ -325,11 +325,11 @@ func (f *Faulty) TermDocFrequency(ctx context.Context, field, term string) (int,
 // through the same fault gate as reads, so chaos suites exercise lost
 // acks and retried batches on the write path too.
 func (f *Faulty) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
-	if _, ok := f.inner.(Ingestor); !ok {
+	if _, ok := f.Service.(Ingestor); !ok {
 		return nil, ErrNoIngest
 	}
 	return inject(ctx, f, nil, func() (*IngestResult, error) {
-		return f.passThrough.Ingest(ctx, ops)
+		return f.Forward.Ingest(ctx, ops)
 	})
 }
 

@@ -160,7 +160,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // capabilities pass through, and one the inner service lacks is refused
 // with its sentinel at once (a refusal is not transient).
 type Retrying struct {
-	passThrough
+	Forward
 	policy RetryPolicy
 
 	mu      sync.Mutex
@@ -172,7 +172,7 @@ type Retrying struct {
 // filled from DefaultRetryPolicy).
 func NewRetrying(inner Service, policy RetryPolicy) *Retrying {
 	p := policy.withDefaults()
-	return &Retrying{passThrough: passThrough{inner}, policy: p, rng: rand.New(rand.NewSource(p.Seed))}
+	return &Retrying{Forward: Forward{inner}, policy: p, rng: rand.New(rand.NewSource(p.Seed))}
 }
 
 // retry runs op under r's retry loop. One span covers the whole logical
@@ -192,7 +192,7 @@ func retry[T any](ctx context.Context, r *Retrying, op string, f func(context.Co
 	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
 		used = attempt + 1
 		if attempt > 0 {
-			r.inner.Meter().ChargeRetry(ctx)
+			r.Service.Meter().ChargeRetry(ctx)
 			r.mu.Lock()
 			r.retries++
 			d := r.policy.delay(r.rng, attempt-1)
@@ -215,28 +215,28 @@ func retry[T any](ctx context.Context, r *Retrying, op string, f func(context.Co
 // Search implements Service.
 func (r *Retrying) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
 	return retry(ctx, r, "search", func(ctx context.Context) (*Result, error) {
-		return r.inner.Search(ctx, e, form)
+		return r.Service.Search(ctx, e, form)
 	})
 }
 
 // Retrieve implements Service.
 func (r *Retrying) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
 	return retry(ctx, r, "retrieve", func(ctx context.Context) (textidx.Document, error) {
-		return r.inner.Retrieve(ctx, id)
+		return r.Service.Retrieve(ctx, id)
 	})
 }
 
 // BatchSearch implements BatchSearcher when the inner service does.
 func (r *Retrying) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
 	return retry(ctx, r, "batch search", func(ctx context.Context) ([]*Result, error) {
-		return r.passThrough.BatchSearch(ctx, exprs, form)
+		return r.Forward.BatchSearch(ctx, exprs, form)
 	})
 }
 
 // TermDocFrequency implements StatsProvider when the inner service does.
 func (r *Retrying) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
 	return retry(ctx, r, "docfreq", func(ctx context.Context) (int, error) {
-		return r.passThrough.TermDocFrequency(ctx, field, term)
+		return r.Forward.TermDocFrequency(ctx, field, term)
 	})
 }
 
@@ -246,14 +246,14 @@ func (r *Retrying) TermDocFrequency(ctx context.Context, field, term string) (in
 // re-applied ops consume fresh sequence numbers but change nothing).
 func (r *Retrying) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
 	return retry(ctx, r, "ingest", func(ctx context.Context) (*IngestResult, error) {
-		return r.passThrough.Ingest(ctx, ops)
+		return r.Forward.Ingest(ctx, ops)
 	})
 }
 
 // IndexVersion implements Versioned when the inner service does.
 func (r *Retrying) IndexVersion(ctx context.Context) (uint64, error) {
 	return retry(ctx, r, "version", func(ctx context.Context) (uint64, error) {
-		return r.passThrough.IndexVersion(ctx)
+		return r.Forward.IndexVersion(ctx)
 	})
 }
 

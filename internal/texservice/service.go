@@ -341,9 +341,31 @@ func (m *Meter) Reset() {
 	m.exceeded = false
 }
 
-// Local serves searches from an in-process index. It implements Service.
+// Corpus is one readable state of an in-process collection: what a Local
+// service evaluates and fetches from. A frozen *textidx.Index is one; a
+// live store's view of its base and delta is another.
+type Corpus interface {
+	// Eval returns the matching docids, ascending, and the postings the
+	// evaluation processed.
+	Eval(e textidx.Expr) (textidx.EvalResult, error)
+	// Doc returns the document with the given id, or an error when the
+	// state holds none.
+	Doc(id textidx.DocID) (textidx.Document, error)
+	// DocFrequency returns the number of documents whose field contains
+	// the one word.
+	DocFrequency(field, word string) int
+	// NumDocs returns the collection size.
+	NumDocs() int
+}
+
+// Local serves searches from an in-process Corpus, resolved per request.
+// It implements Service.
 type Local struct {
-	index *textidx.Index
+	// read resolves the state a request reads; the context lets a live
+	// backend hold a query to the view it pinned.
+	read func(context.Context) Corpus
+	// The span names: <layer>.search, <layer>.batchsearch, <layer>.retrieve.
+	searchSpan, batchSpan, retrieveSpan string
 	// shortFields are the fields included in short-form results.
 	shortFields []string
 	maxTerms    int
@@ -366,33 +388,44 @@ func WithMaxTerms(m int) LocalOption {
 // DefaultMaxTerms is Mercury's limit of 70 search terms per query.
 const DefaultMaxTerms = 70
 
-// NewLocal wraps a frozen index as a Service. Default short fields are
-// title, author and year (the typical bibliographic short record).
+// NewLocal wraps a frozen index as a Service.
 func NewLocal(ix *textidx.Index, opts ...LocalOption) (*Local, error) {
 	if !ix.Frozen() {
 		return nil, fmt.Errorf("texservice: index must be frozen")
 	}
+	return NewCorpusService("local", func(context.Context) Corpus { return ix }, opts...), nil
+}
+
+// NewCorpusService serves, for each request, the Corpus read resolves
+// from the request's context. layer prefixes the span names. Default
+// short fields are title, author and year (the typical bibliographic
+// short record).
+func NewCorpusService(layer string, read func(context.Context) Corpus, opts ...LocalOption) *Local {
 	l := &Local{
-		index:       ix,
-		shortFields: []string{"title", "author", "year"},
-		maxTerms:    DefaultMaxTerms,
-		meter:       NewMeter(DefaultCosts()),
+		read:         read,
+		searchSpan:   layer + ".search",
+		batchSpan:    layer + ".batchsearch",
+		retrieveSpan: layer + ".retrieve",
+		shortFields:  []string{"title", "author", "year"},
+		maxTerms:     DefaultMaxTerms,
+		meter:        NewMeter(DefaultCosts()),
 	}
 	for _, opt := range opts {
 		opt(l)
 	}
-	return l, nil
+	return l
 }
 
 // Search implements Service: a batch of one. The context is honored even
 // though the backend is in-process, so decorators and tests see uniform
 // semantics.
 func (l *Local) Search(ctx context.Context, e textidx.Expr, form Form) (*Result, error) {
-	return Single(l.search(ctx, "local.search", []textidx.Expr{e}, form))
+	return Single(l.search(ctx, l.searchSpan, []textidx.Expr{e}, form))
 }
 
 // search is Local's one request path: the expressions are evaluated in
-// order and charged as one invocation (batched invocation, §8).
+// order against one state and charged as one invocation (batched
+// invocation, §8).
 func (l *Local) search(ctx context.Context, span string, exprs []textidx.Expr, form Form) ([]*Result, error) {
 	ctx, sp := obs.StartSpan(ctx, span)
 	defer sp.End()
@@ -402,20 +435,21 @@ func (l *Local) search(ctx context.Context, span string, exprs []textidx.Expr, f
 	if err := CheckTermLimit(exprs, l.maxTerms); err != nil {
 		return nil, err
 	}
+	c := l.read(ctx)
 	out := make([]*Result, len(exprs))
 	postings, docs := 0, 0
 	for i, e := range exprs {
-		res, err := l.index.Eval(e)
+		res, err := c.Eval(e)
 		if err != nil {
 			return nil, err
 		}
 		r := &Result{Postings: res.Postings, Hits: make([]Hit, 0, len(res.Docs))}
 		for _, id := range res.Docs {
-			doc, err := l.index.Doc(id)
+			doc, err := c.Doc(id)
 			if err != nil {
 				return nil, err
 			}
-			r.Hits = append(r.Hits, ShapeHit(id, doc, form, l.shortFields))
+			r.Hits = append(r.Hits, shapeHit(id, doc, form, l.shortFields))
 		}
 		out[i] = r
 		postings += res.Postings
@@ -430,10 +464,9 @@ func (l *Local) search(ctx context.Context, span string, exprs []textidx.Expr, f
 	return out, nil
 }
 
-// ShapeHit is the hit an in-process backend transmits for one matching
-// document: every field in long form, only the given short fields in
-// short form.
-func ShapeHit(id textidx.DocID, doc textidx.Document, form Form, shortFields []string) Hit {
+// shapeHit is the hit Local transmits for one matching document: every
+// field in long form, only the given short fields in short form.
+func shapeHit(id textidx.DocID, doc textidx.Document, form Form, shortFields []string) Hit {
 	var fields map[string]string
 	if form == FormLong {
 		fields = make(map[string]string, len(doc.Fields))
@@ -462,12 +495,12 @@ func QueryAttr(exprs []textidx.Expr) obs.Attr {
 
 // Retrieve implements Service.
 func (l *Local) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
-	ctx, sp := obs.StartSpan(ctx, "local.retrieve")
+	ctx, sp := obs.StartSpan(ctx, l.retrieveSpan)
 	defer sp.End()
 	if err := ctx.Err(); err != nil {
 		return textidx.Document{}, err
 	}
-	doc, err := l.index.Doc(id)
+	doc, err := l.read(ctx).Doc(id)
 	if err != nil {
 		return textidx.Document{}, err
 	}
@@ -478,8 +511,8 @@ func (l *Local) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Documen
 	return doc, nil
 }
 
-// NumDocs implements Service.
-func (l *Local) NumDocs() (int, error) { return l.index.NumDocs(), nil }
+// NumDocs implements Service: the size of the latest state.
+func (l *Local) NumDocs() (int, error) { return l.read(context.Background()).NumDocs(), nil }
 
 // MaxTerms implements Service.
 func (l *Local) MaxTerms() int { return l.maxTerms }
@@ -494,8 +527,15 @@ func (l *Local) ShortFields() []string {
 	return out
 }
 
-// Index exposes the underlying index (used by the remote server and by
-// statistics extraction in tests).
-func (l *Local) Index() *textidx.Index { return l.index }
+// Index exposes the frozen index a NewLocal service serves (tests use it
+// as their oracle's collection), or nil when the service reads some other
+// Corpus.
+func (l *Local) Index() *textidx.Index {
+	ix, _ := l.read(context.Background()).(*textidx.Index)
+	return ix
+}
 
-var _ Service = (*Local)(nil)
+var (
+	_ Service = (*Local)(nil)
+	_ Corpus  = (*textidx.Index)(nil)
+)

@@ -41,6 +41,7 @@ func (c *Corpus) ReplicatedService(partitions, r int, live bool,
 			_ = st.Close()
 		}
 	}
+	opts := []texservice.LocalOption{texservice.WithShortFields("title", "author", "year")}
 	groups := make([][]texservice.Service, partitions)
 	for p, part := range parts {
 		groups[p] = make([]texservice.Service, r)
@@ -58,11 +59,9 @@ func (c *Corpus) ReplicatedService(partitions, r int, live bool,
 					return nil, nil, func() {}, err
 				}
 				stores = append(stores, store)
-				svc = ingest.NewLive(store,
-					ingest.WithShortFields("title", "author", "year"))
+				svc = ingest.NewLive(store, opts...)
 			} else {
-				local, err := texservice.NewLocal(part,
-					texservice.WithShortFields("title", "author", "year"))
+				local, err := texservice.NewLocal(part, opts...)
 				if err != nil {
 					cleanup()
 					return nil, nil, func() {}, err

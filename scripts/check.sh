@@ -132,8 +132,12 @@ go test -run NONE -fuzz FuzzServerDispatch -fuzztime 5s ./internal/texservice
 # Live-ingest gates: the WAL torture tests (torn tail, corrupt CRC,
 # double replay), the model-based store property test, snapshot
 # isolation, cache-staleness regression and the live join-equivalence
-# suite, all under the race detector.
+# suite, all under the race detector. Live ≡ Local: the live service is
+# texservice.Local over the store's views, so with an empty delta, and
+# after writes folded by a compaction, it must answer, charge and fail
+# exactly as Local over the same frozen index.
 go test -race ./internal/ingest/...
+gate TestLiveEqualsLocal ./internal/ingest -race
 gate TestLiveIngest ./internal/join -race
 
 # Crash-recovery smoke: start textserve with a WAL directory, ingest a
@@ -151,6 +155,11 @@ gate TestLiveIngest ./internal/join -race
 #    unconsumed loser attempt fails this.
 gate 'TestJoinMethodsOverReplicated|TestFailover|TestProbeReadmission' ./internal/replica -race
 gate TestHedgeCancellationNoLeaks ./internal/replica -race
+
+# Hedge-budget allocation gate: a warm Set computes the p95 hedge budget
+# of every hedged call without allocating (the sorted copy of the latency
+# ring is the Set's own, and is re-sorted only after a new sample).
+gate TestHedgeBudgetAllocs ./internal/replica
 
 # The one composition the binaries ship, under the race detector:
 # appcfg.DialText over three TCP servers as "-remote a,b|c -retries 3",
