@@ -121,7 +121,7 @@ func runIngest(w io.Writer, arg string, cfg config) error {
 	if err != nil {
 		return err
 	}
-	res, err := texservice.IngestInto(context.Background(), svc, ops)
+	res, err := svc.Ingest(context.Background(), ops)
 	if err != nil {
 		return err
 	}

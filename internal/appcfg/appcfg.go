@@ -297,7 +297,7 @@ func (c *EngineConfig) BuildEngine() (*core.Engine, func(), error) {
 		var fleet *replica.Fleet
 		var err error
 		svc, fleet, cleanup, err = demo.Corpus.ReplicatedService(parts, r,
-			c.LiveIngest, nil, c.replicaOptions(), c.shardOptions()...)
+			c.LiveIngest, c.replicaOptions(), c.shardOptions()...)
 		if err != nil {
 			cleanup()
 			return nil, nil, err

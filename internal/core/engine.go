@@ -297,7 +297,7 @@ func (p *Prepared) Run() (*Result, error) {
 // before it has read anything.
 func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
 	for _, svc := range p.services {
-		ctx = texservice.PinSnapshot(ctx, svc)
+		ctx = svc.PinSnapshot(ctx)
 	}
 	ex := &exec.Executor{Cat: p.engine.catalog, Svc: inertService{}, Services: p.services}
 	ectx, esp := obs.StartSpan(ctx, "execute")

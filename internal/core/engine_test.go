@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -243,6 +244,22 @@ func TestInertService(t *testing.T) {
 	}
 	if s.MaxTerms() != texservice.DefaultMaxTerms || s.ShortFields() != nil || s.Meter() == nil {
 		t.Fatal("inert accessors wrong")
+	}
+	// Every optional capability is refused with its sentinel.
+	if _, err := s.BatchSearch(bg, nil, texservice.FormShort); !errors.Is(err, texservice.ErrNoBatch) {
+		t.Fatalf("inert batch search: %v", err)
+	}
+	if _, err := s.TermDocFrequency(bg, "title", "x"); !errors.Is(err, texservice.ErrNoStats) {
+		t.Fatalf("inert docfreq: %v", err)
+	}
+	if _, err := s.Ingest(bg, nil); !errors.Is(err, texservice.ErrNoIngest) {
+		t.Fatalf("inert ingest: %v", err)
+	}
+	if _, err := s.IndexVersion(bg); !errors.Is(err, texservice.ErrNoIngest) {
+		t.Fatalf("inert version: %v", err)
+	}
+	if s.PinSnapshot(bg) != bg || s.SnapshotPinned(bg) {
+		t.Fatal("inert service pins")
 	}
 }
 

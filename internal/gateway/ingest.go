@@ -53,7 +53,7 @@ func (g *Gateway) Ingest(ctx context.Context, req IngestRequest) (*IngestRespons
 	}
 	ctx, sp := obs.StartSpan(ctx, "gateway.ingest")
 	defer sp.End()
-	ack, err := texservice.IngestInto(ctx, svc, req.Ops)
+	ack, err := svc.Ingest(ctx, req.Ops)
 	if err != nil {
 		g.ctrs.ingestFailed.Add(1)
 		return nil, fmt.Errorf("gateway: ingest into %q: %w", source, err)

@@ -175,3 +175,42 @@ func checkSame(t *testing.T, step string, live *ingest.Live, local *texservice.L
 		t.Fatalf("%s: the calls charged %+v; the comparison saw no work", step, u)
 	}
 }
+
+// TestLiveNumDocsAllocs: an unpinned read loads the view the store
+// published for its latest state instead of building one, so NumDocs
+// allocates nothing — before and after writes and a compaction.
+func TestLiveNumDocsAllocs(t *testing.T) {
+	c := workload.NewCorpus(workload.CorpusConfig{Docs: 50, Seed: 3})
+	store, err := ingest.Open(c.Index, ingest.Options{CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	live := ingest.NewLive(store)
+	check := func(when string, want int) {
+		t.Helper()
+		if n, err := live.NumDocs(); err != nil || n != want {
+			t.Fatalf("%s: NumDocs = %d, %v; want %d", when, n, err, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { live.NumDocs() }); allocs != 0 {
+			t.Fatalf("%s: NumDocs allocates %v times per call, want 0", when, allocs)
+		}
+	}
+	check("fresh", 50)
+	first, err := c.Index.Doc(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []texservice.IngestOp{
+		{Kind: texservice.IngestPut, ExtID: "alloc-1", Fields: map[string]string{"title": "allocation report"}},
+		{Kind: texservice.IngestDelete, ExtID: first.ExtID},
+	}
+	if _, err := live.Ingest(context.Background(), ops); err != nil {
+		t.Fatal(err)
+	}
+	check("after a write", 50)
+	if err := store.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	check("after a compaction", 50)
+}

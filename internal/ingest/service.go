@@ -109,10 +109,4 @@ func (l *Live) IndexVersion(ctx context.Context) (uint64, error) {
 	return l.store.Version(), nil
 }
 
-var (
-	_ texservice.Service       = (*Live)(nil)
-	_ texservice.Ingestor      = (*Live)(nil)
-	_ texservice.Versioned     = (*Live)(nil)
-	_ texservice.StatsProvider = (*Live)(nil)
-	_ texservice.BatchSearcher = (*Live)(nil)
-)
+var _ texservice.Service = (*Live)(nil)

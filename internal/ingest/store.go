@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"textjoin/internal/obs"
@@ -66,6 +67,11 @@ type Store struct {
 	applied   uint64                   // last applied seq == index version
 	live      int                      // visible docs at the latest seq
 	snapSeq   uint64                   // last seq folded into the on-disk snapshot
+
+	// view is the latest state as a View, published under the write lock
+	// wherever that state changes, so an unpinned read loads it instead
+	// of building one.
+	view atomic.Pointer[View]
 
 	compacting  bool
 	lastCompact time.Time
@@ -171,6 +177,7 @@ func Open(base *textidx.Index, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
+	s.publishLocked()
 	return s, nil
 }
 
@@ -285,6 +292,7 @@ func (s *Store) Apply(ctx context.Context, ops []texservice.IngestOp) (*texservi
 	}
 	s.applied = first + uint64(len(ops)) - 1
 	version := s.applied
+	s.publishLocked()
 	s.applyCond.Broadcast()
 	compact := s.shouldCompactLocked()
 	s.mu.Unlock()
@@ -307,6 +315,7 @@ func (s *Store) skipSeqs(first uint64, n int) {
 		s.applyCond.Wait()
 	}
 	s.applied = first + uint64(n) - 1
+	s.publishLocked()
 	s.applyCond.Broadcast()
 	s.mu.Unlock()
 }
@@ -375,11 +384,13 @@ type View struct {
 // Seq returns the sequence number the view is pinned at.
 func (v *View) Seq() uint64 { return v.seq }
 
-// CurrentView captures a view of the latest acknowledged state.
-func (s *Store) CurrentView() *View {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return &View{
+// CurrentView returns the view of the latest acknowledged state.
+func (s *Store) CurrentView() *View { return s.view.Load() }
+
+// publishLocked publishes the current state as the view unpinned reads
+// get. The caller holds the write lock (or, in Open, owns the store).
+func (s *Store) publishLocked() {
+	s.view.Store(&View{
 		mu:        &s.mu,
 		seq:       s.applied,
 		base:      s.base,
@@ -388,7 +399,7 @@ func (s *Store) CurrentView() *View {
 		deltaLen:  s.delta.NumDocs(),
 		tomb:      s.tomb,
 		numDocs:   s.live,
-	}
+	})
 }
 
 // live reports whether docid id is not tombstoned at or before the
@@ -482,11 +493,7 @@ func (v *View) NumDocs() int { return v.numDocs }
 var _ texservice.Corpus = (*View)(nil)
 
 // Version returns the index version: the last applied sequence number.
-func (s *Store) Version() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.applied
-}
+func (s *Store) Version() uint64 { return s.CurrentView().Seq() }
 
 // Compactions reports how many compactions have completed.
 func (s *Store) Compactions() uint64 {
@@ -655,6 +662,7 @@ func (s *Store) Compact(ctx context.Context) error {
 	s.tomb = newTomb
 	s.snapSeq = cut
 	s.compactions++
+	s.publishLocked()
 	s.mu.Unlock()
 
 	if sp != nil {

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"testing"
 
 	"textjoin/internal/texservice"
@@ -48,26 +49,17 @@ func TestTSBatchEquivalentAndAmortised(t *testing.T) {
 	}
 }
 
-func TestTSBatchRequiresCapability(t *testing.T) {
-	ix := corpus(t)
-	svc := service(t, ix)
-	spec := q3Spec(t, false)
-	// Wrap the service to hide the capability.
-	if err := (TS{Batched: true}).Applicable(spec, noBatch{svc}); err == nil {
-		t.Fatal("TS(batched) applicable without BatchSearcher")
-	}
-	if _, err := (TS{Batched: true}).Execute(bg, spec, noBatch{svc}); err == nil {
-		t.Fatal("TS(batched) executed without BatchSearcher")
-	}
-}
-
-// noBatch hides the batch capability of a service.
+// noBatch refuses batched invocation, as a service without it does.
 type noBatch struct{ texservice.Service }
 
-// TestTSBatchOverDecoratorWithoutBatching: a decorator offers BatchSearch
-// by construction, so batched TS is applicable over a cache whose backend
-// cannot batch; the refusal from below degrades to one search per
-// binding and the answer is still the naive join's.
+func (noBatch) BatchSearch(context.Context, []textidx.Expr, texservice.Form) ([]*texservice.Result, error) {
+	return nil, texservice.ErrNoBatch
+}
+
+// TestTSBatchOverDecoratorWithoutBatching: batched TS is applicable over
+// a service that refuses batched invocation, bare or behind a cache that
+// passes the refusal on; the refusal degrades to one search per binding
+// and the answer is still the naive join's.
 func TestTSBatchOverDecoratorWithoutBatching(t *testing.T) {
 	ix := corpus(t)
 	spec := q3Spec(t, false)
@@ -75,20 +67,29 @@ func TestTSBatchOverDecoratorWithoutBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := texservice.NewCached(noBatch{service(t, ix)}, 64)
-	if err := (TS{Batched: true}).Applicable(spec, svc); err != nil {
-		t.Fatalf("TS(batched) not applicable over a decorator: %v", err)
-	}
-	res, err := TS{Batched: true}.Execute(bg, spec, svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SameRows(res.Table, want) {
-		t.Fatal("TS(batched) over a decorator without batching differs from naive")
-	}
-	// 8 distinct bindings, each its own search.
-	if res.Stats.Usage.Searches != 8 {
-		t.Fatalf("degraded TS(batched) used %d searches, want 8", res.Stats.Usage.Searches)
+	for _, tc := range []struct {
+		name string
+		svc  texservice.Service
+	}{
+		{"bare", noBatch{service(t, ix)}},
+		{"decorated", texservice.NewCached(noBatch{service(t, ix)}, 64)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := (TS{Batched: true}).Applicable(spec, tc.svc); err != nil {
+				t.Fatalf("TS(batched) not applicable: %v", err)
+			}
+			res, err := TS{Batched: true}.Execute(bg, spec, tc.svc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !SameRows(res.Table, want) {
+				t.Fatal("TS(batched) over a service without batching differs from naive")
+			}
+			// 8 distinct bindings, each its own search.
+			if res.Stats.Usage.Searches != 8 {
+				t.Fatalf("degraded TS(batched) used %d searches, want 8", res.Stats.Usage.Searches)
+			}
+		})
 	}
 }
 

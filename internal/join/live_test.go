@@ -153,11 +153,7 @@ func TestLiveIngestAllMethodsAgreeWithNaive(t *testing.T) {
 
 			for _, n := range []int{1, 2, 4} {
 				svc, stores := liveFederation(t, n)
-				ing, ok := svc.(texservice.Ingestor)
-				if !ok {
-					t.Fatalf("n=%d: federation does not support ingest", n)
-				}
-				if _, err := ing.Ingest(bg, liveMutations()); err != nil {
+				if _, err := svc.Ingest(bg, liveMutations()); err != nil {
 					t.Fatalf("n=%d: ingest: %v", n, err)
 				}
 				for _, m := range liveMethods(withSel) {
@@ -238,18 +234,14 @@ func TestLiveIngestThroughDecoratedStack(t *testing.T) {
 // sum of shard versions advances with every broadcast batch.
 func TestLiveIngestVersionSum(t *testing.T) {
 	svc, _ := liveFederation(t, 2)
-	v, ok := svc.(texservice.Versioned)
-	if !ok {
-		t.Fatal("federation does not report a version")
-	}
-	v0, err := v.IndexVersion(bg)
+	v0, err := svc.IndexVersion(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.(texservice.Ingestor).Ingest(bg, liveMutations()); err != nil {
+	if _, err := svc.Ingest(bg, liveMutations()); err != nil {
 		t.Fatal(err)
 	}
-	v1, err := v.IndexVersion(bg)
+	v1, err := svc.IndexVersion(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,16 +290,15 @@ func TestLiveIngestShardedPinsPerShardAtFirstRead(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	ing := fed.(texservice.Ingestor)
 
-	pinned := texservice.PinSnapshot(bg, fed)
-	if _, err := ing.Ingest(bg, []texservice.IngestOp{zebrafish(a1)}); err != nil {
+	pinned := fed.PinSnapshot(bg)
+	if _, err := fed.Ingest(bg, []texservice.IngestOp{zebrafish(a1)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := exts(pinned, shard0); !reflect.DeepEqual(got, []string{a1}) {
 		t.Fatalf("shard 0 first read sees %v, want [%s] (acked before the read)", got, a1)
 	}
-	if _, err := ing.Ingest(bg, []texservice.IngestOp{zebrafish(a2), zebrafish(b1)}); err != nil {
+	if _, err := fed.Ingest(bg, []texservice.IngestOp{zebrafish(a2), zebrafish(b1)}); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{a1, b1}
@@ -321,7 +312,7 @@ func TestLiveIngestShardedPinsPerShardAtFirstRead(t *testing.T) {
 		t.Fatalf("unpinned federation search sees %v, want %v", got, all)
 	}
 	// Both shards are resolved now: nothing moves on a repeat.
-	if _, err := ing.Ingest(bg, []texservice.IngestOp{zebrafish("z-late")}); err != nil {
+	if _, err := fed.Ingest(bg, []texservice.IngestOp{zebrafish("z-late")}); err != nil {
 		t.Fatal(err)
 	}
 	if got := exts(pinned, fed); !reflect.DeepEqual(got, want) {

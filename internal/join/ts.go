@@ -2,7 +2,6 @@ package join
 
 import (
 	"context"
-	"fmt"
 
 	"textjoin/internal/texservice"
 	"textjoin/internal/textidx"
@@ -31,8 +30,8 @@ func (m TS) Name() string {
 }
 
 // Applicable implements Method: every substituted query must fit in one
-// search, and batched substitution needs a service that supports batched
-// invocation.
+// search. Batched substitution over a service that refuses batched
+// invocation degrades to one search per binding.
 func (m TS) Applicable(spec *Spec, svc texservice.Service) error {
 	_, err := m.bindings(spec, svc)
 	return err
@@ -44,11 +43,6 @@ func (m TS) Applicable(spec *Spec, svc texservice.Service) error {
 func (m TS) bindings(spec *Spec, svc texservice.Service) ([]conjBinding, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if m.Batched {
-		if _, ok := svc.(texservice.BatchSearcher); !ok {
-			return nil, fmt.Errorf("join: %w", texservice.ErrNoBatch)
-		}
 	}
 	return spec.conjuncts(svc, "a substituted query")
 }

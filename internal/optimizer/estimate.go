@@ -10,7 +10,6 @@ import (
 	"textjoin/internal/plan"
 	"textjoin/internal/relation"
 	"textjoin/internal/sqlparse"
-	"textjoin/internal/texservice"
 )
 
 // Classic System-R style selectivity guesses for relational predicates.
@@ -315,7 +314,7 @@ func (o *Optimizer) costParams(source string, card float64, predIdxs []int, prob
 			TermsMax: e.TermsMax,
 		})
 	}
-	p.BatchProbe = o.opts.BatchProbe && o.canBatchProbe(source)
+	p.BatchProbe = o.opts.BatchProbe
 	if st, ok := o.selStats[source]; ok {
 		p.HasSel = true
 		p.SelFanout = st.Fanout
@@ -399,18 +398,6 @@ func (o *Optimizer) probeCand(c cand, source string, avail []int, subset []int, 
 		Batched: batched,
 	}
 	return out
-}
-
-// canBatchProbe reports whether the source's service can execute batched
-// probes: either the probe fields travel in the short form (so OR-packed
-// batches can be attributed relationally) or the service offers batched
-// invocation.
-func (o *Optimizer) canBatchProbe(source string) bool {
-	if o.shortFieldsCover(source) {
-		return true
-	}
-	_, ok := o.services[source].(texservice.BatchSearcher)
-	return ok
 }
 
 // textJoinCands generates the foreign-join candidates of one source for

@@ -49,15 +49,13 @@ func FreshReads(ctx context.Context) bool {
 // replica applies batches in the same order — the replay buffer's order
 // IS the write order. Replicas still applying when quorum is reached
 // finish in the background: a hung replica must not hold every writer
-// hostage once enough copies have the batch.
+// hostage once enough copies have the batch. A replica's refusal
+// (texservice.Refused) is its answer, not a miss: it marks no replica
+// lagging, and a batch every replica refused is the Set's refusal and
+// is not kept for replay.
 func (s *Set) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texservice.IngestResult, error) {
 	if err := texservice.ValidateIngest(ops); err != nil {
 		return nil, err
-	}
-	for i, r := range s.replicas {
-		if _, ok := r.svc.(texservice.Ingestor); !ok {
-			return nil, fmt.Errorf("replica %d: %w", i, texservice.ErrNoIngest)
-		}
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
@@ -102,7 +100,7 @@ func (s *Set) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texservic
 	// broadcast has been fully recorded (tests and drain monitors key on
 	// it).
 	var best *texservice.IngestResult
-	acked := 0
+	acked, refused := 0, 0
 	var firstErr error
 	for pending := len(s.replicas); pending > 0; pending-- {
 		a := <-acks
@@ -110,8 +108,10 @@ func (s *Set) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texservic
 			if firstErr == nil {
 				firstErr = a.err
 			}
-			a.r.lagging.Store(true)
-			s.observeFailure(a.r, false)
+			if texservice.Refused(a.err) {
+				refused++
+			}
+			s.missed(a.r, a.err)
 			s.applying.Add(-1)
 			continue
 		}
@@ -132,10 +132,8 @@ func (s *Set) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texservic
 		if rest := pending - 1; rest > 0 {
 			go func() {
 				for i := 0; i < rest; i++ {
-					a := <-acks
-					if a.err != nil {
-						a.r.lagging.Store(true)
-						s.observeFailure(a.r, false)
+					if a := <-acks; a.err != nil {
+						s.missed(a.r, a.err)
 					}
 					s.applying.Add(-1)
 				}
@@ -144,8 +142,29 @@ func (s *Set) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texservic
 		s.version.Store(best.Version)
 		return best, nil
 	}
+	if refused == len(s.replicas) {
+		// Applied nowhere: the batch takes no place in the write order.
+		// Every apply of it has returned, and ingestMu is held, so it is
+		// still the newest batch.
+		s.nextBatch--
+		s.replayMu.Lock()
+		if n := len(s.replay); n > 0 && s.replay[n-1].batch == batch {
+			s.replay = s.replay[:n-1]
+		}
+		s.replayMu.Unlock()
+		return nil, firstErr
+	}
 	return nil, fmt.Errorf("replica: ingest acked by %d/%d replicas, quorum is %d: %w",
 		acked, len(s.replicas), s.opts.writeQuorum, firstErr)
+}
+
+// missed books a replica's failed apply: the replica lags and counts a
+// failure. A refusal is an answer and books nothing.
+func (s *Set) missed(r *replicaState, err error) {
+	if !texservice.Refused(err) {
+		r.lagging.Store(true)
+		s.observeFailure(r, false)
+	}
 }
 
 // applyTo pushes one batch into one replica, replaying any batches it
@@ -184,7 +203,7 @@ func (s *Set) applyTo(ctx context.Context, r *replicaState, batch int64, ops []t
 				r.idx, need-int64(len(gap)), s.opts.replayDepth)
 		}
 		for _, e := range gap {
-			res, err := texservice.IngestInto(ctx, r.svc, e.ops)
+			res, err := r.svc.Ingest(ctx, e.ops)
 			if err != nil {
 				return nil, fmt.Errorf("replica %d: replay batch %d: %w", r.idx, e.batch, err)
 			}
@@ -192,7 +211,7 @@ func (s *Set) applyTo(ctx context.Context, r *replicaState, batch int64, ops []t
 			r.version.Store(res.Version)
 		}
 	}
-	res, err := texservice.IngestInto(ctx, r.svc, ops)
+	res, err := r.svc.Ingest(ctx, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -209,27 +228,23 @@ func (s *Set) IndexVersion(ctx context.Context) (uint64, error) {
 		return v, nil
 	}
 	// No writes through this Set yet: ask a replica (they agree at rest).
+	// A refusal is the answer; a failure moves on to the next replica.
 	var firstErr error
 	for _, r := range s.replicas {
-		if ver, ok := r.svc.(texservice.Versioned); ok {
-			v, err := ver.IndexVersion(ctx)
-			if err == nil {
-				return v, nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
+		v, err := r.svc.IndexVersion(ctx)
+		if err == nil || texservice.Refused(err) {
+			return v, err
+		}
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return 0, nil
+	return 0, firstErr
 }
 
-// PinSnapshot implements texservice.SnapshotPinner by delegating to the
-// replicas that support it, and marks the context for fresh reads so the
-// gate keeps pinned queries off replicas whose view is behind the pin.
+// PinSnapshot implements texservice.SnapshotPinner by pinning every
+// replica, and marks the context for fresh reads so the gate keeps
+// pinned queries off replicas whose view is behind the pin.
 // A replica may capture its view lazily, at its own first read
 // (ingest.Live does); the Set's read path therefore resolves every
 // replica's pin (SnapshotPinned) at the query's first read of the Set,
@@ -240,7 +255,7 @@ func (s *Set) IndexVersion(ctx context.Context) (uint64, error) {
 // others'.
 func (s *Set) PinSnapshot(ctx context.Context) context.Context {
 	for _, r := range s.replicas {
-		ctx = texservice.PinSnapshot(ctx, r.svc)
+		ctx = r.svc.PinSnapshot(ctx)
 	}
 	return WithFreshReads(ctx)
 }
@@ -252,7 +267,7 @@ func (s *Set) PinSnapshot(ctx context.Context) context.Context {
 func (s *Set) SnapshotPinned(ctx context.Context) bool {
 	behind := false
 	for _, r := range s.replicas {
-		if texservice.SnapshotPinned(ctx, r.svc) {
+		if r.svc.SnapshotPinned(ctx) {
 			behind = true
 		}
 	}
@@ -269,10 +284,3 @@ func (s *Set) Lagging() []int {
 	}
 	return out
 }
-
-var (
-	_ texservice.Ingestor       = (*Set)(nil)
-	_ texservice.Versioned      = (*Set)(nil)
-	_ texservice.SnapshotPinner = (*Set)(nil)
-	_ texservice.PinProber      = (*Set)(nil)
-)

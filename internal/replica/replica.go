@@ -407,7 +407,9 @@ var errExhausted = errors.New("replica: all replicas failed")
 
 // do routes one operation of s: pick a primary by P2C, hedge to a second
 // replica if the budget elapses, fail over on error, cancel the losers,
-// and report who won. f runs against an individual replica backend with
+// and report who won. A replica's refusal (texservice.Refused) is its
+// answer: it is returned at once, counts no failure and fails over to
+// nobody. f runs against an individual replica backend with
 // the per-query meter detached — the Set's root meter is charged once by
 // the caller with the winner's result, exactly like the shard layer's
 // scatter accounting.
@@ -560,6 +562,12 @@ func do[T any](ctx context.Context, s *Set, op string, fresh bool, f func(contex
 				}
 				return out.v, st, nil
 			}
+			if texservice.Refused(out.err) {
+				if at.probe {
+					at.r.probing.Store(false)
+				}
+				return zero, st, out.err
+			}
 			if ctx.Err() != nil {
 				if at.probe {
 					at.r.probing.Store(false)
@@ -647,13 +655,6 @@ func (s *Set) search(ctx context.Context, batch bool, exprs []textidx.Expr, form
 	}
 	ctx, sp := obs.StartSpan(ctx, span)
 	defer sp.End()
-	if batch {
-		for i, r := range s.replicas {
-			if _, ok := r.svc.(texservice.BatchSearcher); !ok {
-				return nil, fmt.Errorf("replica %d: %w", i, texservice.ErrNoBatch)
-			}
-		}
-	}
 	if err := texservice.CheckTermLimit(exprs, s.maxTerms); err != nil {
 		return nil, err
 	}
@@ -719,24 +720,18 @@ func (s *Set) ShortFields() []string {
 // logical operation with the winner's result plus hedge/retry overhead.
 func (s *Set) Meter() *texservice.Meter { return s.meter }
 
-// BatchSearch implements texservice.BatchSearcher when every replica
-// does: the whole batch is routed to one replica (hedged and failed over
+// BatchSearch implements texservice.BatchSearcher: the whole batch is routed to one replica (hedged and failed over
 // like any call) and charged as a single invocation.
 func (s *Set) BatchSearch(ctx context.Context, exprs []textidx.Expr, form texservice.Form) ([]*texservice.Result, error) {
 	return s.search(ctx, true, exprs, form)
 }
 
-// TermDocFrequency implements texservice.StatsProvider when every
-// replica does. Statistics are metadata traffic: routed (and failed
-// over) like any call, but charged nothing.
+// TermDocFrequency implements texservice.StatsProvider. Statistics are
+// metadata traffic: routed (and failed over) like any call, but charged
+// nothing.
 func (s *Set) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
-	for i, r := range s.replicas {
-		if _, ok := r.svc.(texservice.StatsProvider); !ok {
-			return 0, fmt.Errorf("replica %d: %w", i, texservice.ErrNoStats)
-		}
-	}
 	df, _, err := do(ctx, s, "docfreq", FreshReads(ctx), func(ctx context.Context, svc texservice.Service) (int, error) {
-		return svc.(texservice.StatsProvider).TermDocFrequency(ctx, field, term)
+		return svc.TermDocFrequency(ctx, field, term)
 	})
 	return df, err
 }
@@ -751,8 +746,4 @@ func (s *Set) InFlight() []int {
 	return out
 }
 
-var (
-	_ texservice.Service       = (*Set)(nil)
-	_ texservice.BatchSearcher = (*Set)(nil)
-	_ texservice.StatsProvider = (*Set)(nil)
-)
+var _ texservice.Service = (*Set)(nil)

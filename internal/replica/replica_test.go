@@ -93,29 +93,33 @@ func (k *killable) BatchSearch(ctx context.Context, exprs []textidx.Expr, form t
 	if err := k.gate(); err != nil {
 		return nil, err
 	}
-	return k.inner.(texservice.BatchSearcher).BatchSearch(ctx, exprs, form)
+	return k.inner.BatchSearch(ctx, exprs, form)
 }
 
 func (k *killable) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
 	if err := k.gate(); err != nil {
 		return 0, err
 	}
-	return k.inner.(texservice.StatsProvider).TermDocFrequency(ctx, field, term)
+	return k.inner.TermDocFrequency(ctx, field, term)
 }
 
 func (k *killable) Ingest(ctx context.Context, ops []texservice.IngestOp) (*texservice.IngestResult, error) {
 	if err := k.gate(); err != nil {
 		return nil, err
 	}
-	return texservice.IngestInto(ctx, k.inner, ops)
+	return k.inner.Ingest(ctx, ops)
 }
 
 func (k *killable) IndexVersion(ctx context.Context) (uint64, error) {
-	v, ok := k.inner.(texservice.Versioned)
-	if !ok {
-		return 0, texservice.ErrNoIngest
-	}
-	return v.IndexVersion(ctx)
+	return k.inner.IndexVersion(ctx)
+}
+
+func (k *killable) PinSnapshot(ctx context.Context) context.Context {
+	return k.inner.PinSnapshot(ctx)
+}
+
+func (k *killable) SnapshotPinned(ctx context.Context) bool {
+	return k.inner.SnapshotPinned(ctx)
 }
 
 func (k *killable) NumDocs() (int, error) {

@@ -41,8 +41,7 @@ import (
 )
 
 // Sharded is a document-partitioned federation of text backends. It
-// implements texservice.Service (plus the batch and statistics
-// capabilities when every shard has them) and is safe for concurrent use.
+// implements texservice.Service and is safe for concurrent use.
 type Sharded struct {
 	shards      []texservice.Service
 	meter       *texservice.Meter
@@ -139,33 +138,45 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// gather folds per-shard outcomes under the failure mode: in strict mode
-// any error aborts; in best-effort mode failed shards are dropped unless
-// every shard failed. It returns the indices of the successful shards and
-// whether any was dropped. The reported error prefers a root cause over
-// a cancellation: in strict mode the first failing shard cancels the
-// rest, and their "context canceled" must not mask why.
-func (s *Sharded) gather(op string, errs []error) (ok []int, partial bool, err error) {
+// gather folds per-shard outcomes under the failure mode (strict is
+// true for writes, which are always strict): in strict mode any error
+// aborts; in best-effort mode failed shards are dropped unless every
+// shard failed. A shard's refusal (texservice.Refused) is the
+// federation's refusal in either mode — an answer, never a dropped
+// shard. It returns the indices of the successful shards and whether
+// any was dropped. The reported error is the first of the highest
+// severity: in strict mode the first failing shard cancels the rest, and
+// their "context canceled" must not mask why.
+func (s *Sharded) gather(op string, strict bool, errs []error) (ok []int, partial bool, err error) {
 	var firstErr error
 	firstShard := -1
 	for k, e := range errs {
-		if e != nil {
-			if firstErr == nil ||
-				(errors.Is(firstErr, context.Canceled) && !errors.Is(e, context.Canceled)) {
-				firstErr, firstShard = e, k
-			}
-			continue
+		if e == nil {
+			ok = append(ok, k)
+		} else if firstErr == nil || severity(e) > severity(firstErr) {
+			firstErr, firstShard = e, k
 		}
-		ok = append(ok, k)
 	}
 	if firstErr == nil {
 		return ok, false, nil
 	}
-	if !s.bestEffort || len(ok) == 0 {
+	if strict || texservice.Refused(firstErr) || len(ok) == 0 {
 		return nil, false, fmt.Errorf("shard: %s on shard %d/%d: %w",
 			op, firstShard, len(s.shards), firstErr)
 	}
 	return ok, true, nil
+}
+
+// severity ranks a shard's error for reporting: a refusal, then a root
+// cause, then a cancellation.
+func severity(err error) int {
+	switch {
+	case texservice.Refused(err):
+		return 2
+	case errors.Is(err, context.Canceled):
+		return 0
+	}
+	return 1
 }
 
 // Search implements texservice.Service: a batch of one.
@@ -185,11 +196,6 @@ func (s *Sharded) search(ctx context.Context, batch bool, exprs []textidx.Expr, 
 	op, span := "search", "shard.search"
 	if batch {
 		op, span = "batch search", "shard.batchsearch"
-		for k, svc := range s.shards {
-			if _, ok := svc.(texservice.BatchSearcher); !ok {
-				return nil, fmt.Errorf("shard %d: %w", k, texservice.ErrNoBatch)
-			}
-		}
 	}
 	ctx, sp := obs.StartSpan(ctx, span)
 	defer sp.End()
@@ -199,7 +205,7 @@ func (s *Sharded) search(ctx context.Context, batch bool, exprs []textidx.Expr, 
 	legs, errs := scatter(ctx, s, func(ctx context.Context, k int, svc texservice.Service) ([]*texservice.Result, error) {
 		return texservice.Invoke(ctx, svc, batch, exprs, form)
 	})
-	ok, partial, err := s.gather(op, errs)
+	ok, partial, err := s.gather(op, !s.bestEffort, errs)
 	if err != nil {
 		return nil, err
 	}

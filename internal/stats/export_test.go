@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"textjoin/internal/texservice"
-	"textjoin/internal/textidx"
 )
 
 // TestStatsExportMatchesProbing: with the §8 exported-statistics
@@ -36,9 +35,9 @@ func TestStatsExportMatchesProbing(t *testing.T) {
 	}
 }
 
-// TestStatsExportFallsBack: a service without the capability silently
-// degrades to probing — also behind a decorator, which claims the
-// capability and refuses it with texservice.ErrNoStats.
+// TestStatsExportFallsBack: a service that refuses statistics with
+// texservice.ErrNoStats silently degrades to probing — also behind a
+// decorator, which passes the refusal on.
 func TestStatsExportFallsBack(t *testing.T) {
 	for _, wrap := range []func(texservice.Service) texservice.Service{
 		func(s texservice.Service) texservice.Service { return hideStats{s} },
@@ -59,16 +58,10 @@ func TestStatsExportFallsBack(t *testing.T) {
 	}
 }
 
-// hideStats strips the StatsProvider capability from a service.
-type hideStats struct{ inner texservice.Service }
+// hideStats refuses statistics, as a service that does not export them
+// does.
+type hideStats struct{ texservice.Service }
 
-func (h hideStats) Search(ctx context.Context, e textidx.Expr, f texservice.Form) (*texservice.Result, error) {
-	return h.inner.Search(ctx, e, f)
+func (hideStats) TermDocFrequency(context.Context, string, string) (int, error) {
+	return 0, texservice.ErrNoStats
 }
-func (h hideStats) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Document, error) {
-	return h.inner.Retrieve(ctx, id)
-}
-func (h hideStats) NumDocs() (int, error)    { return h.inner.NumDocs() }
-func (h hideStats) MaxTerms() int            { return h.inner.MaxTerms() }
-func (h hideStats) ShortFields() []string    { return h.inner.ShortFields() }
-func (h hideStats) Meter() *texservice.Meter { return h.inner.Meter() }

@@ -86,8 +86,7 @@ func WithSeed(seed int64) Option {
 // (texservice.StatsProvider) instead of probe searches when the service
 // offers them — the §8 extension that "eliminates the need for sending
 // all single-column probes". Sampling falls back to probing against
-// services without the capability, or that refuse it with
-// texservice.ErrNoStats.
+// services that refuse them with texservice.ErrNoStats.
 func WithStatsExport() Option {
 	return func(e *Estimator) { e.useExport = true }
 }
@@ -143,8 +142,7 @@ func (e *Estimator) Predicate(tbl *relation.Table, column, field string) (Estima
 		}
 	}
 
-	provider, _ := e.svc.(texservice.StatsProvider)
-	useExport := e.useExport && provider != nil
+	useExport := e.useExport
 
 	matched := 0
 	totalDocs := 0
@@ -165,10 +163,10 @@ func (e *Estimator) Predicate(tbl *relation.Table, column, field string) (Estima
 		}
 		var freq int
 		if useExport {
-			freq, err = provider.TermDocFrequency(context.Background(), field, v.Text())
+			freq, err = e.svc.TermDocFrequency(context.Background(), field, v.Text())
 			if errors.Is(err, texservice.ErrNoStats) {
-				// A layer offers the capability but cannot pass it on:
-				// sample by probing, as without the capability.
+				// The service does not export statistics: sample by
+				// probing.
 				useExport = false
 			} else if err != nil {
 				return Estimate{}, err

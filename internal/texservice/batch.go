@@ -32,9 +32,8 @@ func Single(results []*Result, err error) (*Result, error) {
 }
 
 // Invoke sends exprs to svc as the caller received them: a batch as one
-// BatchSearch (refused with ErrNoBatch when svc lacks the capability,
-// and checked to answer every expression), a single search (batch false,
-// exactly one expression) as Search.
+// BatchSearch (checked to answer every expression), a single search
+// (batch false, exactly one expression) as Search.
 func Invoke(ctx context.Context, svc Service, batch bool, exprs []textidx.Expr, form Form) ([]*Result, error) {
 	if !batch {
 		res, err := svc.Search(ctx, exprs[0], form)
@@ -43,11 +42,7 @@ func Invoke(ctx context.Context, svc Service, batch bool, exprs []textidx.Expr, 
 		}
 		return []*Result{res}, nil
 	}
-	b, ok := svc.(BatchSearcher)
-	if !ok {
-		return nil, ErrNoBatch
-	}
-	results, err := b.BatchSearch(ctx, exprs, form)
+	results, err := svc.BatchSearch(ctx, exprs, form)
 	if err != nil {
 		return nil, err
 	}
@@ -112,20 +107,18 @@ func Pack(n, base, limit int, terms func(i int) int, send func(lo, hi int) error
 // a plain Search so it fails (or succeeds) exactly as an unbatched Search
 // of it would.
 //
-// When the service supports batched invocation (BatchSearcher — the local
-// backend, and shard.Sharded federating each chunk to every shard with
-// per-leg CritCost accounting), each chunk is one invocation; otherwise
-// every expression is searched individually and the invocation count
-// equals the expression count. A service that claims the capability but
-// refuses with ErrNoBatch (a decorator or federation over a backend
-// without it) gets the same fallback.
+// Each chunk is one BatchSearch invocation (shard.Sharded federates it to
+// every shard with per-leg CritCost accounting). Once the service refuses
+// with ErrNoBatch, every remaining expression is searched individually,
+// so over a service without batching the invocation count equals the
+// expression count.
 func SearchBatch(ctx context.Context, svc Service, exprs []textidx.Expr, form Form) ([]*Result, int, error) {
 	if len(exprs) == 0 {
 		return nil, 0, nil
 	}
 	ctx, sp := obs.StartSpan(ctx, "texservice.batch")
 	defer sp.End()
-	batcher, batched := svc.(BatchSearcher)
+	batched := true
 	limit := svc.MaxTerms()
 	out := make([]*Result, len(exprs))
 	invocations := 0
@@ -133,7 +126,7 @@ func SearchBatch(ctx context.Context, svc Service, exprs []textidx.Expr, form Fo
 	err := Pack(len(exprs), 0, limit, terms, func(lo, hi int) error {
 		// A run of one expression over the limit goes as a plain Search.
 		if batched && (hi-lo > 1 || terms(lo) <= limit) {
-			results, err := batcher.BatchSearch(ctx, exprs[lo:hi], form)
+			results, err := svc.BatchSearch(ctx, exprs[lo:hi], form)
 			if err == nil {
 				copy(out[lo:], results)
 				invocations++

@@ -3,7 +3,6 @@ package texservice
 import (
 	"container/list"
 	"context"
-	"errors"
 	"sync"
 
 	"textjoin/internal/obs"
@@ -142,7 +141,7 @@ func (c *exprCache) Search(ctx context.Context, e textidx.Expr, form Form) (*Res
 		ctx, sp = obs.StartSpan(ctx, c.span)
 		defer sp.End()
 	}
-	if SnapshotPinned(ctx, c.Service) {
+	if c.Service.SnapshotPinned(ctx) {
 		// This query's pinned view has fallen behind the current index
 		// version: serving it a current-version entry would break its
 		// snapshot, and filling the cache with its answer would hand
@@ -210,7 +209,7 @@ func (c *exprCache) Search(ctx context.Context, e textidx.Expr, form Form) (*Res
 		// this answer reflects the old pinned view even though the cache
 		// version already moved on. Checked outside the cache lock — it
 		// reads backend state.
-		pinnedBehind := err == nil && SnapshotPinned(ctx, c.Service)
+		pinnedBehind := err == nil && c.Service.SnapshotPinned(ctx)
 		c.mu.Lock()
 		if c.inflight[key] == call {
 			delete(c.inflight, key)
@@ -272,17 +271,16 @@ func (c *exprCache) Invalidate() {
 	c.mu.Unlock()
 }
 
-// Ingest implements Ingestor when the inner service does: the batch is
-// forwarded, and on success the cache adopts the post-write index
+// Ingest implements Ingestor: the batch is forwarded, and on success the cache adopts the post-write index
 // version so stale entries are never served. A failed batch may still be
 // partially applied below (a broadcast ingest can land on some shards
 // before failing on another) and no new version will be adopted until a
 // later write succeeds, so the error path conservatively invalidates
 // rather than let entries that predate the partial write keep serving.
 func (c *exprCache) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
-	res, err := c.Forward.Ingest(ctx, ops)
+	res, err := c.Service.Ingest(ctx, ops)
 	if err != nil {
-		if !errors.Is(err, ErrNoIngest) {
+		if !Refused(err) {
 			c.Invalidate()
 		}
 		return nil, err

@@ -289,7 +289,7 @@ func (r *Remote) call(ctx context.Context, op string, req wireRequest) (*wireRes
 // its sentinel across the wire, so a client of a server without batching,
 // statistics or ingest degrades exactly as an in-process caller would.
 func replyError(op, msg string) error {
-	for _, refusal := range []error{ErrNoBatch, ErrNoStats, ErrNoIngest} {
+	for _, refusal := range refusals {
 		if prefix, ok := strings.CutSuffix(msg, refusal.Error()); ok {
 			return fmt.Errorf("texservice: %s: %s%w", op, prefix, refusal)
 		}
@@ -399,6 +399,13 @@ func (r *Remote) TermDocFrequency(ctx context.Context, field, term string) (int,
 	}
 	return resp.DocFreq, nil
 }
+
+// PinSnapshot implements SnapshotPinner: a remote's isolation is per
+// call, so there is nothing to pin.
+func (r *Remote) PinSnapshot(ctx context.Context) context.Context { return ctx }
+
+// SnapshotPinned implements PinProber: a remote never pins.
+func (r *Remote) SnapshotPinned(context.Context) bool { return false }
 
 // NumDocs implements Service.
 func (r *Remote) NumDocs() (int, error) { return r.numDocs, nil }

@@ -10,9 +10,33 @@ import (
 	"textjoin/internal/textidx"
 )
 
-// capless hides the inner service's optional capabilities: its method set
-// is exactly the Service interface.
+// capless refuses every optional capability of the inner service with
+// its sentinel, as a backend without them does.
 type capless struct{ Service }
+
+func (capless) BatchSearch(context.Context, []textidx.Expr, Form) ([]*Result, error) {
+	return nil, ErrNoBatch
+}
+
+func (capless) TermDocFrequency(context.Context, string, string) (int, error) {
+	return 0, ErrNoStats
+}
+
+func (capless) Ingest(context.Context, []IngestOp) (*IngestResult, error) {
+	return nil, ErrNoIngest
+}
+
+func (capless) IndexVersion(context.Context) (uint64, error) { return 0, ErrNoIngest }
+
+func (capless) PinSnapshot(ctx context.Context) context.Context { return ctx }
+
+func (capless) SnapshotPinned(context.Context) bool { return false }
+
+// decorator is what every decorator offers.
+type decorator interface {
+	Service
+	Unwrap() Service
+}
 
 // spy is a service with every capability that counts the capability
 // calls reaching it.
@@ -142,8 +166,8 @@ func TestDecoratorContract(t *testing.T) {
 	}
 }
 
-// TestSearchBatchDegradesThroughDecorators: a decorator claims batched
-// invocation whatever its inner service supports, so SearchBatch over a
+// TestSearchBatchDegradesThroughDecorators: a decorator passes its inner
+// service's refusal of batched invocation on, so SearchBatch over a
 // decorated capless service must fall back to one search per expression
 // on the refusal, exactly as it does over the bare service.
 func TestSearchBatchDegradesThroughDecorators(t *testing.T) {

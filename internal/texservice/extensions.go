@@ -21,20 +21,37 @@ import (
 //     query and its answers, then invocation and possibly transmission
 //     costs for the queries will be reduced").
 //
-// Both are optional capabilities discovered by interface assertion, so
-// integration code degrades gracefully against systems without them. A
-// layer that offers a capability it cannot pass on (a decorator, a
-// federation, a remote whose server lacks it) refuses the call with
-// ErrNoBatch or ErrNoStats, and callers degrade on that refusal as they
-// do on a failed assertion.
+// Both are methods of every Service, as are the write path's Ingest and
+// IndexVersion and the snapshot pins (ingest.go), so integration code
+// calls them directly. A service that cannot offer one (a backend
+// without it, or a decorator, federation or remote over such a backend)
+// refuses the call with its sentinel — ErrNoBatch, ErrNoStats or
+// ErrNoIngest — and callers degrade on that refusal. A refusal is an
+// answer, not a failure: no layer retries it, fails over from it, ejects
+// a replica for it or drops a shard over it (see Refused).
 
 // ErrNoBatch is returned when a batched invocation reaches a service
-// without the BatchSearcher capability.
+// that does not support it.
 var ErrNoBatch = errors.New("texservice: service does not support batched invocation")
 
 // ErrNoStats is returned when a statistics request reaches a service
-// without the StatsProvider capability.
+// that does not export statistics.
 var ErrNoStats = errors.New("texservice: service does not export statistics")
+
+// refusals are the sentinels a service answers "not supported" with.
+var refusals = []error{ErrNoBatch, ErrNoStats, ErrNoIngest}
+
+// Refused reports whether err is a capability refusal: the service
+// answered that it does not support the call. Routing layers pass such
+// an answer on as it is, without counting it as a failure.
+func Refused(err error) bool {
+	for _, r := range refusals {
+		if errors.Is(err, r) {
+			return true
+		}
+	}
+	return false
+}
 
 // StatsProvider is the exported-statistics capability: the document
 // frequency of a term can be fetched directly instead of being measured
@@ -109,8 +126,3 @@ func CheckTermLimit(exprs []textidx.Expr, limit int) error {
 	}
 	return nil
 }
-
-var (
-	_ StatsProvider = (*Local)(nil)
-	_ BatchSearcher = (*Local)(nil)
-)

@@ -43,9 +43,9 @@ import (
 //
 // Injected errors are transient (retryable) unless Permanent is set.
 // Metadata operations (NumDocs, MaxTerms, ShortFields, Meter, the index
-// version, snapshot pins) pass through unharmed, and a capability the
-// inner service lacks is refused before the gate, so a refusal is never
-// counted, delayed or replaced by a fault.
+// version, snapshot pins) pass through unharmed. Batch, statistics and
+// ingest calls pass the gate like searches, whether the inner service
+// answers them or refuses them.
 type Faulty struct {
 	Forward
 	cfg      FaultConfig
@@ -295,11 +295,8 @@ func (f *Faulty) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Docume
 	})
 }
 
-// BatchSearch implements BatchSearcher when the inner service does.
+// BatchSearch implements BatchSearcher.
 func (f *Faulty) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
-	if _, ok := f.Service.(BatchSearcher); !ok {
-		return nil, ErrNoBatch
-	}
 	docs := func(out []*Result) (n int) {
 		for _, res := range out {
 			n += len(res.Hits)
@@ -307,29 +304,23 @@ func (f *Faulty) BatchSearch(ctx context.Context, exprs []textidx.Expr, form For
 		return n
 	}
 	return inject(ctx, f, docs, func() ([]*Result, error) {
-		return f.Forward.BatchSearch(ctx, exprs, form)
+		return f.Service.BatchSearch(ctx, exprs, form)
 	})
 }
 
-// TermDocFrequency implements StatsProvider when the inner service does.
+// TermDocFrequency implements StatsProvider.
 func (f *Faulty) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
-	if _, ok := f.Service.(StatsProvider); !ok {
-		return 0, ErrNoStats
-	}
 	return inject(ctx, f, nil, func() (int, error) {
-		return f.Forward.TermDocFrequency(ctx, field, term)
+		return f.Service.TermDocFrequency(ctx, field, term)
 	})
 }
 
-// Ingest implements Ingestor when the inner service does. Writes pass
-// through the same fault gate as reads, so chaos suites exercise lost
-// acks and retried batches on the write path too.
+// Ingest implements Ingestor. Writes pass through the same fault gate
+// as reads, so chaos suites exercise lost acks and retried batches on
+// the write path too.
 func (f *Faulty) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
-	if _, ok := f.Service.(Ingestor); !ok {
-		return nil, ErrNoIngest
-	}
 	return inject(ctx, f, nil, func() (*IngestResult, error) {
-		return f.Forward.Ingest(ctx, ops)
+		return f.Service.Ingest(ctx, ops)
 	})
 }
 

@@ -6,11 +6,11 @@ import (
 	"fmt"
 )
 
-// This file defines the write-path capability of the loose integration.
-// The paper assumes a frozen corpus; a production text source does not
-// stay frozen, so services that can accept document writes expose the
-// Ingestor capability (discovered by interface assertion, like the §8
-// statistics and batch capabilities). Read-only services simply lack it.
+// This file defines the write path of the loose integration. The paper
+// assumes a frozen corpus; a production text source does not stay
+// frozen, so every Service has Ingest and IndexVersion, like the §8
+// statistics and batch methods, and a read-only service refuses both
+// with ErrNoIngest.
 
 // Ingest op kinds. A put is an upsert keyed on the document's external
 // identifier; a delete tombstones the identifier if present.
@@ -78,10 +78,10 @@ type IngestResult struct {
 }
 
 // Ingestor is the write capability: services backed by a mutable index
-// implement it, and every layer between the client and the index
-// (caches, retry, fault injection, sharding, the wire protocol) forwards
-// it. An acknowledged batch is durable and visible to subsequent
-// searches.
+// accept writes, every layer between the client and the index (caches,
+// retry, fault injection, sharding, the wire protocol) forwards them,
+// and a read-only backend refuses them with ErrNoIngest. An acknowledged
+// batch is durable and visible to subsequent searches.
 type Ingestor interface {
 	Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error)
 }
@@ -100,18 +100,13 @@ type Versioned interface {
 // Implementations may capture that state lazily, at the query's first
 // read or PinProber probe (ingest.Live does), so long as it is no older
 // than the PinSnapshot call. The query path pins once per query; services
-// without the capability (frozen backends, remotes) are unaffected.
+// that never pin (frozen backends, remotes) return ctx unchanged.
 type SnapshotPinner interface {
 	PinSnapshot(ctx context.Context) context.Context
 }
 
-// PinSnapshot pins ctx against svc if it (or what it wraps) supports it.
-func PinSnapshot(ctx context.Context, svc Service) context.Context {
-	if p, ok := svc.(SnapshotPinner); ok {
-		return p.PinSnapshot(ctx)
-	}
-	return ctx
-}
+// PinSnapshot pins ctx against svc.
+func PinSnapshot(ctx context.Context, svc Service) context.Context { return svc.PinSnapshot(ctx) }
 
 // PinProber is the companion capability to SnapshotPinner: it reports
 // whether a context carries a pinned view for the service (or anything
@@ -126,26 +121,14 @@ type PinProber interface {
 }
 
 // SnapshotPinned reports whether ctx carries a behind-current pinned
-// view for svc. Services without the capability never pin, so they
-// report false.
-func SnapshotPinned(ctx context.Context, svc Service) bool {
-	if p, ok := svc.(PinProber); ok {
-		return p.SnapshotPinned(ctx)
-	}
-	return false
-}
+// view for svc.
+func SnapshotPinned(ctx context.Context, svc Service) bool { return svc.SnapshotPinned(ctx) }
 
-// ErrNoIngest is returned when an ingest reaches a service without the
-// write capability (a frozen, read-only backend).
+// ErrNoIngest is returned when an ingest or version request reaches a
+// service without the write capability (a frozen, read-only backend).
 var ErrNoIngest = errors.New("texservice: service does not support ingest")
 
-// IngestInto forwards a batch to svc if it (or anything it wraps) is an
-// Ingestor, returning ErrNoIngest otherwise. It is the helper decorators
-// use so the capability check lives in one place.
+// IngestInto sends a batch to svc.
 func IngestInto(ctx context.Context, svc Service, ops []IngestOp) (*IngestResult, error) {
-	ing, ok := svc.(Ingestor)
-	if !ok {
-		return nil, ErrNoIngest
-	}
-	return ing.Ingest(ctx, ops)
+	return svc.Ingest(ctx, ops)
 }

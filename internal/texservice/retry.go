@@ -156,9 +156,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // RetryPolicy. Failed attempts are charged to the meter via ChargeRetry
 // (the wasted invocation overhead is real work on the remote system).
 // It is the one retry loop of the text-service stack. Batch, statistics,
-// ingest and version calls are retried like searches; the other
-// capabilities pass through, and one the inner service lacks is refused
-// with its sentinel at once (a refusal is not transient).
+// ingest and version calls are retried like searches; the snapshot pins
+// pass through, and a refusal is passed on at once (it is not
+// transient).
 type Retrying struct {
 	Forward
 	policy RetryPolicy
@@ -226,34 +226,34 @@ func (r *Retrying) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Docu
 	})
 }
 
-// BatchSearch implements BatchSearcher when the inner service does.
+// BatchSearch implements BatchSearcher.
 func (r *Retrying) BatchSearch(ctx context.Context, exprs []textidx.Expr, form Form) ([]*Result, error) {
 	return retry(ctx, r, "batch search", func(ctx context.Context) ([]*Result, error) {
-		return r.Forward.BatchSearch(ctx, exprs, form)
+		return r.Service.BatchSearch(ctx, exprs, form)
 	})
 }
 
-// TermDocFrequency implements StatsProvider when the inner service does.
+// TermDocFrequency implements StatsProvider.
 func (r *Retrying) TermDocFrequency(ctx context.Context, field, term string) (int, error) {
 	return retry(ctx, r, "docfreq", func(ctx context.Context) (int, error) {
-		return r.Forward.TermDocFrequency(ctx, field, term)
+		return r.Service.TermDocFrequency(ctx, field, term)
 	})
 }
 
-// Ingest implements Ingestor when the inner service does, retrying
+// Ingest implements Ingestor, retrying
 // transient failures: puts are upserts and deletes are idempotent, so
 // resending a batch whose ack was lost converges to the same state (the
 // re-applied ops consume fresh sequence numbers but change nothing).
 func (r *Retrying) Ingest(ctx context.Context, ops []IngestOp) (*IngestResult, error) {
 	return retry(ctx, r, "ingest", func(ctx context.Context) (*IngestResult, error) {
-		return r.Forward.Ingest(ctx, ops)
+		return r.Service.Ingest(ctx, ops)
 	})
 }
 
-// IndexVersion implements Versioned when the inner service does.
+// IndexVersion implements Versioned.
 func (r *Retrying) IndexVersion(ctx context.Context) (uint64, error) {
 	return retry(ctx, r, "version", func(ctx context.Context) (uint64, error) {
-		return r.Forward.IndexVersion(ctx)
+		return r.Service.IndexVersion(ctx)
 	})
 }
 

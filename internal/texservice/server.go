@@ -182,11 +182,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest) (resp wireRespon
 	case "search", "batchsearch":
 		return s.search(ctx, req)
 	case "docfreq":
-		provider, ok := s.svc.(StatsProvider)
-		if !ok {
-			return errResponse(ErrNoStats)
-		}
-		df, err := provider.TermDocFrequency(ctx, req.Field, req.Term)
+		df, err := s.svc.TermDocFrequency(ctx, req.Field, req.Term)
 		if err != nil {
 			return errResponse(err)
 		}
@@ -198,17 +194,13 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest) (resp wireRespon
 		}
 		return wireResponse{DocExt: doc.ExtID, DocField: doc.Fields}, false
 	case "ingest":
-		res, err := IngestInto(ctx, s.svc, req.Ops)
+		res, err := s.svc.Ingest(ctx, req.Ops)
 		if err != nil {
 			return errResponse(err)
 		}
 		return wireResponse{Ingest: res}, false
 	case "version":
-		v, ok := s.svc.(Versioned)
-		if !ok {
-			return errResponse(ErrNoIngest)
-		}
-		ver, err := v.IndexVersion(ctx)
+		ver, err := s.svc.IndexVersion(ctx)
 		if err != nil {
 			return errResponse(err)
 		}

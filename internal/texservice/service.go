@@ -86,7 +86,19 @@ func (r *Result) IsEmpty() bool { return len(r.Hits) == 0 }
 // Every data operation takes a context: the text system is remote in the
 // integration the paper studies, so calls can be slow, hung, or worth
 // abandoning, and the caller's deadline/cancellation must reach the wire.
+//
+// Besides the search and retrieve of loose integration (§2), every
+// service has the §8 extensions (batched invocation, exported
+// statistics) and the write path (ingest, index version, snapshot pins).
+// A service that cannot offer one refuses it with its sentinel, the one
+// way to say "not supported" (see Refused).
 type Service interface {
+	BatchSearcher
+	StatsProvider
+	Ingestor
+	Versioned
+	SnapshotPinner
+	PinProber
 	// Search evaluates a Boolean expression and transmits the matching
 	// documents in the requested form. It fails when the expression uses
 	// more basic search terms than the system's limit (MaxTerms).
@@ -510,6 +522,23 @@ func (l *Local) Retrieve(ctx context.Context, id textidx.DocID) (textidx.Documen
 	}
 	return doc, nil
 }
+
+// Ingest implements Ingestor: a Local serves a collection it cannot
+// write, so it refuses with ErrNoIngest.
+func (l *Local) Ingest(context.Context, []IngestOp) (*IngestResult, error) {
+	return nil, ErrNoIngest
+}
+
+// IndexVersion implements Versioned: refused with ErrNoIngest, as is
+// every write.
+func (l *Local) IndexVersion(context.Context) (uint64, error) { return 0, ErrNoIngest }
+
+// PinSnapshot implements SnapshotPinner: every read of a collection that
+// never changes sees one state, so there is nothing to pin.
+func (l *Local) PinSnapshot(ctx context.Context) context.Context { return ctx }
+
+// SnapshotPinned implements PinProber: a Local never pins.
+func (l *Local) SnapshotPinned(context.Context) bool { return false }
 
 // NumDocs implements Service: the size of the latest state.
 func (l *Local) NumDocs() (int, error) { return l.read(context.Background()).NumDocs(), nil }

@@ -20,16 +20,12 @@ import (
 // a mutable live-ingest index (in-memory WAL-less delta over the
 // partition base), so replicated write broadcasts work end to end.
 //
-// decorate, when non-nil, wraps each replica backend before composition
-// (fault injection, brownouts, latency models) and receives the
-// partition and replica indices. setOpts configure every routing Set
-// (seeds are perturbed per partition by NewFleet); shardOpts configure
-// the federation when partitions > 1.
+// setOpts configure every routing Set (seeds are perturbed per partition
+// by NewFleet); shardOpts configure the federation when partitions > 1.
 //
 // The returned cleanup releases the live stores and is safe to call
 // once even when err is non-nil.
 func (c *Corpus) ReplicatedService(partitions, r int, live bool,
-	decorate func(part, rep int, svc texservice.Service) texservice.Service,
 	setOpts []replica.Option, shardOpts ...shard.Option) (texservice.Service, *replica.Fleet, func(), error) {
 	parts, err := c.Index.Partition(partitions)
 	if err != nil {
@@ -67,9 +63,6 @@ func (c *Corpus) ReplicatedService(partitions, r int, live bool,
 					return nil, nil, func() {}, err
 				}
 				svc = local
-			}
-			if decorate != nil {
-				svc = decorate(p, k, svc)
 			}
 			groups[p][k] = svc
 		}

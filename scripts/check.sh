@@ -24,6 +24,18 @@ if [ -n "$tracked" ]; then
     exit 1
 fi
 
+# One way to say "not supported": every capability is a method of
+# texservice.Service and a service without one refuses it with its
+# sentinel, so no program file asserts a service to a capability
+# interface (a failed assertion would be a second answer).
+asserts=$(grep -rnE '\.\((texservice\.)?(BatchSearcher|StatsProvider|Ingestor|Versioned|SnapshotPinner|PinProber)\)' \
+    internal cmd examples --include='*.go' | grep -v '_test\.go:' || true)
+if [ -n "$asserts" ]; then
+    echo "type assertions to a capability interface:" >&2
+    echo "$asserts" >&2
+    exit 1
+fi
+
 go build ./...
 go vet ./...
 
@@ -138,6 +150,11 @@ go test -run NONE -fuzz FuzzServerDispatch -fuzztime 5s ./internal/texservice
 # exactly as Local over the same frozen index.
 go test -race ./internal/ingest/...
 gate TestLiveEqualsLocal ./internal/ingest -race
+
+# Published-view allocation gate: an unpinned read loads the view the
+# store published for its latest state, so Live.NumDocs (and every
+# unpinned statistic, search and retrieve) builds no View per call.
+gate TestLiveNumDocsAllocs ./internal/ingest
 gate TestLiveIngest ./internal/join -race
 
 # Crash-recovery smoke: start textserve with a WAL directory, ingest a
@@ -155,6 +172,13 @@ gate TestLiveIngest ./internal/join -race
 #    unconsumed loser attempt fails this.
 gate 'TestJoinMethodsOverReplicated|TestFailover|TestProbeReadmission' ./internal/replica -race
 gate TestHedgeCancellationNoLeaks ./internal/replica -race
+
+# Refusal contract under the race detector: over every service layer
+# (Local, Live, Remote, the decorators, strict and best-effort Sharded,
+# Set, a Set of Remotes) each capability answers or is refused with its
+# sentinel, and a refusal ejects no replica, marks none lagging, queues
+# nothing for replay and is never a best-effort Partial answer.
+gate TestRefusalContract ./internal/replica -race
 
 # Hedge-budget allocation gate: a warm Set computes the p95 hedge budget
 # of every hedged call without allocating (the sorted copy of the latency
