@@ -8,17 +8,21 @@ package textjoin_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"textjoin/internal/bench"
+	"textjoin/internal/core"
 	"textjoin/internal/cost"
 	"textjoin/internal/exec"
 	"textjoin/internal/join"
 	"textjoin/internal/optimizer"
+	"textjoin/internal/relation"
 	"textjoin/internal/sqlparse"
 	"textjoin/internal/stats"
 	"textjoin/internal/texservice"
 	"textjoin/internal/textidx"
+	"textjoin/internal/value"
 	"textjoin/internal/workload"
 )
 
@@ -236,6 +240,127 @@ func BenchmarkWarmQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkColdQuery measures one cold in-process query: Engine.Query's
+// parse → optimize → execute of the paper's Q1–Q4 shapes over a
+// 20 000-document corpus, on an engine configured like queryd (PrL
+// optimizer with batched probes, both caches at 256 entries). It rebuilds
+// the repository benchmark's cold_local stream from program packages:
+// query i has shape i mod 4, a fixed topic × year cycle, and a seeded
+// window of 1/64 of its relation, so the join searches are nearly all
+// new to the caches, while the 12 topic and year selections that RTP
+// sends repeat. The committed before/after pair is BENCH_rtp.json.
+//
+//	go test -run '^$' -bench ColdQuery -cpuprofile cpu.out .
+func BenchmarkColdQuery(b *testing.B) {
+	eng, next, err := coldEngine(20000, 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := eng.Query(next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Query(next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// coldShapes are the paper's Q1–Q4. %[1]d and %[2]d bound the relational
+// selection's window of k, %[3]s is a topic phrase, %[4]s a year.
+var coldShapes = []struct {
+	sql   string
+	table string
+}{
+	// Q1: selection + one foreign predicate, whole documents.
+	{`select * from student, mercury where student.k >= %[1]d and student.k < %[2]d and '%[3]s' in mercury.title and student.name in mercury.author`, "student"},
+	// Q2: unselective title word + year, docids only.
+	{`select docid from student, mercury where student.k >= %[1]d and student.k < %[2]d and 'text' in mercury.title and '%[4]s' in mercury.year and student.name in mercury.author`, "student"},
+	// Q3: two foreign predicates, a year.
+	{`select docid from project, mercury where project.k >= %[1]d and project.k < %[2]d and '%[4]s' in mercury.year and project.pname in mercury.title and project.member in mercury.author`, "project"},
+	// Q4: two foreign predicates on the same field.
+	{`select student.name, mercury.docid, mercury.title from student, mercury where student.k >= %[1]d and student.k < %[2]d and '%[3]s' in mercury.title and student.advisor in mercury.author and student.name in mercury.author`, "student"},
+}
+
+// coldEngine builds the cold stream's corpus, its student (name, advisor,
+// k) and project (pname, member, k) relations, 4 096 and 2 048 rows with
+// 2 048 distinct first-column values, half of them in the corpus, and an
+// engine serving them. The second join column follows the generated
+// corpus's layout, so the two-predicate shapes have answers: tag i titles
+// author i's documents, and author i writes with author i+1. next returns
+// the stream's queries in order.
+func coldEngine(docs int, seed int64) (*core.Engine, func() string, error) {
+	corpus := workload.NewCorpus(workload.CorpusConfig{Docs: docs, Seed: seed})
+	authors := corpus.Authors
+	partner := func(pool []string, offset int) func(row int, first string) string {
+		index := make(map[string]int, len(pool))
+		for i, v := range pool {
+			index[v] = i
+		}
+		return func(row int, first string) string {
+			if i, real := index[first]; real && row%2 == 0 {
+				return authors[(i+offset)%len(authors)]
+			}
+			return authors[(row*7+3)%len(authors)]
+		}
+	}
+	relations := []struct {
+		name   string
+		rows   int
+		first  workload.ColumnSpec
+		second string
+		derive func(row int, first string) string
+	}{
+		{"student", 4096, workload.ColumnSpec{Name: "name", Distinct: 2048, MatchFrac: 0.5, Pool: authors}, "advisor", partner(authors, 1)},
+		{"project", 2048, workload.ColumnSpec{Name: "pname", Distinct: 2048, MatchFrac: 0.5, Pool: corpus.Tags}, "member", partner(corpus.Tags, 0)},
+	}
+	opts := core.DefaultOptions()
+	opts.Optimizer.BatchProbe = true
+	opts.SearchCache, opts.ProbeCache = 256, 256
+	eng := core.NewEngineWith(opts)
+	sizes := map[string]int{}
+	for i, r := range relations {
+		base, err := workload.BuildRelation(r.name, r.rows, seed+int64(i)+1, r.first)
+		if err != nil {
+			return nil, nil, err
+		}
+		t := relation.NewTable(r.name, relation.MustSchema(
+			relation.Column{Name: r.first.Name, Kind: value.KindString},
+			relation.Column{Name: r.second, Kind: value.KindString},
+			relation.Column{Name: "k", Kind: value.KindInt},
+		))
+		for row, tuple := range base.Rows {
+			t.MustInsert(relation.Tuple{tuple[0], value.String(r.derive(row, tuple[0].Text())), value.Int(int64(row))})
+		}
+		if err := eng.RegisterTable(t); err != nil {
+			return nil, nil, err
+		}
+		sizes[r.name] = t.Cardinality()
+	}
+	svc, err := texservice.NewLocal(corpus.Index, texservice.WithShortFields("title", "author", "year"))
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := eng.RegisterTextSource("mercury", svc, corpus.Fields()...); err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(seed + 3))
+	i := 0
+	next := func() string {
+		sh, j := coldShapes[i%len(coldShapes)], i/len(coldShapes)
+		i++
+		rows := sizes[sh.table]
+		w := rows / 64
+		lo := rng.Intn(rows - w + 1)
+		return fmt.Sprintf(sh.sql, lo, lo+w, corpus.Topics[j%len(corpus.Topics)], corpus.Years[j/len(corpus.Topics)%len(corpus.Years)])
+	}
+	return eng, next, nil
 }
 
 // BenchmarkIndexBuild measures inverted-index construction throughput.

@@ -58,8 +58,8 @@ func TestLiveFreshness(t *testing.T) {
 		t.Fatalf("acked write not visible: %v", hitExts(res))
 	}
 	// The hit is retrievable and carries short-form fields.
-	if res.Hits[0].Fields["title"] != "freshly written doc" {
-		t.Fatalf("short form fields = %v", res.Hits[0].Fields)
+	if got := res.Hits[0].Value(res.Column("title")); got != "freshly written doc" {
+		t.Fatalf("short form fields %v = %v", res.Fields, res.Hits[0].Values)
 	}
 	doc, err := l.Retrieve(bg, res.Hits[0].ID)
 	if err != nil || doc.ExtID != "n1" {

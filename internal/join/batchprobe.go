@@ -40,9 +40,11 @@ import (
 type probeOutcome struct {
 	// success reports whether the probe matched at least one document.
 	success bool
-	// hits are the binding's matching short-form documents, retained only
-	// when the caller asked for them (needHits).
-	hits []texservice.Hit
+	// res holds the binding's matching short-form documents, retained
+	// only when the caller asked for them (needHits): the probe's own
+	// answer, whose token index the caches share, or the binding's share
+	// of an OR-packed answer.
+	res *texservice.Result
 }
 
 // probeAll computes the outcome of every probe binding, aligned with
@@ -87,7 +89,7 @@ func (ex *execution) probeEach(ctx context.Context, n int, expr func(k int) (tex
 		o := probeOutcome{success: !res.IsEmpty()}
 		if needHits && o.success {
 			ex.svc.Meter().ChargeRTP(ctx, len(res.Hits))
-			o.hits = res.Hits
+			o.res = res
 		}
 		fn(k, o)
 	})
@@ -131,9 +133,10 @@ func (ex *execution) orPackProbe(ctx context.Context, preds []Pred, probes []bin
 		for k := lo; k < hi; k++ {
 			matched := m.match(spec.Relation.Rows[bs[k].rows[0]])
 			out := probeOutcome{success: len(matched) > 0}
-			if needHits {
-				for _, h := range matched {
-					out.hits = append(out.hits, m.hits[h])
+			if needHits && out.success {
+				out.res = &texservice.Result{Fields: m.res.Fields, Hits: make([]texservice.Hit, len(matched))}
+				for j, h := range matched {
+					out.res.Hits[j] = m.res.Hits[h]
 				}
 			}
 			outcomes[idx[k]] = out

@@ -10,12 +10,15 @@ import (
 // relational string matching (§3.2), as a hash join instead of a tuples ×
 // hits nested loop:
 //
-//   - build: the first time a predicate on a field is probed, every hit's
-//     field is tokenized once into token → ascending hit indexes, keeping
-//     each hit's token slice for phrase adjacency;
+//   - build: the result's token index of each predicate field
+//     (texservice.Result.TokenIndex), built once per result and shared by
+//     every matcher over it, so a result the caches hand to many queries
+//     is tokenized once;
 //   - probe: each distinct value a predicate sees is tokenized once and
 //     its matching hits are computed once and memoized — a word's postings,
-//     or a phrase's first-word postings filtered by textidx.ContainsPhrase;
+//     or, for a phrase, the intersection of its words' postings narrowed
+//     to the hits whose value holds the words adjacently
+//     (textidx.PhraseIn, which re-scans just those values);
 //   - per tuple: one map lookup per predicate and an intersection of the
 //     sorted hit lists.
 //
@@ -25,80 +28,64 @@ import (
 // textidx.TermOccursIn's: a value with no words matches nothing, and a
 // field the hit lacks is empty.
 type hitMatcher struct {
-	hits  []texservice.Hit
+	res   *texservice.Result
 	preds []Pred
 	// cols are the predicates' relation-schema offsets.
 	cols []int
-	// fields is the build side, per predicate field.
-	fields map[string]*fieldPostings
+	// index is the build side per predicate, fetched on first probe.
+	index []*texservice.TokenIndex
 	// memo holds, per predicate, the matching hits of every value probed.
-	memo []map[string][]int
-	// scratch backs the conjunction result match returns.
-	scratch []int
+	memo []map[string][]int32
+	// scratch backs the conjunction result match returns; cand a phrase's
+	// candidate hits.
+	scratch, cand []int32
 }
 
-// fieldPostings is one field of every hit, tokenized.
-type fieldPostings struct {
-	toks     [][]string       // per hit
-	postings map[string][]int // token → ascending hit indexes
-}
-
-// newHitMatcher returns a matcher of the hits against tuples of the spec's
-// relation on the given predicates. It tokenizes nothing until probed.
-func newHitMatcher(spec *Spec, hits []texservice.Hit, preds []Pred) *hitMatcher {
+// newHitMatcher returns a matcher of the result's hits against tuples of
+// the spec's relation on the given predicates. It reads no index until
+// probed.
+func newHitMatcher(spec *Spec, res *texservice.Result, preds []Pred) *hitMatcher {
 	m := &hitMatcher{
-		hits:   hits,
-		preds:  preds,
-		cols:   make([]int, len(preds)),
-		fields: map[string]*fieldPostings{},
-		memo:   make([]map[string][]int, len(preds)),
+		res:   res,
+		preds: preds,
+		cols:  make([]int, len(preds)),
+		index: make([]*texservice.TokenIndex, len(preds)),
+		memo:  make([]map[string][]int32, len(preds)),
 	}
 	for i, p := range preds {
 		m.cols[i] = spec.offset(p.Column)
-		m.memo[i] = map[string][]int{}
+		m.memo[i] = map[string][]int32{}
 	}
 	if len(preds) == 0 {
-		for h := range hits {
-			m.scratch = append(m.scratch, h)
+		for h := range res.Hits {
+			m.scratch = append(m.scratch, int32(h))
 		}
 	}
 	return m
 }
 
-// field returns the build side of one field, tokenizing it on first use.
-func (m *hitMatcher) field(name string) *fieldPostings {
-	if fp, ok := m.fields[name]; ok {
-		return fp
-	}
-	fp := &fieldPostings{toks: make([][]string, len(m.hits)), postings: map[string][]int{}}
-	for h, hit := range m.hits {
-		toks := textidx.Tokenize(hit.Fields[name])
-		fp.toks[h] = toks
-		for _, t := range toks {
-			list := fp.postings[t]
-			if n := len(list); n == 0 || list[n-1] != h {
-				fp.postings[t] = append(list, h)
-			}
-		}
-	}
-	m.fields[name] = fp
-	return fp
-}
-
 // hitsFor returns the ascending indexes of the hits whose field of
 // predicate i contains the value as a word or phrase.
-func (m *hitMatcher) hitsFor(i int, value string) []int {
+func (m *hitMatcher) hitsFor(i int, value string) []int32 {
 	if hs, ok := m.memo[i][value]; ok {
 		return hs
 	}
-	var hs []int
+	var hs []int32
 	if words := textidx.Tokenize(value); len(words) > 0 {
-		fp := m.field(m.preds[i].Field)
-		hs = fp.postings[words[0]]
+		if m.index[i] == nil {
+			m.index[i] = m.res.TokenIndex(m.preds[i].Field)
+		}
+		hs = m.index[i].Hits(words[0])
 		if len(words) > 1 {
-			var phrase []int
-			for _, h := range hs {
-				if textidx.ContainsPhrase(fp.toks[h], words) {
+			// Only a hit holding every word can hold the phrase.
+			m.cand = intersectSorted(m.cand[:0], hs, m.index[i].Hits(words[1]))
+			for _, w := range words[2:] {
+				m.cand = intersectSorted(m.cand[:0], m.cand, m.index[i].Hits(w))
+			}
+			col := m.res.Column(m.preds[i].Field)
+			var phrase []int32
+			for _, h := range m.cand {
+				if textidx.PhraseIn(m.res.Hits[h].Value(col), words) {
 					phrase = append(phrase, h)
 				}
 			}
@@ -112,7 +99,7 @@ func (m *hitMatcher) hitsFor(i int, value string) []int {
 // match returns the ascending indexes of the hits the tuple matches on
 // every predicate (every hit when there are none). The slice is valid
 // until the next call.
-func (m *hitMatcher) match(tuple relation.Tuple) []int {
+func (m *hitMatcher) match(tuple relation.Tuple) []int32 {
 	if len(m.preds) == 0 {
 		return m.scratch // every hit, filled by newHitMatcher
 	}
@@ -128,7 +115,7 @@ func (m *hitMatcher) match(tuple relation.Tuple) []int {
 
 // intersectSorted appends to dst the elements common to the ascending
 // lists a and b. dst may share a's backing array from its start.
-func intersectSorted(dst, a, b []int) []int {
+func intersectSorted(dst, a, b []int32) []int32 {
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
 		case a[i] < b[j]:

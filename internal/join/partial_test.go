@@ -24,9 +24,7 @@ func (p partialService) BatchSearch(ctx context.Context, exprs []textidx.Expr, f
 	}
 	flagged := make([]*texservice.Result, len(results))
 	for i, res := range results {
-		r := *res
-		r.Partial = true
-		flagged[i] = &r
+		flagged[i] = &texservice.Result{Fields: res.Fields, Hits: res.Hits, Postings: res.Postings, Partial: true}
 	}
 	return flagged, nil
 }

@@ -218,7 +218,7 @@ func (m PRTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (
 			if !outcomes[i].success {
 				continue
 			}
-			if err := ex.emitMatches(newHitMatcher(spec, outcomes[i].hits, rest), b.rows); err != nil {
+			if err := ex.emitMatches(newHitMatcher(spec, outcomes[i].res, rest), b.rows); err != nil {
 				return err
 			}
 		}

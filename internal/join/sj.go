@@ -100,7 +100,7 @@ func (ex *execution) orPack(ctx context.Context, bs []conjBinding, preds []Pred,
 		if sp != nil {
 			sp.SetAttr(obs.Int("disjuncts", hi-lo), obs.Int("terms", expr.TermCount()), obs.Int("hits", len(res.Hits)))
 		}
-		return fn(lo, hi, newHitMatcher(spec, res.Hits, preds))
+		return fn(lo, hi, newHitMatcher(spec, res, preds))
 	})
 }
 

@@ -277,31 +277,30 @@ func (ex *execution) searchForm() texservice.Form {
 	return texservice.FormShort
 }
 
-// emit appends one result row for (tuple, document).
-func (ex *execution) emit(tuple relation.Tuple, extID string, fields map[string]string) {
+// row starts one result row for (tuple, document): the tuple's values
+// and the document identifier, with room for the long form's fields.
+func (ex *execution) row(tuple relation.Tuple, extID string) relation.Tuple {
 	row := make(relation.Tuple, 0, ex.out.Schema.Arity())
 	row = append(row, tuple...)
-	row = append(row, value.String(extID))
-	if ex.spec.LongForm {
-		for _, f := range ex.spec.DocFields {
-			row = append(row, value.String(fields[f]))
-		}
-	}
-	ex.out.Rows = append(ex.out.Rows, row)
+	return append(row, value.String(extID))
 }
 
 // emitHit emits a row from a short-form hit, fetching the long form
 // through the cache when the query needs documents.
 func (ex *execution) emitHit(tuple relation.Tuple, hit texservice.Hit) error {
 	if !ex.spec.LongForm {
-		ex.emit(tuple, hit.ExtID, hit.Fields)
+		ex.out.Rows = append(ex.out.Rows, ex.row(tuple, hit.ExtID))
 		return nil
 	}
 	doc, err := ex.retrieve(hit.ID)
 	if err != nil {
 		return err
 	}
-	ex.emit(tuple, doc.ExtID, doc.Fields)
+	row := ex.row(tuple, doc.ExtID)
+	for _, f := range ex.spec.DocFields {
+		row = append(row, value.String(doc.Fields[f]))
+	}
+	ex.out.Rows = append(ex.out.Rows, row)
 	return nil
 }
 

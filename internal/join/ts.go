@@ -5,6 +5,7 @@ import (
 
 	"textjoin/internal/texservice"
 	"textjoin/internal/textidx"
+	"textjoin/internal/value"
 )
 
 // TS is tuple substitution (§3.1): a nested-loop join with the relation as
@@ -56,7 +57,7 @@ func (m TS) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*R
 	return run(ctx, "join."+m.Name(), spec, svc, func(ex *execution) error {
 		_, err := ex.searchEach(ex.ctx, len(joins), func(k int) (textidx.Expr, bool) {
 			return spec.withSel(joins[k].conj), true
-		}, ex.searchForm(), m.Batched, func(k int, res *texservice.Result) { ex.emitAll(joins[k].rows, res.Hits) })
+		}, ex.searchForm(), m.Batched, func(k int, res *texservice.Result) { ex.emitAll(joins[k].rows, res) })
 		return err
 	})
 }
@@ -72,18 +73,30 @@ func (ex *execution) substitute(b binding) (res *texservice.Result, err error) {
 	_, err = ex.searchEach(ex.ctx, 1, func(int) (textidx.Expr, bool) {
 		return ex.spec.SubstExpr(ex.spec.rep(b), ex.spec.Preds)
 	}, ex.searchForm(), false, func(_ int, r *texservice.Result) {
-		ex.emitAll(b.rows, r.Hits)
+		ex.emitAll(b.rows, r)
 		res = r
 	})
 	return res, err
 }
 
 // emitAll emits a row for every (tuple, hit) pair of a binding's rows, in
-// tuple-then-hit order. The hits are in the query's form.
-func (ex *execution) emitAll(rows []int, hits []texservice.Hit) {
+// tuple-then-hit order. The hits are in the query's form: a long-form
+// row takes the spec's document fields from the hit's values.
+func (ex *execution) emitAll(rows []int, res *texservice.Result) {
+	var cols []int
+	if ex.spec.LongForm {
+		cols = make([]int, len(ex.spec.DocFields))
+		for j, f := range ex.spec.DocFields {
+			cols[j] = res.Column(f)
+		}
+	}
 	for _, r := range rows {
-		for _, hit := range hits {
-			ex.emit(ex.spec.Relation.Rows[r], hit.ExtID, hit.Fields)
+		for _, hit := range res.Hits {
+			row := ex.row(ex.spec.Relation.Rows[r], hit.ExtID)
+			for _, c := range cols {
+				row = append(row, value.String(hit.Value(c)))
+			}
+			ex.out.Rows = append(ex.out.Rows, row)
 		}
 	}
 }
@@ -124,7 +137,7 @@ func (m RTP) Execute(ctx context.Context, spec *Spec, svc texservice.Service) (*
 		for i := range rows {
 			rows[i] = i
 		}
-		return ex.emitMatches(newHitMatcher(spec, res.Hits, spec.Preds), rows)
+		return ex.emitMatches(newHitMatcher(spec, res, spec.Preds), rows)
 	})
 }
 
@@ -138,7 +151,7 @@ func (ex *execution) emitMatches(m *hitMatcher, rows []int) error {
 	for _, r := range rows {
 		tuple := ex.spec.Relation.Rows[r]
 		for _, h := range m.match(tuple) {
-			if err := ex.emitHit(tuple, m.hits[h]); err != nil {
+			if err := ex.emitHit(tuple, m.res.Hits[h]); err != nil {
 				return err
 			}
 		}

@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"textjoin/internal/obs"
@@ -218,15 +219,14 @@ func (s *Sharded) search(ctx context.Context, batch bool, exprs []textidx.Expr, 
 	}
 	s.meter.ChargeScatter(ctx, parts, form)
 	out := make([]*texservice.Result, len(exprs))
-	perShard := make([][]texservice.Hit, len(ok))
+	answers := make([]*texservice.Result, len(ok))
 	hits, postings := 0, 0
 	for i := range exprs {
-		res := &texservice.Result{Partial: partial}
 		for j, k := range ok {
-			perShard[j] = s.globalize(k, legs[k][i].Hits)
-			res.Postings += legs[k][i].Postings
+			answers[j] = legs[k][i]
 		}
-		res.Hits = mergeHits(perShard)
+		res := s.merge(ok, answers)
+		res.Partial = partial
 		out[i] = res
 		hits += len(res.Hits)
 		postings += res.Postings
@@ -243,47 +243,94 @@ func (s *Sharded) search(ctx context.Context, batch bool, exprs []textidx.Expr, 
 	return out, nil
 }
 
-// globalize rewrites one shard's hit docids from shard-local to global
-// under the partition invariant. Local docids are dense and increasing
-// with global docids, so the rewritten slice stays sorted.
-func (s *Sharded) globalize(k int, hits []texservice.Hit) []texservice.Hit {
+// merge folds the answers of the shards in ok (answers[j] is shard
+// ok[j]'s) into one result: its hits k-way-merged into global docid order
+// — the exact order the unsharded index would have produced — and
+// rewritten from shard-local to global docids on the way into the one
+// output slice. Local docids are dense and increasing with global docids,
+// so each shard's hits stay sorted once rewritten. When every shard that
+// answered with hits names the same fields, the merged result shares
+// their field list and values; otherwise (long-form answers over uneven
+// documents) it carries the sorted union, and a hit from a shard that
+// lacks one of its fields gets "" there.
+func (s *Sharded) merge(ok []int, answers []*texservice.Result) *texservice.Result {
 	n := len(s.shards)
-	out := make([]texservice.Hit, len(hits))
-	for i, h := range hits {
-		h.ID = textidx.GlobalID(k, h.ID, n)
-		out[i] = h
-	}
-	return out
-}
-
-// mergeHits k-way-merges per-shard hit lists (each sorted by global
-// docid) into one globally sorted list — the exact order the unsharded
-// index would have produced.
-func mergeHits(perShard [][]texservice.Hit) []texservice.Hit {
+	res := &texservice.Result{}
 	total := 0
-	for _, hits := range perShard {
-		total += len(hits)
+	for _, a := range answers {
+		res.Postings += a.Postings
+		total += len(a.Hits)
 	}
 	if total == 0 {
-		return nil
+		return res
 	}
-	out := make([]texservice.Hit, 0, total)
-	cursors := make([]int, len(perShard))
-	for len(out) < total {
-		best := -1
-		for k, hits := range perShard {
-			c := cursors[k]
-			if c >= len(hits) {
-				continue
-			}
-			if best < 0 || hits[c].ID < perShard[best][cursors[best]].ID {
-				best = k
+	res.Fields = mergeFields(answers)
+	remap := make([][]int, len(answers)) // nil: the answer's columns are res.Fields
+	for j, a := range answers {
+		if len(a.Hits) > 0 && !slices.Equal(a.Fields, res.Fields) {
+			remap[j] = make([]int, len(res.Fields))
+			for c, f := range res.Fields {
+				remap[j][c] = a.Column(f)
 			}
 		}
-		out = append(out, perShard[best][cursors[best]])
-		cursors[best]++
 	}
-	return out
+	res.Hits = make([]texservice.Hit, 0, total)
+	cursors := make([]int, len(answers))
+	for len(res.Hits) < total {
+		best := -1
+		var bestID textidx.DocID
+		for j, a := range answers {
+			if c := cursors[j]; c < len(a.Hits) {
+				if id := textidx.GlobalID(ok[j], a.Hits[c].ID, n); best < 0 || id < bestID {
+					best, bestID = j, id
+				}
+			}
+		}
+		h := answers[best].Hits[cursors[best]]
+		cursors[best]++
+		h.ID = bestID
+		if cols := remap[best]; cols != nil {
+			vals := make([]string, len(cols))
+			for c, col := range cols {
+				vals[c] = h.Value(col)
+			}
+			h.Values = vals
+		}
+		res.Hits = append(res.Hits, h)
+	}
+	return res
+}
+
+// mergeFields returns the fields of the merged result: those of the
+// answers with hits when they all agree, their sorted union otherwise.
+func mergeFields(answers []*texservice.Result) []string {
+	var fields []string
+	same, first := true, true
+	for _, a := range answers {
+		if len(a.Hits) == 0 {
+			continue
+		}
+		if first {
+			fields, first = a.Fields, false
+		} else if !slices.Equal(a.Fields, fields) {
+			same = false
+		}
+	}
+	if same {
+		return fields
+	}
+	seen := map[string]bool{}
+	var union []string
+	for _, a := range answers {
+		for _, f := range a.Fields {
+			if len(a.Hits) > 0 && !seen[f] {
+				seen[f] = true
+				union = append(union, f)
+			}
+		}
+	}
+	slices.Sort(union)
+	return union
 }
 
 // Retrieve implements texservice.Service: the point lookup is routed to

@@ -136,10 +136,10 @@ func TestSearchMatchesUnsharded(t *testing.T) {
 						t.Fatalf("n=%d %s hit %d: got (%d,%s), want (%d,%s)",
 							n, q.String(), i, g.ID, g.ExtID, w.ID, w.ExtID)
 					}
-					for f, v := range w.Fields {
-						if g.Fields[f] != v {
+					for c, f := range want.Fields {
+						if v, gv := w.Value(c), g.Value(got.Column(f)); gv != v {
 							t.Fatalf("n=%d %s hit %d: field %s = %q, want %q",
-								n, q.String(), i, f, g.Fields[f], v)
+								n, q.String(), i, f, gv, v)
 						}
 					}
 				}
@@ -582,6 +582,47 @@ func TestPartitionInvariant(t *testing.T) {
 			l := textidx.LocalID(g, n)
 			if back := textidx.GlobalID(k, l, n); back != g {
 				t.Fatalf("n=%d: GlobalID(%d,%d) = %d, want %d", n, k, l, back, g)
+			}
+		}
+	}
+}
+
+// TestMergeUnevenFields: when the shards' long-form answers name
+// different fields (each is the union of its own documents' fields), the
+// merged answer carries their sorted union, with "" where a hit's shard
+// lacked a field — the answer the unsharded collection gives. When the
+// shards agree, the merged answer shares their field list.
+func TestMergeUnevenFields(t *testing.T) {
+	ix := textidx.NewIndex()
+	for i := 0; i < 6; i++ {
+		fields := map[string]string{"title": fmt.Sprintf("text %d", i)}
+		if i%2 == 0 {
+			fields["author"] = fmt.Sprintf("a%d", i) // shard 0 of 2
+		} else {
+			fields["abstract"] = fmt.Sprintf("about %d", i) // shard 1 of 2
+		}
+		ix.MustAdd(textidx.Document{ExtID: fmt.Sprint("d", i), Fields: fields})
+	}
+	ix.Freeze()
+	single := localService(t, ix)
+	sharded := cluster(t, ix, 2)
+	q := textidx.Term{Field: "title", Word: "text"}
+	for _, form := range []texservice.Form{texservice.FormShort, texservice.FormLong} {
+		want, err := single.Search(bg, q, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sharded.Search(bg, q, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Fields) != fmt.Sprint(want.Fields) || len(got.Hits) != len(want.Hits) {
+			t.Fatalf("%s: fields %v, %d hits; want %v, %d hits", form, got.Fields, len(got.Hits), want.Fields, len(want.Hits))
+		}
+		for i, w := range want.Hits {
+			g := got.Hits[i]
+			if g.ID != w.ID || g.ExtID != w.ExtID || fmt.Sprintf("%q", g.Values) != fmt.Sprintf("%q", w.Values) {
+				t.Fatalf("%s hit %d: got %+v, want %+v", form, i, g, w)
 			}
 		}
 	}

@@ -103,6 +103,11 @@ func Dial(addr string, meter *Meter, opts ...DialOption) (*Remote, error) {
 		r.Close()
 		return nil, fmt.Errorf("texservice: dial %s: %w", addr, err)
 	}
+	if resp.HitVer != hitWireVersion {
+		r.Close()
+		return nil, fmt.Errorf("texservice: dial %s: server speaks hit-wire version %d, this client speaks %d",
+			addr, resp.HitVer, hitWireVersion)
+	}
 	r.numDocs = resp.NumDocs
 	r.maxTerms = resp.MaxTerms
 	r.shortFields = resp.Short
@@ -325,26 +330,41 @@ func (r *Remote) search(ctx context.Context, batch bool, exprs []textidx.Expr, f
 	if err != nil {
 		return nil, err
 	}
-	replies := resp.Batch
-	if !batch {
-		replies = []wireBatchResult{{Hits: resp.Hits, Postings: resp.Postings}}
+	out, err := searchResults(resp, batch, len(exprs))
+	if err != nil {
+		return nil, err
 	}
-	if len(replies) != len(exprs) {
-		return nil, fmt.Errorf("texservice: batch search returned %d results for %d queries",
-			len(replies), len(exprs))
-	}
-	out := make([]*Result, len(replies))
 	postings, docs := 0, 0
-	for i, b := range replies {
-		res := &Result{Postings: b.Postings, Hits: make([]Hit, len(b.Hits))}
-		for j, h := range b.Hits {
-			res.Hits[j] = Hit{ID: textidx.DocID(h.ID), ExtID: h.ExtID, Fields: h.Fields}
-		}
-		out[i] = res
-		postings += b.Postings
-		docs += len(b.Hits)
+	for _, res := range out {
+		postings += res.Postings
+		docs += len(res.Hits)
 	}
 	r.meter.ChargeSearch(ctx, postings, docs, form)
+	return out, nil
+}
+
+// searchResults decodes a search reply's columnar answers: n of them for
+// a batch, the reply itself for a single search. A hit whose values do
+// not line up with its answer's fields is a malformed reply.
+func searchResults(resp *wireResponse, batch bool, n int) ([]*Result, error) {
+	replies := resp.Batch
+	if !batch {
+		replies = []wireBatchResult{{Fields: resp.Fields, Hits: resp.Hits, Postings: resp.Postings}}
+	}
+	if len(replies) != n {
+		return nil, fmt.Errorf("texservice: batch search returned %d results for %d queries", len(replies), n)
+	}
+	out := make([]*Result, len(replies))
+	for i, b := range replies {
+		res := &Result{Fields: b.Fields, Postings: b.Postings, Hits: make([]Hit, len(b.Hits))}
+		for j, h := range b.Hits {
+			if len(h.Vals) != len(b.Fields) {
+				return nil, fmt.Errorf("texservice: search reply: hit %d carries %d values for %d fields", j, len(h.Vals), len(b.Fields))
+			}
+			res.Hits[j] = Hit{ID: textidx.DocID(h.ID), ExtID: h.ExtID, Values: h.Vals}
+		}
+		out[i] = res
+	}
 	return out, nil
 }
 

@@ -208,7 +208,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest) (resp wireRespon
 	case "info":
 		n, _ := s.svc.NumDocs()
 		return wireResponse{NumDocs: n, MaxTerms: s.svc.MaxTerms(), Short: s.svc.ShortFields(),
-			SpanVer: spanWireVersion}, false
+			SpanVer: spanWireVersion, HitVer: hitWireVersion}, false
 	default:
 		return wireResponse{Error: fmt.Sprintf("texservice: unknown op %q", req.Op)}, false
 	}
@@ -251,12 +251,12 @@ func (s *Server) search(ctx context.Context, req wireRequest) (wireResponse, boo
 	for i, r := range results {
 		hits := make([]wireHit, len(r.Hits))
 		for j, h := range r.Hits {
-			hits[j] = wireHit{ID: int32(h.ID), ExtID: h.ExtID, Fields: h.Fields}
+			hits[j] = wireHit{ID: int32(h.ID), ExtID: h.ExtID, Vals: h.Values}
 		}
-		replies[i] = wireBatchResult{Hits: hits, Postings: r.Postings}
+		replies[i] = wireBatchResult{Fields: r.Fields, Hits: hits, Postings: r.Postings}
 	}
 	if !batch {
-		return wireResponse{Hits: replies[0].Hits, Postings: replies[0].Postings}, false
+		return wireResponse{Fields: replies[0].Fields, Hits: replies[0].Hits, Postings: replies[0].Postings}, false
 	}
 	return wireResponse{Batch: replies}, false
 }

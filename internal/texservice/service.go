@@ -15,6 +15,7 @@ package texservice
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,28 +60,6 @@ type Costs struct {
 func DefaultCosts() Costs {
 	return Costs{CI: 3, CP: 0.00001, CS: 0.015, CL: 4, CA: 0.005}
 }
-
-// Hit is one matching document in a result set.
-type Hit struct {
-	ID     textidx.DocID
-	ExtID  string
-	Fields map[string]string
-}
-
-// Result is a search result set.
-type Result struct {
-	Hits []Hit
-	// Postings is the total length of the inverted lists the text system
-	// processed for this search.
-	Postings int
-	// Partial marks a result that is known to be incomplete: a sharded
-	// service in best-effort mode sets it when one or more shards failed
-	// and their documents are missing. Unsharded services never set it.
-	Partial bool
-}
-
-// IsEmpty reports whether no documents matched (a fail-query, §3.3).
-func (r *Result) IsEmpty() bool { return len(r.Hits) == 0 }
 
 // Service is the database system's view of an external text source.
 // Every data operation takes a context: the text system is remote in the
@@ -378,7 +357,7 @@ type Local struct {
 	read func(context.Context) Corpus
 	// The span names: <layer>.search, <layer>.batchsearch, <layer>.retrieve.
 	searchSpan, batchSpan, retrieveSpan string
-	// shortFields are the fields included in short-form results.
+	// shortFields are the fields included in short-form results, sorted.
 	shortFields []string
 	maxTerms    int
 	meter       *Meter
@@ -425,6 +404,8 @@ func NewCorpusService(layer string, read func(context.Context) Corpus, opts ...L
 	for _, opt := range opts {
 		opt(l)
 	}
+	l.shortFields = slices.Clone(l.shortFields)
+	sort.Strings(l.shortFields)
 	return l
 }
 
@@ -455,14 +436,11 @@ func (l *Local) search(ctx context.Context, span string, exprs []textidx.Expr, f
 		if err != nil {
 			return nil, err
 		}
-		r := &Result{Postings: res.Postings, Hits: make([]Hit, 0, len(res.Docs))}
-		for _, id := range res.Docs {
-			doc, err := c.Doc(id)
-			if err != nil {
-				return nil, err
-			}
-			r.Hits = append(r.Hits, shapeHit(id, doc, form, l.shortFields))
+		r, err := l.shape(c, res.Docs, form)
+		if err != nil {
+			return nil, err
 		}
+		r.Postings = res.Postings
 		out[i] = r
 		postings += res.Postings
 		docs += len(r.Hits)
@@ -476,24 +454,59 @@ func (l *Local) search(ctx context.Context, span string, exprs []textidx.Expr, f
 	return out, nil
 }
 
-// shapeHit is the hit Local transmits for one matching document: every
-// field in long form, only the given short fields in short form.
-func shapeHit(id textidx.DocID, doc textidx.Document, form Form, shortFields []string) Hit {
-	var fields map[string]string
+// shape is the result Local transmits for the matching documents: in
+// short form the short fields, in long form the union of the documents'
+// fields, sorted. Every hit's values share one backing array.
+func (l *Local) shape(c Corpus, ids []textidx.DocID, form Form) (*Result, error) {
+	var docs []textidx.Document // long form: read once to learn the fields
+	fields := l.shortFields
 	if form == FormLong {
-		fields = make(map[string]string, len(doc.Fields))
-		for k, v := range doc.Fields {
-			fields[k] = v
+		docs = make([]textidx.Document, len(ids))
+		for i, id := range ids {
+			doc, err := c.Doc(id)
+			if err != nil {
+				return nil, err
+			}
+			docs[i] = doc
 		}
-	} else {
-		fields = make(map[string]string, len(shortFields))
-		for _, f := range shortFields {
-			if v, ok := doc.Fields[f]; ok {
-				fields[f] = v
+		fields = fieldUnion(docs)
+	}
+	r := &Result{Fields: fields, Hits: make([]Hit, len(ids))}
+	nf := len(fields)
+	vals := make([]string, len(ids)*nf)
+	for i, id := range ids {
+		var doc textidx.Document
+		if docs != nil {
+			doc = docs[i]
+		} else if d, err := c.Doc(id); err != nil {
+			return nil, err
+		} else {
+			doc = d
+		}
+		v := vals[i*nf : (i+1)*nf : (i+1)*nf]
+		for j, f := range fields {
+			v[j] = doc.Fields[f]
+		}
+		r.Hits[i] = Hit{ID: id, ExtID: doc.ExtID, Values: v}
+	}
+	return r, nil
+}
+
+// fieldUnion returns the names of the fields any of the documents has,
+// sorted.
+func fieldUnion(docs []textidx.Document) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, doc := range docs {
+		for f := range doc.Fields {
+			if !seen[f] {
+				seen[f] = true
+				out = append(out, f)
 			}
 		}
 	}
-	return Hit{ID: id, ExtID: doc.ExtID, Fields: fields}
+	sort.Strings(out)
+	return out
 }
 
 // QueryAttr labels a search span with what was asked: the expression of a
@@ -550,11 +563,7 @@ func (l *Local) MaxTerms() int { return l.maxTerms }
 func (l *Local) Meter() *Meter { return l.meter }
 
 // ShortFields returns the fields included in short-form results, sorted.
-func (l *Local) ShortFields() []string {
-	out := append([]string(nil), l.shortFields...)
-	sort.Strings(out)
-	return out
-}
+func (l *Local) ShortFields() []string { return slices.Clone(l.shortFields) }
 
 // Index exposes the frozen index a NewLocal service serves (tests use it
 // as their oracle's collection), or nil when the service reads some other

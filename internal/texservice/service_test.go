@@ -54,18 +54,18 @@ func TestLocalSearchForms(t *testing.T) {
 	if h.ExtID != "d1" {
 		t.Fatalf("hit ext = %q", h.ExtID)
 	}
-	if _, ok := h.Fields["abstract"]; ok {
+	if res.Column("abstract") >= 0 {
 		t.Fatal("short form leaked a non-short field")
 	}
-	if h.Fields["title"] != "Text Retrieval" {
-		t.Fatalf("short fields = %v", h.Fields)
+	if got := h.Value(res.Column("title")); got != "Text Retrieval" {
+		t.Fatalf("short fields %v = %v", res.Fields, h.Values)
 	}
 
 	res, err = svc.Search(bg, textidx.Term{Field: "title", Word: "text"}, FormLong)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Hits[0].Fields["abstract"] == "" {
+	if res.Hits[0].Value(res.Column("abstract")) == "" {
 		t.Fatal("long form missing full fields")
 	}
 }
@@ -191,8 +191,8 @@ func TestShortFieldsAndInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Hits[0].Fields) != 1 {
-		t.Fatalf("short fields = %v", res.Hits[0].Fields)
+	if len(res.Fields) != 1 || len(res.Hits[0].Values) != 1 {
+		t.Fatalf("short fields %v = %v", res.Fields, res.Hits[0].Values)
 	}
 	if got := svc.ShortFields(); len(got) != 1 || got[0] != "title" {
 		t.Fatalf("ShortFields = %v", got)

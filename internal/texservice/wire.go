@@ -37,19 +37,23 @@ type wireRequest struct {
 	Spans bool `json:"spans,omitempty"`
 }
 
+// A search answer travels columnar, as Result holds it: the field names
+// once per answer, each hit's values in that order (hit-wire version 1).
 type wireHit struct {
-	ID     int32             `json:"id"`
-	ExtID  string            `json:"ext"`
-	Fields map[string]string `json:"fields"`
+	ID    int32    `json:"id"`
+	ExtID string   `json:"ext"`
+	Vals  []string `json:"vals"`
 }
 
 type wireBatchResult struct {
+	Fields   []string  `json:"fields"`
 	Hits     []wireHit `json:"hits"`
 	Postings int       `json:"postings"`
 }
 
 type wireResponse struct {
 	Error    string            `json:"error,omitempty"`
+	Fields   []string          `json:"fields,omitempty"`
 	Hits     []wireHit         `json:"hits,omitempty"`
 	Postings int               `json:"postings,omitempty"`
 	Batch    []wireBatchResult `json:"batch,omitempty"`
@@ -65,6 +69,11 @@ type wireResponse struct {
 	// server speaks; 0 — the zero value an old server implies — means
 	// spans are never returned. Also stamped on replies that carry Spans.
 	SpanVer int `json:"spanVer,omitempty"`
+	// HitVer advertises (on info replies) the hit-wire version the server
+	// answers searches in; 0, the zero value an old server implies, is
+	// the map-per-hit shape. A client decodes one version only and
+	// refuses to dial a server that speaks another.
+	HitVer int `json:"hitVer,omitempty"`
 	// Spans is the server-side span subtree for this request, present only
 	// when the request set Spans and the server supports span return. All
 	// offsets inside are relative (see obs.SpanSnapshot), so client/server
@@ -74,6 +83,10 @@ type wireResponse struct {
 
 // spanWireVersion is the span-return protocol version this build speaks.
 const spanWireVersion = 1
+
+// hitWireVersion is the hit-wire version this build speaks: columnar
+// answers (wireBatchResult).
+const hitWireVersion = 1
 
 // SpanWireVersion reports the span-return protocol version this build
 // speaks (0 meant no span return; a Remote records what each dialed

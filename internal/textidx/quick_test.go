@@ -1,6 +1,7 @@
 package textidx
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,6 +115,55 @@ func TestSetOpsAlgebra(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPhraseInMatchesTermOccursIn: PhraseIn, which scans the text without
+// building its token list, agrees with TermOccursIn on random texts of
+// mixed-case ASCII and non-ASCII words (final sigma, dotted capital I,
+// the Kelvin sign, ß), digits, punctuation and invalid UTF-8, for terms
+// cut from the text's own tokens and re-cased, and for random terms.
+func TestPhraseInMatchesTermOccursIn(t *testing.T) {
+	rng := rand.New(rand.NewSource(1995))
+	vocab := []string{"belief", "Update", "UPDATE", "x86", "1994", "café", "CAFÉ", "Straße",
+		"ΣΟΦΙΑ", "σοφια", "σοφιας", "İstanbul", "istanbul", "Kelvin", "kelvin", "naïve", "a"}
+	seps := []string{" ", ", ", "-", "!? ", " — ", "/", "\xff", " "}
+	text := func(n int) string {
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				sb.WriteString(seps[rng.Intn(len(seps))])
+			}
+			sb.WriteString(vocab[rng.Intn(len(vocab))])
+		}
+		return sb.String()
+	}
+	matched := 0
+	for trial := 0; trial < 20000; trial++ {
+		field := text(rng.Intn(8))
+		term := text(1 + rng.Intn(3))
+		if toks := Tokenize(field); len(toks) > 0 && rng.Intn(2) == 0 {
+			i := rng.Intn(len(toks))
+			j := i + 1 + rng.Intn(len(toks)-i)
+			term = strings.Join(toks[i:j], seps[rng.Intn(len(seps))])
+			if rng.Intn(2) == 0 {
+				term = strings.ToUpper(term)
+			}
+		}
+		want := TermOccursIn(term, field)
+		if got := PhraseIn(field, Tokenize(term)); got != want {
+			t.Fatalf("PhraseIn(%q, Tokenize(%q)) = %v, TermOccursIn = %v", field, term, got, want)
+		}
+		if want {
+			matched++
+		}
+	}
+	if matched < 5000 {
+		t.Fatalf("only %d of 20000 terms occurred; the generator is too sparse", matched)
+	}
+	prop := func(field, term string) bool { return PhraseIn(field, Tokenize(term)) == TermOccursIn(term, field) }
+	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
 }

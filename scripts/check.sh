@@ -68,8 +68,12 @@ gate TestShardedSmoke ./internal/shard -race
 # search transcript, which locks every method's wire traffic, run here
 # too. The seed is fixed in the test (batchPropertySeed) so failures
 # reproduce; -short caps the trial count here, the full-trial run happens
-# in the go test -race ./... pass below.
-gate 'TestBatchedProbing|TestBatchProbe|TestSJ|TestSearchTranscript' ./internal/join -race -short
+# in the go test -race ./... pass below. Every relational matcher over one
+# search result reads the result's shared token index, built on first use
+# under its lock: TestHitMatcher has one result serve several tuple sets
+# in turn and four goroutines at once, each checked against the pairwise
+# reference.
+gate 'TestBatchedProbing|TestBatchProbe|TestSJ|TestSearchTranscript|TestHitMatcher' ./internal/join -race -short
 
 # Gateway concurrency suite under the race detector: equivalence,
 # saturation shedding, budgets, drain.
@@ -123,6 +127,13 @@ gate TestSteadyStateAllocs ./internal/vec
 # pipeline and the text join fails this.
 gate TestForeignJoinInputAllocsIndependentOfRows ./internal/exec
 
+# Shared-index allocation gate: after one warm run, an RTP join of the
+# same 64 tuples against a cached 1 000-hit and a cached 8 000-hit result
+# must allocate the same per run — the matcher reads the token index the
+# cached result already holds, so anything that tokenizes or indexes the
+# hits again per query fails this.
+gate TestRTPAllocsIndependentOfCachedHits ./internal/join
+
 # Cardinality-independence gate: once a query shape is warm, Prepare must
 # cost the same allocations and bytes over a 1k-row and a 64k-row table —
 # optimize is O(1) in table size (distinct counts are memoized on the
@@ -134,12 +145,15 @@ gate TestPrepareIndependentOfCardinality ./internal/core
 # and round-trips what it accepts through Expr.String (the remote client
 # ships that rendering for the server to re-parse); whatever it accepts,
 # Eval answers as a per-document scan does and charges what the reference
-# evaluator charges; and any decodable wire request gets a reply from the
-# text server, never a panic or a hang.
+# evaluator charges; any decodable wire request gets a reply from the
+# text server, never a panic or a hang; and whatever bytes come back to a
+# search, the client's columnar decoder answers or refuses them, never
+# accepting a hit whose values do not line up with its answer's fields.
 go test -run NONE -fuzz FuzzPrepare -fuzztime 5s ./internal/core
 go test -run NONE -fuzz FuzzParse -fuzztime 5s ./internal/textidx
 go test -run NONE -fuzz FuzzEval -fuzztime 5s ./internal/textidx
 go test -run NONE -fuzz FuzzServerDispatch -fuzztime 5s ./internal/texservice
+go test -run NONE -fuzz FuzzSearchReply -fuzztime 5s ./internal/texservice
 
 # Live-ingest gates: the WAL torture tests (torn tail, corrupt CRC,
 # double replay), the model-based store property test, snapshot
@@ -197,12 +211,13 @@ gate TestDialTextComposes ./internal/appcfg -race
 # (BenchmarkMatchHits, BENCH_rtp.json), the span path
 # (BenchmarkStartSpan*, BENCH_trace.json), the path from the relational
 # pipeline into the text join (BenchmarkGroupBy, BenchmarkVecHashJoin and
-# the root package's BenchmarkWarmQuery, BENCH_boundary.json), Boolean
+# the root package's BenchmarkWarmQuery, BENCH_boundary.json), the cold
+# query path (the root package's BenchmarkColdQuery, BENCH_rtp.json), Boolean
 # evaluation (BenchmarkEval, BENCH_textidx.json) and the live store's
 # search over its base and delta (BenchmarkStoreSearch, BENCH_ingest.json),
 # and they rot silently otherwise.
 go test -run 'NOTESTS' -bench . -benchtime 1x ./internal/vec ./internal/relation ./internal/join ./internal/obs ./internal/textidx ./internal/ingest
-go test -run 'NOTESTS' -bench 'BenchmarkWarmQuery' -benchtime 1x .
+go test -run 'NOTESTS' -bench 'BenchmarkWarmQuery|BenchmarkColdQuery' -benchtime 1x .
 
 # Benchmark self-test (about 5 s): every workload end to end at tiny
 # sizes, decorated ≡ undecorated stacks (rows, Usage, cache counters),
