@@ -3,11 +3,10 @@
 // serves a generated bibliographic corpus; with -load it indexes documents
 // from a JSON file (an array of {"ext": ..., "fields": {...}} objects).
 //
-// When a tracing client asks (span-return capability is advertised in
-// the info handshake and negotiated per connection), each reply
-// piggybacks the server's own span subtree for that operation, so
-// client-side traces (fedql -analyze, queryd /trace/{id}) show
-// backend-internal work attributed to this process.
+// When a tracing client asks, each reply piggybacks the server's own
+// span subtree for that operation, so client-side traces (fedql
+// -analyze, queryd /trace/{id}) show backend-internal work attributed to
+// this process.
 //
 // Usage:
 //
@@ -23,7 +22,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"textjoin/internal/ingest"
 	"textjoin/internal/texservice"
@@ -41,14 +39,13 @@ func main() {
 		writeTo   = flag.String("write-snapshot", "", "write the index snapshot to this file and exit")
 		short     = flag.String("short", "title,author,year", "comma-separated short-form fields")
 		maxTerms  = flag.Int("maxterms", texservice.DefaultMaxTerms, "maximum search terms per query (the paper's M)")
-		latency   = flag.Duration("latency", 0, "simulated WAN latency added to every request (e.g. 50ms)")
-		chaos     = flag.String("chaos", "", `fault injection spec, e.g. "rate=0.1,drop=50,latency=20ms" (keys: every, rate, drop, hang, latency, doclat, seed, permanent)`)
+		chaos     = flag.String("chaos", "", `fault injection spec, e.g. "rate=0.1,drop=50,latency=20ms" (keys: every, rate, drop, hang, latency, doclat, brownout, seed, permanent)`)
 		shardArg  = flag.String("shard", "", `serve one document partition, as "k/n" (e.g. -shard 0/3); composes with -load/-snapshot/-write-snapshot`)
 		logReqs   = flag.Bool("log-requests", false, "log every request with its op, client trace ID and duration")
 		ingestDir = flag.String("ingest-dir", "", "serve a mutable live-ingest index durably backed by this directory (WAL + snapshots); accepts ingest ops over the wire and replays the log on start")
 	)
 	flag.Parse()
-	if err := run(*addr, *docs, *seed, *load, *snapshot, *writeTo, *short, *maxTerms, *latency, *chaos, *shardArg, *logReqs, *ingestDir); err != nil {
+	if err := run(*addr, *docs, *seed, *load, *snapshot, *writeTo, *short, *maxTerms, *chaos, *shardArg, *logReqs, *ingestDir); err != nil {
 		fmt.Fprintln(os.Stderr, "textserve:", err)
 		os.Exit(1)
 	}
@@ -70,7 +67,7 @@ type jsonDoc struct {
 	Fields map[string]string `json:"fields"`
 }
 
-func run(addr string, docs int, seed int64, load, snapshot, writeTo, short string, maxTerms int, latency time.Duration, chaos, shardArg string, logReqs bool, ingestDir string) error {
+func run(addr string, docs int, seed int64, load, snapshot, writeTo, short string, maxTerms int, chaos, shardArg string, logReqs bool, ingestDir string) error {
 	var ix *textidx.Index
 	switch {
 	case snapshot != "":
@@ -151,14 +148,13 @@ func run(addr string, docs int, seed int64, load, snapshot, writeTo, short strin
 		svc = texservice.NewFaulty(svc, cfg)
 	}
 	srv := texservice.NewServer(svc)
-	srv.Latency = latency
 	srv.LogRequests = logReqs
 	bound, err := srv.Listen(addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("textserve: serving %d documents%s on %s (short form: %s, M=%d, latency %s, span return v%d)\n",
-		ix.NumDocs(), shardInfo, bound, short, maxTerms, latency, texservice.SpanWireVersion())
+	fmt.Printf("textserve: serving %d documents%s on %s (short form: %s, M=%d)\n",
+		ix.NumDocs(), shardInfo, bound, short, maxTerms)
 	if chaos != "" {
 		fmt.Printf("textserve: chaos mode active (%s)\n", chaos)
 	}

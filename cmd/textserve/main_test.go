@@ -15,7 +15,7 @@ func TestWriteSnapshotAndServeIt(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "idx.snap")
 	// Write a snapshot (returns without listening).
-	if err := run("127.0.0.1:0", 120, 3, "", "", snap, "title,author,year", 70, 0, "", "", false, ""); err != nil {
+	if err := run("127.0.0.1:0", 120, 3, "", "", snap, "title,author,year", 70, "", "", false, ""); err != nil {
 		t.Fatal(err)
 	}
 	ix, err := textidx.LoadFile(snap)
@@ -42,7 +42,7 @@ func TestLoadJSONDocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := filepath.Join(dir, "from-json.snap")
-	if err := run("127.0.0.1:0", 0, 1, docsFile, "", snap, "title", 70, 0, "", "", false, ""); err != nil {
+	if err := run("127.0.0.1:0", 0, 1, docsFile, "", snap, "title", 70, "", "", false, ""); err != nil {
 		t.Fatal(err)
 	}
 	ix, err := textidx.LoadFile(snap)
@@ -64,7 +64,7 @@ func TestWriteShardSnapshots(t *testing.T) {
 	for k := 0; k < n; k++ {
 		snap := filepath.Join(dir, "shard.snap")
 		shardArg := []string{"0/3", "1/3", "2/3"}[k]
-		if err := run("127.0.0.1:0", docs, 3, "", "", snap, "title,author,year", 70, 0, "", shardArg, false, ""); err != nil {
+		if err := run("127.0.0.1:0", docs, 3, "", "", snap, "title,author,year", 70, "", shardArg, false, ""); err != nil {
 			t.Fatal(err)
 		}
 		ix, err := textidx.LoadFile(snap)
@@ -76,26 +76,26 @@ func TestWriteShardSnapshots(t *testing.T) {
 	if total != docs {
 		t.Fatalf("shard snapshots hold %d docs in total, want %d", total, docs)
 	}
-	if err := run("x", 10, 1, "", "", "", "title", 70, 0, "", "3/3", false, ""); err == nil {
+	if err := run("x", 10, 1, "", "", "", "title", 70, "", "3/3", false, ""); err == nil {
 		t.Error("out-of-range -shard accepted")
 	}
-	if err := run("x", 10, 1, "", "", "", "title", 70, 0, "", "junk", false, ""); err == nil {
+	if err := run("x", 10, 1, "", "", "", "title", 70, "", "junk", false, ""); err == nil {
 		t.Error("malformed -shard accepted")
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
-	if err := run("x", 10, 1, filepath.Join(t.TempDir(), "missing.json"), "", "", "title", 70, 0, "", "", false, ""); err == nil {
+	if err := run("x", 10, 1, filepath.Join(t.TempDir(), "missing.json"), "", "", "title", 70, "", "", false, ""); err == nil {
 		t.Error("missing JSON accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("x", 10, 1, bad, "", "", "title", 70, 0, "", "", false, ""); err == nil {
+	if err := run("x", 10, 1, bad, "", "", "title", 70, "", "", false, ""); err == nil {
 		t.Error("bad JSON accepted")
 	}
-	if err := run("x", 10, 1, "", filepath.Join(t.TempDir(), "missing.snap"), "", "title", 70, 0, "", "", false, ""); err == nil {
+	if err := run("x", 10, 1, "", filepath.Join(t.TempDir(), "missing.snap"), "", "title", 70, "", "", false, ""); err == nil {
 		t.Error("missing snapshot accepted")
 	}
 }

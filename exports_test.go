@@ -22,8 +22,8 @@ var testOnlyExports = map[string]string{
 	"RepeatedEngine":  "bench: cross-package fixture, the warm repeated-query engine of the root package's BenchmarkWarmQuery",
 	"SetLatency":      "texservice: cross-package fixture, Faulty's injected latency, which the replica hedging suites slow a replica with",
 	"IdleConns":       "texservice: cross-package fixture, Remote's pooled idle connections, which replica's hedge leak gate reads",
-	"CostTSBatched":   "cost: the formula of TS(batched), pending the change that makes it a plan choice, which waits on ROADMAP item 8's methodKey fix",
-	"CostPTSLazy":     "cost: the formula of P+TS(lazy), pending the change that makes it a plan choice, which waits on ROADMAP item 8's methodKey fix",
+	"CostTSBatched":   "cost: the formula of TS(batched), pending ROADMAP item 9, which makes it a plan choice and waits on item 1's methodKey fix",
+	"CostPTSLazy":     "cost: the formula of P+TS(lazy), pending ROADMAP item 9, which makes it a plan choice and waits on item 1's methodKey fix",
 }
 
 // TestNoTestOnlyExports keeps the non-test API free of names that only

@@ -20,6 +20,7 @@ import (
 	"textjoin/internal/replica"
 	"textjoin/internal/shard"
 	"textjoin/internal/texservice"
+	"textjoin/internal/textidx"
 	"textjoin/internal/workload"
 )
 
@@ -125,88 +126,84 @@ func (c *EngineConfig) DialText() (texservice.Service, func(), error) {
 			r.Close()
 		}
 	}
-	// dial connects the i-th endpoint of the -remote list.
-	dial := func(i int, ep string) (texservice.Service, error) {
-		ep = strings.TrimSpace(ep)
-		if ep == "" {
-			return nil, fmt.Errorf("empty endpoint in -remote %q", c.Remote)
-		}
-		r, err := texservice.Dial(ep, nil, dialOpts...)
-		if err != nil {
-			return nil, fmt.Errorf("dialing %s: %w", ep, err)
-		}
-		remotes = append(remotes, r)
-		if p, ok := c.retryPolicy(i); ok {
-			return texservice.NewRetrying(r, p), nil
-		}
-		return r, nil
+	fail := func(err error) (texservice.Service, func(), error) {
+		cleanup()
+		return nil, nil, err
 	}
 
-	partitions := strings.Split(c.Remote, ",")
-	replicated := strings.Contains(c.Remote, "|")
-	if !replicated {
-		// Unreplicated: plain client or sharded federation, as before.
-		shards := make([]texservice.Service, len(partitions))
-		for i, ep := range partitions {
-			svc, err := dial(i, ep)
-			if err != nil {
-				cleanup()
-				return nil, nil, err
-			}
-			shards[i] = svc
-		}
-		if len(shards) == 1 {
-			return shards[0], cleanup, nil
-		}
-		svc, err := shard.New(shards, c.shardOptions()...)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		return svc, cleanup, nil
-	}
-
-	// Replicated: each comma-separated group lists one partition's
-	// replicas, pipe-separated. A replica that is down at dial time is
-	// skipped with a warning rather than sinking the fleet — that is
+	// Each comma-separated group lists one partition's endpoints,
+	// pipe-separated. With replicas, an endpoint that is down at dial time
+	// is skipped with a warning rather than sinking the fleet — that is
 	// the point of replication — but a partition with no reachable
 	// replica at all is fatal, and so is a malformed endpoint list.
-	groups := make([][]texservice.Service, len(partitions))
+	replicated := strings.Contains(c.Remote, "|")
+	var groups [][]texservice.Service
 	i := 0 // endpoint index in list order, reachable or not
-	for p, group := range partitions {
+	for p, group := range strings.Split(c.Remote, ",") {
+		var members []texservice.Service
 		for _, ep := range strings.Split(group, "|") {
-			if strings.TrimSpace(ep) == "" {
-				cleanup()
-				return nil, nil, fmt.Errorf("empty endpoint in -remote %q", c.Remote)
+			ep = strings.TrimSpace(ep)
+			if ep == "" {
+				return fail(fmt.Errorf("empty endpoint in -remote %q", c.Remote))
 			}
-			r, err := dial(i, ep)
+			pol, retry := c.retryPolicy(i)
 			i++
+			r, err := texservice.Dial(ep, nil, dialOpts...)
 			if err != nil {
+				err = fmt.Errorf("dialing %s: %w", ep, err)
+				if !replicated {
+					return fail(err)
+				}
 				fmt.Fprintf(os.Stderr, "warning: skipping unreachable replica: %v\n", err)
 				continue
 			}
-			groups[p] = append(groups[p], r)
+			remotes = append(remotes, r)
+			var member texservice.Service = r
+			if retry {
+				member = texservice.NewRetrying(r, pol)
+			}
+			members = append(members, member)
 		}
-		if len(groups[p]) == 0 {
-			cleanup()
-			return nil, nil, fmt.Errorf("partition %d of -remote %q: no reachable replicas", p, c.Remote)
+		if len(members) == 0 {
+			return fail(fmt.Errorf("partition %d of -remote %q: no reachable replicas", p, c.Remote))
 		}
+		groups = append(groups, members)
 	}
-	fleet, err := replica.NewFleet(groups, c.replicaOptions()...)
+	svc, err := c.compose(groups, replicated)
 	if err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	c.Fleet = fleet
-	if len(groups) == 1 {
-		return fleet.Services()[0], cleanup, nil
-	}
-	svc, err := shard.New(fleet.Services(), c.shardOptions()...)
-	if err != nil {
-		cleanup()
-		return nil, nil, err
+		return fail(err)
 	}
 	return svc, cleanup, nil
+}
+
+// compose is the one place the program assembles partitions × replicas:
+// groups[p] lists the members serving partition p. Replicated groups
+// become the routing Sets of a fleet (recorded in c.Fleet); otherwise
+// each group has one member, which serves its partition directly. One
+// partition is served as itself, several are federated by the shard
+// layer.
+func (c *EngineConfig) compose(groups [][]texservice.Service, replicated bool) (texservice.Service, error) {
+	var parts []texservice.Service
+	if replicated {
+		fleet, err := replica.NewFleet(groups, c.replicaOptions()...)
+		if err != nil {
+			return nil, err
+		}
+		c.Fleet = fleet
+		parts = fleet.Services()
+	} else {
+		for _, members := range groups {
+			parts = append(parts, members[0])
+		}
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	federated, err := shard.New(parts, c.shardOptions()...)
+	if err != nil {
+		return nil, err
+	}
+	return federated, nil
 }
 
 // retryPolicy is the retry policy of the i-th endpoint of -remote, in
@@ -246,10 +243,73 @@ func (c *EngineConfig) replicaOptions() []replica.Option {
 	return opts
 }
 
+// buildLocalText serves the in-process corpus as Partitions × Replicas
+// members, each a read-only Local or, with -live, its own mutable
+// live-ingest index (WAL-durable under -ingest-dir). More than one member
+// puts the routing tier in front of every partition, federated when
+// partitioned; live writes then broadcast through it, and each store
+// inserts only the puts its partition owns. A shared -ingest-dir would
+// have the replicas fighting over one WAL, so it is rejected there. The
+// returned cleanup closes the live stores.
+func (c *EngineConfig) buildLocalText(ix *textidx.Index) (texservice.Service, func(), error) {
+	replicated := c.Replicas > 1 || c.Partitions > 1
+	if replicated && c.IngestDir != "" {
+		return nil, nil, fmt.Errorf("-ingest-dir is not supported with -replicas/-partitions (replicas would share one WAL); use -live for in-memory writes")
+	}
+	parts := []*textidx.Index{ix}
+	if c.Partitions > 1 {
+		var err error
+		if parts, err = ix.Partition(c.Partitions); err != nil {
+			return nil, nil, err
+		}
+	}
+	var stores []*ingest.Store
+	cleanup := func() {
+		for _, st := range stores {
+			_ = st.Close()
+		}
+	}
+	fail := func(err error) (texservice.Service, func(), error) {
+		cleanup()
+		return nil, nil, err
+	}
+	live := c.LiveIngest || c.IngestDir != ""
+	localOpts := []texservice.LocalOption{texservice.WithShortFields("title", "author", "year")}
+	groups := make([][]texservice.Service, len(parts))
+	for p, part := range parts {
+		for range max(c.Replicas, 1) {
+			var member texservice.Service
+			if live {
+				// The shard layer broadcasts every op batch to all
+				// partitions; ShardCount lets each store insert only the
+				// puts its partition owns.
+				store, err := ingest.Open(part, ingest.Options{Dir: c.IngestDir, ShardIndex: p, ShardCount: len(parts)})
+				if err != nil {
+					return fail(fmt.Errorf("opening live-ingest store: %w", err))
+				}
+				stores = append(stores, store)
+				member = ingest.NewLive(store, localOpts...)
+			} else {
+				local, err := texservice.NewLocal(part, localOpts...)
+				if err != nil {
+					return fail(err)
+				}
+				member = local
+			}
+			groups[p] = append(groups[p], member)
+		}
+	}
+	svc, err := c.compose(groups, replicated)
+	if err != nil {
+		return fail(err)
+	}
+	return svc, cleanup, nil
+}
+
 // BuildEngine assembles the engine the config describes: demo or CSV
-// tables plus a local or remote text service registered as "mercury".
-// The returned cleanup closes remote connections and is safe to call
-// even on a nil error path exactly once.
+// tables plus a remote (DialText) or in-process (buildLocalText) text
+// service registered as "mercury". The returned cleanup closes remote
+// connections and live stores; call it exactly once.
 func (c *EngineConfig) BuildEngine() (*core.Engine, func(), error) {
 	opts := core.DefaultOptions()
 	switch c.Mode {
@@ -268,57 +328,16 @@ func (c *EngineConfig) BuildEngine() (*core.Engine, func(), error) {
 	opts.Optimizer.BatchProbe = c.BatchProbe
 
 	demo := workload.NewDemo(c.Docs, c.Seed)
-	cleanup := func() {}
 	var svc texservice.Service
-	localOpts := []texservice.LocalOption{texservice.WithShortFields("title", "author", "year")}
+	var cleanup func()
+	var err error
 	if c.Remote != "" {
-		var err error
 		svc, cleanup, err = c.DialText()
-		if err != nil {
-			return nil, nil, err
-		}
-	} else if c.Replicas > 1 || c.Partitions > 1 {
-		// In-process replicated fleet: each partition served by R
-		// interchangeable replicas behind the routing tier (hedged
-		// requests, failover), federated when partitioned. With -live
-		// each replica is its own mutable delta index and writes
-		// broadcast through the tier; a shared -ingest-dir would have
-		// the replicas fighting over one WAL, so it is rejected.
-		if c.IngestDir != "" {
-			return nil, nil, fmt.Errorf("-ingest-dir is not supported with -replicas/-partitions (replicas would share one WAL); use -live for in-memory writes")
-		}
-		parts, r := c.Partitions, c.Replicas
-		if parts < 1 {
-			parts = 1
-		}
-		if r < 1 {
-			r = 1
-		}
-		var fleet *replica.Fleet
-		var err error
-		svc, fleet, cleanup, err = demo.Corpus.ReplicatedService(parts, r,
-			c.LiveIngest, c.replicaOptions(), c.shardOptions()...)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		c.Fleet = fleet
-	} else if c.LiveIngest || c.IngestDir != "" {
-		// Mutable live-ingest backend: the demo corpus becomes the base
-		// snapshot, writes layer over it in a delta (WAL-durable when
-		// -ingest-dir is set, in-memory otherwise).
-		store, err := ingest.Open(demo.Corpus.Index, ingest.Options{Dir: c.IngestDir})
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening live-ingest store: %w", err)
-		}
-		svc = ingest.NewLive(store, localOpts...)
-		cleanup = func() { _ = store.Close() }
 	} else {
-		local, err := texservice.NewLocal(demo.Corpus.Index, localOpts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		svc = local
+		svc, cleanup, err = c.buildLocalText(demo.Corpus.Index)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 
 	eng := core.NewEngineWith(opts)

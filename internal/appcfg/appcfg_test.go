@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"textjoin/internal/core"
 	"textjoin/internal/gateway"
 	"textjoin/internal/obs"
 	"textjoin/internal/texservice"
@@ -145,24 +144,9 @@ func TestDialTextComposes(t *testing.T) {
 		t.Fatalf("-remote %q did not build a two-partition fleet", cfg.Remote)
 	}
 
-	queries := []string{
-		`select student.name, mercury.docid from student, mercury
-		 where student.year > 2 and student.name in mercury.author`,
-		`select docid from project, mercury
-		 where project.pname in mercury.title and project.member in mercury.author`,
-	}
-	rows := func(res *core.Result) [][]string {
-		out := make([][]string, len(res.Table.Rows))
-		for i, row := range res.Table.Rows {
-			for _, v := range row {
-				out[i] = append(out[i], v.Text())
-			}
-		}
-		return out
-	}
 	rec := obs.NewRecorder("test")
 	ctx := obs.WithRecorder(bg, rec)
-	for _, q := range queries {
+	for _, q := range demoQueries {
 		ref, err := want.QueryContext(bg, q)
 		if err != nil {
 			t.Fatal(err)
@@ -174,7 +158,7 @@ func TestDialTextComposes(t *testing.T) {
 		if got.Partial {
 			t.Errorf("answer flagged partial although every partition answered")
 		}
-		if !slices.Equal(sortedRows(rows(got)), sortedRows(rows(ref))) {
+		if !slices.Equal(sortedRows(resultRows(got)), sortedRows(resultRows(ref))) {
 			t.Errorf("%d rows over TCP, want the in-process %d", len(got.Table.Rows), len(ref.Table.Rows))
 		}
 		if len(ref.Table.Rows) == 0 {
@@ -192,7 +176,7 @@ func TestDialTextComposes(t *testing.T) {
 	// Lose partition 0 for good: a best-effort answer, and it says so.
 	srvA.Close()
 	gw := gateway.New(eng, gateway.Config{Workers: 1})
-	resp, err := gw.Query(bg, queries[0])
+	resp, err := gw.Query(bg, demoQueries[0])
 	if err != nil {
 		t.Fatalf("best-effort query without partition 0 failed: %v", err)
 	}

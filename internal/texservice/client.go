@@ -34,7 +34,6 @@ type Remote struct {
 	numDocs     int
 	maxTerms    int
 	shortFields []string
-	spanVer     int // server's span-return protocol version (0: never ask)
 
 	// slots bounds the number of live connections (the pool size): one
 	// token per in-use or to-be-dialed connection.
@@ -111,7 +110,6 @@ func Dial(addr string, meter *Meter, opts ...DialOption) (*Remote, error) {
 	r.numDocs = resp.NumDocs
 	r.maxTerms = resp.MaxTerms
 	r.shortFields = resp.Short
-	r.spanVer = resp.SpanVer
 	return r, nil
 }
 
@@ -261,15 +259,15 @@ func (r *Remote) roundTrip(ctx context.Context, conn net.Conn, req wireRequest) 
 
 // call runs one operation and surfaces server-side application errors.
 // The span records the server address; the context's trace ID rides the
-// wire so the server's request log can be correlated. When the server
-// speaks the span-return protocol, the reply carries the backend's own
-// span subtree, which is grafted under this call's span tagged with the
-// server address — remote legs stop being black boxes in the trace.
+// wire so the server's request log can be correlated, and the reply
+// carries the backend's own span subtree, which is grafted under this
+// call's span tagged with the server address — remote legs stop being
+// black boxes in the trace.
 func (r *Remote) call(ctx context.Context, op string, req wireRequest) (*wireResponse, error) {
 	ctx, sp := obs.StartSpan(ctx, "remote."+req.Op)
 	if sp != nil {
 		req.Trace = obs.IDFrom(ctx)
-		req.Spans = r.spanVer >= 1
+		req.Spans = true
 		sp.SetAttr(obs.Str("addr", r.addr))
 		defer sp.End()
 	}

@@ -7,23 +7,24 @@ import (
 	"textjoin/internal/textidx"
 )
 
-// TestServerLatency: with simulated WAN latency each request pays the
-// round trip, so n searches take ≥ n×latency while a batched invocation
-// pays it once — the physical counterpart of the paper's c_i argument.
+// TestServerLatency: with simulated WAN latency (a Faulty backend's
+// per-operation delay) each request pays the round trip, so n searches
+// take ≥ n×latency while a batched invocation pays it once — the physical
+// counterpart of the paper's c_i argument.
 func TestServerLatency(t *testing.T) {
+	const latency = 15 * time.Millisecond
 	local, err := NewLocal(testIndex(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(local)
+	srv := NewServer(NewFaulty(local, FaultConfig{Latency: latency}))
 	srv.Logf = t.Logf
-	srv.Latency = 15 * time.Millisecond
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	remote, err := Dial(addr, nil) // Dial's info request pays one latency
+	remote, err := Dial(addr, nil) // metadata passes Faulty undelayed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +43,8 @@ func TestServerLatency(t *testing.T) {
 		}
 	}
 	sequential := time.Since(start)
-	if sequential < 3*srv.Latency {
-		t.Fatalf("3 sequential searches took %s, expected ≥ %s", sequential, 3*srv.Latency)
+	if sequential < 3*latency {
+		t.Fatalf("3 sequential searches took %s, expected ≥ %s", sequential, 3*latency)
 	}
 
 	start = time.Now()

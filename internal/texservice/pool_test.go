@@ -11,17 +11,17 @@ import (
 	"textjoin/internal/textidx"
 )
 
-// startServer boots a TCP server over the test index and returns its
-// address plus the server for restarting/closing.
+// startServer boots a TCP server over the test index, every operation
+// delayed by latency, and returns its address plus the server for
+// restarting/closing.
 func startServer(t *testing.T, latency time.Duration) (*Server, string) {
 	t.Helper()
 	local, err := NewLocal(testIndex(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(local)
+	srv := NewServer(NewFaulty(local, FaultConfig{Latency: latency}))
 	srv.Logf = func(string, ...interface{}) {}
-	srv.Latency = latency
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

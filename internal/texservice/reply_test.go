@@ -108,7 +108,7 @@ func TestDialRefusesOtherHitWireVersion(t *testing.T) {
 		if readMessage(conn, &req) != nil {
 			return
 		}
-		writeMessage(conn, wireResponse{NumDocs: 3, MaxTerms: 70, Short: []string{"title"}, SpanVer: spanWireVersion})
+		writeMessage(conn, wireResponse{NumDocs: 3, MaxTerms: 70, Short: []string{"title"}})
 	}()
 	r, err := Dial(ln.Addr().String(), nil)
 	if err == nil {

@@ -33,11 +33,6 @@ type Server struct {
 	// Logf, when set, receives connection-level error logs. Defaults to
 	// log.Printf.
 	Logf func(format string, args ...interface{})
-	// Latency, when positive, delays every request by that duration —
-	// simulating the WAN round trip that made the paper's invocation
-	// cost c_i dominate, so wall-clock benchmarks reproduce the regime
-	// physically.
-	Latency time.Duration
 	// LogRequests, when set, logs one line per request through Logf,
 	// including the client's trace ID (wireRequest.Trace) so server-side
 	// logs correlate with the client's span tree. Off by default: the
@@ -123,9 +118,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if s.Latency > 0 {
-			time.Sleep(s.Latency)
-		}
 		start := time.Now()
 		resp, drop := s.handle(s.ctx, req)
 		if s.LogRequests {
@@ -169,7 +161,6 @@ func (s *Server) handle(ctx context.Context, req wireRequest) (wireResponse, boo
 		root.End()
 		snap := root.Snapshot()
 		resp.Spans = &snap
-		resp.SpanVer = spanWireVersion
 	}
 	return resp, drop
 }
@@ -208,7 +199,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest) (resp wireRespon
 	case "info":
 		n, _ := s.svc.NumDocs()
 		return wireResponse{NumDocs: n, MaxTerms: s.svc.MaxTerms(), Short: s.svc.ShortFields(),
-			SpanVer: spanWireVersion, HitVer: hitWireVersion}, false
+			HitVer: hitWireVersion}, false
 	default:
 		return wireResponse{Error: fmt.Sprintf("texservice: unknown op %q", req.Op)}, false
 	}

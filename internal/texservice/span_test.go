@@ -49,9 +49,6 @@ func findSpan(s obs.SpanSnapshot, name string) (obs.SpanSnapshot, bool) {
 // labeled with the dialed address — the tentpole's cross-process path.
 func TestRemoteSpanReturn(t *testing.T) {
 	_, remote := spanServer(t)
-	if remote.spanVer != spanWireVersion {
-		t.Fatalf("negotiated span version %d, want %d", remote.spanVer, spanWireVersion)
-	}
 
 	rec := obs.NewRecorder("query")
 	ctx := obs.WithRecorder(bg, rec)
@@ -97,29 +94,6 @@ func TestRemoteSpanReturn(t *testing.T) {
 	}
 }
 
-// TestRemoteSpanVersionZero: a client that negotiated span version 0 (an
-// old server) never sets req.Spans, and the trace simply lacks remote
-// subtrees — mixed-fleet interop, no errors.
-func TestRemoteSpanVersionZero(t *testing.T) {
-	_, remote := spanServer(t)
-	remote.spanVer = 0 // pretend the server's info reply predated span return
-
-	rec := obs.NewRecorder("query")
-	ctx := obs.WithRecorder(bg, rec)
-	if _, err := remote.Search(ctx, textidx.Term{Field: "title", Word: "text"}, FormShort); err != nil {
-		t.Fatal(err)
-	}
-	rec.Root().End()
-	snap := rec.Root().Snapshot()
-	if _, ok := findSpan(snap, "textserve.search"); ok {
-		t.Fatal("version-0 negotiation still returned server spans")
-	}
-	call, ok := findSpan(snap, "remote.search")
-	if !ok || len(call.Children) != 0 {
-		t.Fatalf("client span wrong without span return: %+v", call)
-	}
-}
-
 // TestServerSpanGating: the server only records and returns spans when
 // the request both asks and carries a trace ID, and error replies carry
 // the span tree too (the failed call's server-side view matters most).
@@ -140,9 +114,6 @@ func TestServerSpanGating(t *testing.T) {
 	resp, _ := srv.handle(bg, wireRequest{Op: "search", Query: "title='text'", Spans: true, Trace: "q-1"})
 	if resp.Spans == nil {
 		t.Fatal("server returned no spans when asked")
-	}
-	if resp.SpanVer != spanWireVersion {
-		t.Fatalf("reply span version %d, want %d", resp.SpanVer, spanWireVersion)
 	}
 	if resp.Spans.Name != "textserve.search" {
 		t.Fatalf("server root span %q", resp.Spans.Name)
@@ -172,7 +143,6 @@ func TestServerSpanGating(t *testing.T) {
 // nesting).
 func TestWireSpanRoundtrip(t *testing.T) {
 	in := wireResponse{
-		SpanVer: spanWireVersion,
 		Spans: &obs.SpanSnapshot{
 			Name: "textserve.search", DurationNs: 5e6,
 			Attrs: []obs.AttrSnapshot{{Key: "hits", Value: "3"}},
@@ -188,9 +158,6 @@ func TestWireSpanRoundtrip(t *testing.T) {
 	var out wireResponse
 	if err := readMessage(strings.NewReader(buf.String()), &out); err != nil {
 		t.Fatal(err)
-	}
-	if out.SpanVer != in.SpanVer {
-		t.Fatalf("span version %d, want %d", out.SpanVer, in.SpanVer)
 	}
 	if out.Spans == nil || out.Spans.Name != "textserve.search" ||
 		len(out.Spans.Children) != 1 || out.Spans.Children[0].Remote != "far:1" ||

@@ -31,9 +31,7 @@ type wireRequest struct {
 	// not tracing; servers must treat it as opaque.
 	Trace string `json:"trace,omitempty"`
 	// Spans asks the server to record its own span tree under Trace and
-	// return it on the reply. Clients set it only after the server
-	// advertised SpanVer >= 1 in its info response; older servers ignore
-	// the unknown field, so mixed-version fleets interoperate.
+	// return it on the reply. Clients set it whenever they trace the call.
 	Spans bool `json:"spans,omitempty"`
 }
 
@@ -65,33 +63,21 @@ type wireResponse struct {
 	DocFreq  int               `json:"docFreq,omitempty"`
 	Ingest   *IngestResult     `json:"ingestResult,omitempty"`
 	Version  uint64            `json:"version,omitempty"`
-	// SpanVer advertises (on info replies) the span-return protocol the
-	// server speaks; 0 — the zero value an old server implies — means
-	// spans are never returned. Also stamped on replies that carry Spans.
-	SpanVer int `json:"spanVer,omitempty"`
 	// HitVer advertises (on info replies) the hit-wire version the server
 	// answers searches in; 0, the zero value an old server implies, is
 	// the map-per-hit shape. A client decodes one version only and
 	// refuses to dial a server that speaks another.
 	HitVer int `json:"hitVer,omitempty"`
 	// Spans is the server-side span subtree for this request, present only
-	// when the request set Spans and the server supports span return. All
-	// offsets inside are relative (see obs.SpanSnapshot), so client/server
-	// clock skew cannot corrupt the stitched trace.
+	// when the request set Spans. All offsets inside are relative (see
+	// obs.SpanSnapshot), so client/server clock skew cannot corrupt the
+	// stitched trace.
 	Spans *obs.SpanSnapshot `json:"spans,omitempty"`
 }
-
-// spanWireVersion is the span-return protocol version this build speaks.
-const spanWireVersion = 1
 
 // hitWireVersion is the hit-wire version this build speaks: columnar
 // answers (wireBatchResult).
 const hitWireVersion = 1
-
-// SpanWireVersion reports the span-return protocol version this build
-// speaks (0 meant no span return; a Remote records what each dialed
-// server negotiated at dial time).
-func SpanWireVersion() int { return spanWireVersion }
 
 // writeMessage frames and writes one JSON message.
 func writeMessage(w io.Writer, v interface{}) error {

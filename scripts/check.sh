@@ -92,7 +92,7 @@ gate 'Metrics|Analyze|SlowQuery' ./internal/gateway -race
 #    span under every scatter leg (each leg's own texservice.Retrying
 #    wrapper, set up by the test, re-asks until a reply carries the
 #    server subtree).
-# 2. Remote span return over the wire: version negotiation, skew-proof
+# 2. Remote span return over the wire: skew-proof
 #    grafting, spans on error replies.
 # 3. Trace ring soak: concurrent queries hammer the tail-sampled store
 #    while /traces and /trace/{id} are polled; plus the tentpole 2x2
@@ -205,6 +205,13 @@ gate TestHedgeBudgetAllocs ./internal/replica
 # Retrying wrapper absorbs (answers equal the in-process ones), then that
 # partition lost for good and the gateway's answer flagged Partial.
 gate TestDialTextComposes ./internal/appcfg -race
+
+# Every text stack BuildEngine composes (local, live, P x R in-process,
+# remote plain/retrying/sharded/replicated): the registered type, the
+# fleet's Set count, answers equal to the plain local engine's, one live
+# put returned once and kept on its owner partition, and the refusals'
+# error texts.
+gate TestBuildEngineShapes ./internal/appcfg -race
 
 # Benchmarks must at least compile and run one iteration — they are the
 # before/after evidence for the execution core, the relational matcher
